@@ -12,9 +12,9 @@ resulting complexes by combinatorial isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .complexes import (
-    Face,
     NonFaceFamily,
     SimplicialComplex,
     complex_from_nonfaces,
@@ -23,7 +23,7 @@ from .complexes import (
 )
 from .gale import diagram_from_certificate, realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import MaxOddCycle, Sphere, canonical_certificate, recognize, validate_certificate
+from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
 
 Bracelet = tuple[int, ...]
 
@@ -79,20 +79,10 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
     n = len(b)
     if n < 3 or n % 2 == 0 or any(p < 1 for p in b) or (n == 3 and any(p < 2 for p in b)):
         raise ValueError(f"{b} is not a valid bracelet")
-    k = (n - 1) // 2
     m = sum(b)
-    blocks: list[Face] = [()] * n
-    start = 1
-    for j, part in enumerate(b):
-        blocks[(-2 * j) % n] = tuple(range(start, start + part))
-        start += part
-    ordering = tuple(
-        tuple(sorted(v for j in range(k) for v in blocks[(i - 2 * j) % n]))
-        for i in range(n)
-    )
-    cert = canonical_certificate(ordering)
-    validate_certificate(cert, m)
-    return NonFaceFamily(m, ordering), cert
+    slots = [tuple(range(start, start + part)) for start, part in zip(accumulate(b, initial=1), b)]
+    cert = certificate_from_slots(slots, m)
+    return NonFaceFamily(m, cert.ordering), cert
 
 
 def _vertex_signature(c: SimplicialComplex, v: int) -> tuple[tuple[int, int], ...]:

@@ -10,7 +10,6 @@ everything in this module is safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -121,28 +120,6 @@ def is_face(c: SimplicialComplex, a: Iterable[int]) -> bool:
     return any(am & _mask(f) == am for f in c.facets)
 
 
-def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
-    """The inclusion-minimal subsets of [m] that are not faces of `c`.
-
-    Candidates are scanned by increasing cardinality from 2 up to d+2
-    (larger sets always contain a smaller non-face), skipping supersets
-    of members already found.
-    """
-    m = c.m
-    facet_masks = [_mask(f) for f in c.facets]
-    found: list[int] = []
-    top = min(c.dimension + 2, m)
-    for size in range(2, top + 1):
-        for combo in itertools.combinations(range(1, m + 1), size):
-            am = _mask(combo)
-            if any(am & g == g for g in found):
-                continue
-            if any(am & fm == am for fm in facet_masks):
-                continue
-            found.append(am)
-    return NonFaceFamily(m, tuple(_face(g) for g in found))
-
-
 def _antichain_minima(masks: Iterable[int]) -> set[int]:
     by_size = sorted(set(masks), key=lambda x: (x.bit_count(), x))
     keep: list[int] = []
@@ -152,16 +129,14 @@ def _antichain_minima(masks: Iterable[int]) -> set[int]:
     return set(keep)
 
 
-def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
-    """The complex whose faces are exactly the sets containing no member of `f`.
+def _minimal_transversals(masks: Iterable[int]) -> set[int]:
+    """The inclusion-minimal sets meeting every mask (Berge's sequential dualization).
 
-    Facets are complements of the minimal hitting sets of the family,
-    computed member by member with antichain pruning after each step.
+    Masks are absorbed one at a time; after each step the partial
+    transversals are pruned back to an antichain.
     """
-    full = (1 << f.m) - 1
     transversals: set[int] = {0}
-    for member in f.members:
-        am = _mask(member)
+    for am in masks:
         nxt: set[int] = set()
         for t in transversals:
             if t & am:
@@ -173,6 +148,28 @@ def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
                     nxt.add(t | bit)
                     rest ^= bit
         transversals = _antichain_minima(nxt)
+    return transversals
+
+
+def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
+    """The inclusion-minimal subsets of [m] that are not faces of `c`.
+
+    A set is a non-face exactly when it meets the complement of every
+    facet, so the minimal non-faces are the minimal transversals of the
+    facet complements; no bound on their size is needed.
+    """
+    full = (1 << c.m) - 1
+    transversals = _minimal_transversals(full ^ _mask(f) for f in c.facets)
+    return NonFaceFamily(c.m, tuple(_face(t) for t in transversals))
+
+
+def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
+    """The complex whose faces are exactly the sets containing no member of `f`.
+
+    Facets are complements of the minimal transversals of the family.
+    """
+    full = (1 << f.m) - 1
+    transversals = _minimal_transversals(_mask(a) for a in f.members)
     facets = tuple(sorted(_face(full ^ t) for t in transversals))
     return SimplicialComplex(f.m, facets)
 

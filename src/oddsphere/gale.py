@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .complexes import Face, NonFaceFamily
+from .complexes import NonFaceFamily
 from .linalg import (
     Vec,
     cross2,
@@ -31,7 +31,7 @@ from .linalg import (
     vec_sub,
 )
 from .oracle import PointConfiguration
-from .recognizer import MaxOddCycle, canonical_certificate, validate_certificate
+from .recognizer import MaxOddCycle, certificate_from_slots
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -405,14 +405,5 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] 
         return None
     if k == 1 and any(len(members_of[p]) < 2 for p in ordered):
         return None
-    blocks: list[Face] = [()] * s
-    for j in range(s):
-        blocks[(-2 * j) % s] = tuple(sorted(members_of[ordered[j]]))
-    ordering = tuple(
-        tuple(sorted(v for j in range(k) for v in blocks[(i - 2 * j) % s]))
-        for i in range(s)
-    )
-    cert = canonical_certificate(ordering)
-    validate_certificate(cert, g.n)
-    family = NonFaceFamily(g.n, ordering)
-    return family, cert
+    cert = certificate_from_slots([members_of[p] for p in ordered], g.n)
+    return NonFaceFamily(g.n, cert.ordering), cert

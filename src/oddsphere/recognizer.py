@@ -15,8 +15,8 @@ Vertex counts beyond d+4 are out of scope (no characterization exists).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .complexes import (
     Face,
@@ -194,71 +194,58 @@ def validate_certificate(cert: Certificate, m: int) -> None:
     raise TypeError(f"unknown certificate type {type(cert)!r}")
 
 
-def _search_max_odd_cycle(f: NonFaceFamily) -> tuple[MaxOddCycle | None, bool]:
-    """All-cycles backtracking over the disjointness graph of the members.
+def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
+    """Walk the disjointness graph of the members, then check the blocks.
 
-    Returns (best certificate or None, whether any cyclic ordering exists).
-    The best certificate is the canonically smallest valid one.
+    In a valid cycle A_i and A_j are disjoint exactly when j = i +- 1, so
+    the disjointness graph must be the n-cycle itself: every member has
+    exactly two disjoint partners, and the walk from one member to the
+    next visits all n of them.  That fixes the ordering up to rotation and
+    reflection, so no search is needed.
     """
-    members = list(f.members)
+    members = f.members
     n = len(members)
-    m = f.m
     if n < 3 or n % 2 == 0:
-        return None, False
+        return NotSphereReason.NO_CYCLIC_ORDERING
     sets = [set(a) for a in members]
-    adj = [
-        [j for j in range(n) if j != i and not (sets[i] & sets[j])]
-        for i in range(n)
-    ]
-    if any(len(nb) < 2 for nb in adj):
-        return None, False
-
-    # n blocks must partition [m], so more members than vertices can never
-    # succeed; only probe for the existence of a cycle (diagnostics).
-    exhaustive = n <= m
-
-    best: tuple | None = None
-    saw_cycle = False
-    used = [False] * n
-    used[0] = True
-    path = [0]
-
-    def extend() -> bool:
-        nonlocal best, saw_cycle
-        if len(path) == n:
-            if 0 not in adj[path[-1]] or path[1] > path[-1]:
-                return False
-            saw_cycle = True
-            if not exhaustive:
-                return True
-            ordering = tuple(members[i] for i in path)
-            blocks = alternating_blocks(ordering)
-            if _is_partition(blocks, m) and (n > 3 or all(len(b) >= 2 for b in blocks)):
-                cert = canonical_certificate(ordering)
-                key = (cert.blocks, cert.ordering)
-                if best is None or key < best:
-                    best = key
-            return False
-        for j in adj[path[-1]]:
-            if not used[j]:
-                used[j] = True
-                path.append(j)
-                stop = extend()
-                path.pop()
-                used[j] = False
-                if stop:
-                    return True
-        return False
-
-    extend()
-    if best is None:
-        return None, saw_cycle
-    return MaxOddCycle(ordering=best[1], blocks=best[0]), True
+    adj = [[j for j in range(n) if j != i and not (sets[i] & sets[j])] for i in range(n)]
+    if any(len(nb) != 2 for nb in adj):
+        return NotSphereReason.NO_CYCLIC_ORDERING
+    path = [0, adj[0][0]]
+    while len(path) < n:
+        prev, cur = path[-2], path[-1]
+        nxt = adj[cur][1] if adj[cur][0] == prev else adj[cur][0]
+        if nxt == 0:
+            return NotSphereReason.NO_CYCLIC_ORDERING  # closed a shorter cycle
+        path.append(nxt)
+    ordering = tuple(members[i] for i in path)
+    if not _is_partition(alternating_blocks(ordering), f.m):
+        return NotSphereReason.BLOCKS_NOT_PARTITION
+    return canonical_certificate(ordering)
 
 
 def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
     """The canonical maximum-odd-cycle certificate for `f`, if one exists."""
-    cert, _ = _search_max_odd_cycle(f)
+    cert = _max_odd_cycle(f)
+    return cert if isinstance(cert, MaxOddCycle) else None
+
+
+def certificate_from_slots(slots: Sequence[Face], m: int) -> MaxOddCycle:
+    """The validated canonical certificate whose block B_{-2j} is `slots[j]`.
+
+    Member A_i is the union of the k blocks B_i, B_{i-2}, ..., B_{i-2k+2}.
+    """
+    n = len(slots)
+    k = (n - 1) // 2
+    blocks: list[Face] = [()] * n
+    for j, slot in enumerate(slots):
+        blocks[(-2 * j) % n] = tuple(sorted(slot))
+    ordering = tuple(
+        tuple(sorted(v for j in range(k) for v in blocks[(i - 2 * j) % n]))
+        for i in range(n)
+    )
+    cert = canonical_certificate(ordering)
+    validate_certificate(cert, m)
     return cert
 
 
@@ -268,6 +255,11 @@ def recognize(c: SimplicialComplex) -> Verdict:
     Verdicts carry a certificate whose shape fixes the dimension:
     simplex boundary (d = m-2), two-set partition (d = m-3), or maximum
     odd cycle (d = m-4).  Complexes with m - d >= 5 are out of scope.
+
+    For an odd family of at least three members, NO_CYCLIC_ORDERING means
+    the disjointness graph of the members is not a single n-cycle (even
+    when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
+    means it is one but the alternating blocks fail to partition [m].
     """
     m, d = c.m, c.dimension
     if m - d >= 5:
@@ -292,35 +284,10 @@ def recognize(c: SimplicialComplex) -> Verdict:
         return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
     if len(members) % 2 == 0:
         return NotSphere(NotSphereReason.NON_ODD_FAMILY_SIZE)
-    cert, saw_cycle = _search_max_odd_cycle(fam)
-    if cert is None:
-        if saw_cycle:
-            return NotSphere(NotSphereReason.BLOCKS_NOT_PARTITION)
-        return NotSphere(NotSphereReason.NO_CYCLIC_ORDERING)
+    cert = _max_odd_cycle(fam)
+    if isinstance(cert, NotSphereReason):
+        return NotSphere(cert)
     if d != m - 4:
         raise InternalInconsistency(f"maximum odd cycle found but dim {d} != {m - 4}")
     validate_certificate(cert, m)
     return Sphere(m - 4, cert)
-
-
-def all_max_odd_cycle_orderings(f: NonFaceFamily) -> list[MaxOddCycle]:
-    """Every valid certificate up to dihedral symmetry (no uniqueness is assumed)."""
-    members = list(f.members)
-    n = len(members)
-    if n < 3 or n % 2 == 0 or n > f.m:
-        return []
-    out: set[MaxOddCycle] = set()
-    for perm in itertools.permutations(range(1, n)):
-        path = (0,) + perm
-        if path[1] > path[-1]:
-            continue
-        ordering = tuple(members[i] for i in path)
-        ok = all(
-            not (set(ordering[i]) & set(ordering[(i + 1) % n])) for i in range(n)
-        )
-        if not ok:
-            continue
-        blocks = alternating_blocks(ordering)
-        if _is_partition(blocks, f.m) and (n > 3 or all(len(b) >= 2 for b in blocks)):
-            out.add(canonical_certificate(ordering))
-    return sorted(out, key=lambda c: (c.blocks, c.ordering))

@@ -1,14 +1,16 @@
 """JSON documents and the command-line front end."""
 
+import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from oddsphere import serialize
-from oddsphere.catalog import catalog
+from oddsphere import cli, serialize
+from oddsphere.catalog import catalog, instantiate
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces
 from oddsphere.oracle import PointConfiguration
 from oddsphere.recognizer import recognize
@@ -111,6 +113,14 @@ def test_check_malformed_json_exits_64():
     assert proc.returncode == 64
 
 
+def test_check_reports_no_cyclic_ordering():
+    # the disjointness graph has a Hamiltonian cycle but is not a single 5-cycle
+    doc = {"m": 7, "nonfaces": [[1, 6], [2, 3], [2, 7], [3, 4], [5, 6, 7]]}
+    proc = run_cli(["check"], doc)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"reason": "no_cyclic_ordering", "verdict": "not_sphere"}
+
+
 def test_nonfaces_octahedron():
     c = complex_from_nonfaces(NonFaceFamily(6, ((1, 2), (3, 4), (5, 6))))
     proc = run_cli(["nonfaces"], serialize.complex_to_doc(c))
@@ -198,3 +208,32 @@ def test_file_input_and_output(tmp_path):
     proc = run_cli(["check", "-i", str(inp), "-o", str(out)])
     assert proc.returncode == 0
     assert json.loads(out.read_text())["verdict"] == "sphere"
+
+
+# -- adversarial inputs: each must finish inside a wall-time bound ------------
+
+def run_main_timed(argv, doc, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    rc = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out, _ = capsys.readouterr()
+    return rc, out, elapsed
+
+
+@pytest.mark.parametrize("bracelet, d", [((4, 4, 4, 4, 4, 4, 6), 26), ((3,) * 7, 17)])
+def test_check_large_bracelet_sphere_is_fast(bracelet, d, monkeypatch, capsys):
+    fam, _ = instantiate(bracelet)
+    rc, out, elapsed = run_main_timed(["check"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "sphere" and doc["d"] == d
+    assert elapsed < 2.0
+
+
+def test_realize_eleven_disjoint_pairs_is_fast(monkeypatch, capsys):
+    doc = {"m": 22, "nonfaces": [[2 * i + 1, 2 * i + 2] for i in range(11)]}
+    rc, out, elapsed = run_main_timed(["realize", "--verify"], doc, monkeypatch, capsys)
+    assert rc == 1
+    assert out == ""
+    assert elapsed < 2.0

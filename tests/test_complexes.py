@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from oddsphere.complexes import (
     InvariantError,
@@ -17,6 +18,7 @@ from oddsphere.complexes import (
     permuted,
     permuted_family,
 )
+from tests_shared import nonface_families, simplicial_complexes
 
 PENTAGON_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 PENTAGON_NONFACES = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
@@ -183,6 +185,24 @@ def test_join_law_three_partitions():
         for a in subsets(range(1, m + 1)):
             omits_each = all(set(b) - set(a) for b in blocks)
             assert is_face(c, a) == omits_each
+
+
+@settings(deadline=None)
+@given(nonface_families(max_m=10))
+def test_property_nonfaces_complex_nonfaces(f):
+    assert minimal_nonfaces(complex_from_nonfaces(f)) == f
+
+
+@settings(deadline=None)
+@given(simplicial_complexes(max_m=10))
+def test_property_complex_nonfaces_complex(c):
+    assert complex_from_nonfaces(minimal_nonfaces(c)) == c
+
+
+@settings(deadline=None)
+@given(simplicial_complexes(max_m=7))
+def test_property_minimal_nonfaces_matches_naive(c):
+    assert minimal_nonfaces(c).members == naive_minimal_nonfaces(c.m, c.facets)
 
 
 # -- invariant violations ---------------------------------------------------

@@ -4,13 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
+    InvariantError,
     NonFaceFamily,
     SimplicialComplex,
     complex_from_nonfaces,
     minimal_nonfaces,
     permuted,
+    permuted_family,
 )
 from oddsphere.recognizer import (
     EvenLength,
@@ -28,6 +33,7 @@ from oddsphere.recognizer import (
     recognize,
     validate_certificate,
 )
+from tests_shared import nonface_families
 
 PENTAGON_F = ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5))
 
@@ -164,6 +170,39 @@ def test_recognize_two_members_not_partition():
     assert recognize(c) == NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
 
 
+SMALL_BRACELETS = [b for m in range(5, 10) for b in enumerate_bracelets(m) if len(b) <= 7]
+
+
+@st.composite
+def odd_families(draw):
+    """Odd families of 3..7 members: random, or a relabelled bracelet with one vertex toggled."""
+    if draw(st.booleans()):
+        f = draw(nonface_families(max_m=7, min_members=3, max_members=7))
+        assume(len(f.members) % 2 == 1 and len(f.members) >= 3)
+        return f
+    f, _ = instantiate(draw(st.sampled_from(SMALL_BRACELETS)))
+    image = draw(st.permutations(range(1, f.m + 1)))
+    members = [{image[v - 1] for v in a} for a in f.members]
+    if draw(st.booleans()):
+        members[draw(st.integers(0, len(members) - 1))] ^= {draw(st.integers(1, f.m))}
+    try:
+        f = NonFaceFamily(f.m, tuple(tuple(sorted(a)) for a in members))
+    except InvariantError:
+        assume(False)
+    assume(len(f.members) % 2 == 1)
+    return f
+
+
+@settings(deadline=None)
+@given(odd_families())
+def test_property_find_max_odd_cycle_matches_brute_force(f):
+    cert = find_max_odd_cycle(f)
+    assert (cert is not None) == brute_force_max_odd_cycle_exists(f)
+    if cert is not None:
+        validate_certificate(cert, f.m)
+        assert tuple(sorted(cert.ordering)) == f.members
+
+
 def test_recognize_no_cyclic_ordering():
     # three pairwise-intersecting members: the disjointness graph has no edges
     f = NonFaceFamily(5, ((1, 2), (2, 3), (1, 3)))
@@ -186,6 +225,24 @@ def test_recognize_odd_family_without_cycle():
     c = complex_from_nonfaces(f)
     assert minimal_nonfaces(c) == f
     assert recognize(c) == NotSphere(NotSphereReason.NO_CYCLIC_ORDERING)
+
+
+@pytest.mark.parametrize("f", [
+    # (1,6)-(2,3)-(5,6,7)-(3,4)-(2,7) is a Hamiltonian cycle of the disjointness
+    # graph, but (1,6) has three disjoint partners
+    NonFaceFamily(7, ((1, 6), (2, 3), (2, 7), (3, 4), (5, 6, 7))),
+    # every member has two disjoint partners, but the graph is a triangle plus a 4-cycle
+    NonFaceFamily(9, ((1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (1, 6, 9), (3, 5, 8))),
+])
+def test_recognize_disjointness_graph_not_one_cycle(f):
+    c = complex_from_nonfaces(f)
+    assert minimal_nonfaces(c) == f
+    rng = random.Random(7)
+    for _ in range(20):  # the reason must not depend on where the walk starts
+        image = list(range(1, f.m + 1))
+        rng.shuffle(image)
+        g = permuted_family(f, {v: image[v - 1] for v in range(1, f.m + 1)})
+        assert recognize(complex_from_nonfaces(g)) == NotSphere(NotSphereReason.NO_CYCLIC_ORDERING)
 
 
 # -- certificate properties ---------------------------------------------------
