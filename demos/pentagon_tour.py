@@ -35,7 +35,7 @@ cert = verdict.certificate
 print("cyclic ordering:", " - ".join(str(set(a)) for a in cert.ordering))
 print("blocks B_i:     ", [set(b) for b in cert.blocks])
 
-# place the blocks on a rational approximation of the regular pentagon
+# place the blocks on five integer directions in the regular pentagon's cyclic order
 diagram = diagram_from_certificate(cert)
 slots = sorted(range(1, 6), key=lambda v: diagram.slots[v - 1])
 print("\npolygon slots 0..4 carry vertices:", slots)

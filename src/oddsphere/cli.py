@@ -2,7 +2,8 @@
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 2 (out of scope); malformed input or an invariant violation is 64 for every
-subcommand; other operational failures exit 1.
+subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
+`internal error:` message; other operational failures exit 1.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import json
 import sys
 
 from . import serialize
-from .catalog import catalog as run_catalog
+from .catalog import CatalogVerificationError, catalog as run_catalog
 from .complexes import complex_from_nonfaces, minimal_nonfaces
 from .gale import diagram_from_certificate, realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, hull_facets, sphere_betti_profile
-from .recognizer import MaxOddCycle, NotSphere, Sphere, find_max_odd_cycle, recognize
+from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, find_max_odd_cycle, recognize
 
 EX_INPUT = 64
+EX_SOFTWARE = 70
 
 
 class InputError(Exception):
@@ -197,6 +199,9 @@ def main(argv=None) -> int:
     except (InputError, serialize.DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INPUT
+    except (InternalInconsistency, CatalogVerificationError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

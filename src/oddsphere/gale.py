@@ -1,11 +1,11 @@
-"""Exact Gale transforms, planar Gale diagrams, and the polygon realization.
+"""Exact Gale transforms, planar Gale diagrams, and the integer realization.
 
 The planar constructions never form unit vectors (those are irrational);
 positive-ray direction classes carry the same information exactly, because
 the origin-in-relative-interior test is invariant under positive scaling.
-Regular polygon vertices are replaced by nearby rational points on the unit
-circle via the tangent half-angle parameterization, and every combinatorial
-conclusion drawn from them is re-verified with exact arithmetic.
+The regular polygon is likewise irrational, so diagrams are realized on
+small primitive integer directions in the same cyclic order, and the
+direction classes are re-verified with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .linalg import (
     solve,
     vec,
     vec_scale,
-    vec_sub,
 )
 from .oracle import PointConfiguration
-from .recognizer import MaxOddCycle, certificate_from_slots
+from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -48,10 +47,6 @@ class InvalidConfiguration(ValueError):
 
 class ZeroInput(ValueError):
     """A direction or dependence vector must be nonzero."""
-
-
-class ToleranceExhausted(RuntimeError):
-    """Polygon approximation kept perturbing the direction classes (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -172,40 +167,6 @@ def coface_test(diag: CombinatorialDiagram, a: Iterable[int]) -> bool:
     return True
 
 
-def rational_polygon(k: int, tol: Fraction | None = None) -> list[Vec]:
-    """2k+1 rational points on the unit circle near the regular polygon's vertices.
-
-    Point j sits within tol of j/(2k+1) of a full turn from the x-axis,
-    via the tangent half-angle map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)),
-    so each point satisfies x^2 + y^2 = 1 exactly.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = 2 * k + 1
-    if tol is None:
-        tol = Fraction(1, 16 * n)
-    tol = Fraction(tol)
-    if not 0 < tol < Fraction(1, 8 * n):
-        raise ValueError(f"tol must lie strictly between 0 and 1/{8 * n} of a turn")
-    # |angle error| <= 2 |t error| <= 1/Q, far below tol * 2*pi for this Q
-    q = math.ceil(Fraction(4) / tol)
-    points: list[Vec] = []
-    for j in range(n):
-        theta = 2.0 * math.pi * j / n
-        if theta > math.pi:
-            theta -= 2.0 * math.pi
-        t = Fraction(math.tan(theta / 2.0)).limit_denominator(q)
-        den = 1 + t * t
-        points.append(((1 - t * t) / den, 2 * t / den))
-    for p in points:
-        assert dot(p, p) == 1
-    for i in range(n):
-        assert cross2(points[i], points[(i + 1) % n]) > 0, "polygon lost its cyclic order"
-    for i, j in itertools.combinations(range(n), 2):
-        assert cross2(points[i], points[j]) != 0, "polygon vertices became parallel"
-    return points
-
-
 def _verified_classes(diag: CombinatorialDiagram, vectors: list[Vec]) -> bool:
     """Exact check that the vectors still encode the diagram's combinatorics.
 
@@ -242,47 +203,28 @@ def _verified_classes(diag: CombinatorialDiagram, vectors: list[Vec]) -> bool:
     return True
 
 
-def _realize_once(diag: CombinatorialDiagram, polygon: Sequence[Vec]) -> GaleConfiguration | None:
-    n = diag.size
-    sizes = [0] * n
+def realize_gale_vectors(diag: CombinatorialDiagram) -> GaleConfiguration:
+    """Planar Gale vectors for a diagram: (w_s / |block s|) u_s for slot s.
+
+    The directions u_s, in counterclockwise order, are (1, 2i-k) for
+    i = 0..k with weight k, then (-1, k-1-2j) for j = 0..k-1 with weight
+    k+1, so sum_s w_s u_s = 0 and the vectors sum to zero by construction.
+    The antipodes of the second group have the parity opposite to the
+    first, so no two directions are antipodal.  Any directions in strict
+    counterclockwise order with every k+1 consecutive ones inside an open
+    half-plane encode the same face lattice as the regular polygon
+    (Gruenbaum, Convex Polytopes, 6.3); the exact check below confirms it.
+    """
+    k = diag.k
+    directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
+    weights = [k] * (k + 1) + [k + 1] * k
+    sizes = [0] * diag.size
     for s in diag.slots:
         sizes[s] += 1
-    raw = [vec_scale(Fraction(1, sizes[s]), vec(polygon[s])) for s in diag.slots]
-    defect = (sum(v[0] for v in raw), sum(v[1] for v in raw))
-    correction = (defect[0] / diag.m, defect[1] / diag.m)
-    vectors = [vec_sub(v, correction) for v in raw]
+    vectors = [vec_scale(Fraction(weights[s], sizes[s]), directions[s]) for s in diag.slots]
     if not _verified_classes(diag, vectors):
-        return None
+        raise InternalInconsistency(f"integer directions for k = {k} fail the diagram check")
     return GaleConfiguration(tuple(vectors))
-
-
-def realize_gale_vectors(
-    diag: CombinatorialDiagram,
-    polygon: Sequence[Vec] | None = None,
-    tol: Fraction | None = None,
-    max_halvings: int = 8,
-) -> GaleConfiguration:
-    """Planar Gale vectors for a diagram: v_slot / |block|, recentered to sum 0.
-
-    The mean correction spreads the polygon's rounding defect equally over
-    all m vectors, restoring the zero sum exactly.  If it disturbed the
-    direction classes, the polygon is regenerated with halved tolerance;
-    exhausting the retries indicates a bug, not bad input.
-    """
-    if polygon is not None:
-        if len(polygon) != diag.size:
-            raise ValueError(f"polygon must have {diag.size} vertices")
-        g = _realize_once(diag, polygon)
-        if g is None:
-            raise ToleranceExhausted("supplied polygon perturbs the direction classes")
-        return g
-    t = Fraction(tol) if tol is not None else Fraction(1, 16 * diag.size)
-    for _ in range(max_halvings + 1):
-        g = _realize_once(diag, rational_polygon(diag.k, t))
-        if g is not None:
-            return g
-        t = t / 2
-    raise ToleranceExhausted(f"direction classes kept drifting after {max_halvings} halvings")
 
 
 def gale_transform(points: PointConfiguration) -> GaleConfiguration:

@@ -118,10 +118,16 @@ def is_vertex(pc: PointConfiguration, label: int) -> bool:
 
 
 def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
-    """The boundary complex of a simplicial hull with all points extremal."""
+    """The boundary complex of a simplicial hull with all points extremal.
+
+    Once `hull_facets` has ruled out supporting hyperplanes through more
+    than D points, each facet holds exactly its D vertices, so a point is
+    a vertex exactly when it lies on some facet.
+    """
     facets = hull_facets(pc)
+    on_facets = {label for f in facets for label in f}
     for label in range(1, pc.n + 1):
-        if not is_vertex(pc, label):
+        if label not in on_facets:
             raise InteriorPoint(f"point {label} is not a vertex of the hull")
     return SimplicialComplex(pc.n, facets)
 

@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from oddsphere import cli, serialize
-from oddsphere.catalog import catalog, instantiate
+from oddsphere.catalog import CatalogVerificationError, catalog, instantiate
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces
 from oddsphere.oracle import PointConfiguration
-from oddsphere.recognizer import recognize
+from oddsphere.recognizer import InternalInconsistency, recognize
 
 PENTAGON_DOC = {"m": 5, "nonfaces": [[1, 4], [2, 5], [1, 3], [2, 4], [3, 5]]}
 SIX_CYCLE_DOC = {"m": 6, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}
@@ -208,6 +208,22 @@ def test_file_input_and_output(tmp_path):
     proc = run_cli(["check", "-i", str(inp), "-o", str(out)])
     assert proc.returncode == 0
     assert json.loads(out.read_text())["verdict"] == "sphere"
+
+
+@pytest.mark.parametrize("stage, argv, error", [
+    ("recognize", ["check"], InternalInconsistency),
+    ("run_catalog", ["catalog", "--m", "6"], CatalogVerificationError),
+])
+def test_internal_errors_exit_70(stage, argv, error, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error("stage contradicted itself")
+
+    monkeypatch.setattr(cli, stage, broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
+    assert cli.main(argv) == cli.EX_SOFTWARE == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: stage contradicted itself\n"
 
 
 # -- adversarial inputs: each must finish inside a wall-time bound ------------

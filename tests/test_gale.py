@@ -1,17 +1,22 @@
-"""Gale transforms, diagrams, the polygon realization, and the readback."""
+"""Gale transforms, diagrams, the integer realization, and the readback."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests_shared import random_gale_configuration, random_points
 
+from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
+    MAX_VERTICES,
     NonFaceFamily,
     complex_from_nonfaces,
     is_face,
+    permuted_family,
 )
 from oddsphere.gale import (
     CombinatorialDiagram,
@@ -25,15 +30,14 @@ from oddsphere.gale import (
     direction_from_dependence,
     gale_transform,
     primitive_direction,
-    rational_polygon,
     realize_gale_vectors,
     reconstruct_points,
     recover_nonfaces,
     relint_origin_test,
 )
-from oddsphere.linalg import cross2, dot, linear_feasible_nonneg, matrix_rank
+from oddsphere.linalg import linear_feasible_nonneg, matrix_rank
 from oddsphere.oracle import PointConfiguration, boundary_complex, hull_facets, is_vertex
-from oddsphere.recognizer import find_max_odd_cycle
+from oddsphere.recognizer import MaxOddCycle, Sphere, find_max_odd_cycle, recognize
 
 PENTAGON = NonFaceFamily(5, ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)))
 OCTAHEDRON = NonFaceFamily(6, ((1, 2), (3, 4), (5, 6)))
@@ -63,44 +67,6 @@ def relint_oracle(vectors) -> bool:
     matrix = [[v[c] for v in vs] for c in range(2)]
     rhs = [-sum(v[c] for v in vs) for c in range(2)]
     return linear_feasible_nonneg(matrix, rhs)
-
-
-# -- polygon ------------------------------------------------------------------
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_rational_polygon_exactly_on_circle(k):
-    pts = rational_polygon(k)
-    assert len(pts) == 2 * k + 1
-    for p in pts:
-        assert dot(p, p) == 1
-    n = len(pts)
-    for i in range(n):
-        assert cross2(pts[i], pts[(i + 1) % n]) > 0
-
-
-def test_rational_polygon_triangle_spreads():
-    pts = rational_polygon(1)
-    for a, b in itertools.combinations(pts, 2):
-        assert cross2(a, b) != 0  # no equal and no antipodal directions
-    assert relint_oracle(pts)  # three spread directions positively span
-
-
-def test_rational_polygon_tolerance_bound():
-    import math
-
-    k = 2
-    tol = Fraction(1, 200)
-    pts = rational_polygon(k, tol)
-    for j, p in enumerate(pts):
-        angle = math.atan2(float(p[1]), float(p[0])) % (2 * math.pi)
-        target = 2 * math.pi * j / (2 * k + 1)
-        delta = min(abs(angle - target), 2 * math.pi - abs(angle - target))
-        assert delta <= float(tol) * 2 * math.pi
-
-
-def test_rational_polygon_rejects_loose_tolerance():
-    with pytest.raises(ValueError):
-        rational_polygon(2, Fraction(1, 40))  # not below 1/(8*(2k+1))
 
 
 # -- diagrams and the combinatorial face test --------------------------------
@@ -152,20 +118,36 @@ def test_realize_octahedron_vectors_pair_up():
     assert sorted(tuple(v) for v in classes.values()) == [(1, 2), (3, 4), (5, 6)]
 
 
-def test_mean_correction_identity_on_balanced_input():
-    # hand the realizer a perfectly balanced "polygon": an exact equilateral
-    # stand-in with rational coordinates and zero sum
-    diag = CombinatorialDiagram(k=1, slots=(0, 0, 1, 1, 2, 2))
-    polygon = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1)), (Fraction(0), Fraction(-1))]
-    g = realize_gale_vectors(diag, polygon=polygon)
-    expected = [tuple(x / 2 for x in polygon[s]) for s in diag.slots]
-    assert list(g.vectors) == expected
-
-
 def test_realized_configuration_sums_to_zero():
     for fam in (PENTAGON, OCTAHEDRON):
         g = realize_gale_vectors(diagram_from_certificate(find_max_odd_cycle(fam)))
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
+
+
+def test_realize_one_vertex_per_slot_for_every_k():
+    for k in range(1, 41):
+        n = 2 * k + 1
+        # a 3-cycle needs blocks of size >= 2, so k = 1 doubles every slot
+        slots = tuple(range(n)) if k > 1 else (0, 0, 1, 1, 2, 2)
+        g = realize_gale_vectors(CombinatorialDiagram(k=k, slots=slots))
+        assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
+        if len(slots) > MAX_VERTICES:
+            continue  # no NonFaceFamily to read back
+        # member A_i is the union of k cyclically consecutive slots
+        expected = NonFaceFamily(len(slots), tuple(
+            tuple(v for v in range(1, len(slots) + 1) if (slots[v - 1] - j) % n < k) for j in range(n)
+        ))
+        recovered = recover_nonfaces(g)
+        assert recovered is not None and recovered[0] == expected
+
+
+def test_realized_coordinates_stay_small():
+    for m in range(5, 11):
+        for b in enumerate_bracelets(m):
+            _, cert = instantiate(b)
+            pts = reconstruct_points(realize_gale_vectors(diagram_from_certificate(cert)))
+            for x in (x for p in pts.points for x in p):
+                assert x.numerator.bit_length() < 16 and x.denominator.bit_length() < 16, (b, x)
 
 
 # -- transform and reconstruction ----------------------------------------------
@@ -357,28 +339,25 @@ def test_recover_rejects_singleton_class_when_k_is_one():
     assert recover_nonfaces(g) is None
 
 
-def test_realize_rejects_polygon_that_merges_classes():
-    from oddsphere.gale import ToleranceExhausted
-
-    diag = diagram_from_certificate(octahedron_certificate())
-    # two slots on identical points collapse into one direction class
-    bad = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    with pytest.raises(ToleranceExhausted):
-        realize_gale_vectors(diag, polygon=bad)
+ROUND_TRIP_BRACELETS = [b for m in range(5, 10) for b in enumerate_bracelets(m)]
 
 
-def test_realize_accepts_unequal_parallel_rays_when_correction_separates_them():
-    # rays (1,0) and (2,0) with equal block sizes become distinct classes
-    # after the mean correction; the exact verifier accepts the result and
-    # the configuration still encodes the diagram
-    diag = diagram_from_certificate(octahedron_certificate())
-    polygon = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))]
-    g = realize_gale_vectors(diag, polygon=polygon)
-    recovered = recover_nonfaces(g)
-    assert recovered is not None and recovered[0] == OCTAHEDRON
-
-
-def test_realize_rejects_wrong_polygon_size():
-    diag = diagram_from_certificate(octahedron_certificate())
-    with pytest.raises(ValueError):
-        realize_gale_vectors(diag, polygon=[(Fraction(1), Fraction(0))])
+@settings(deadline=None, max_examples=50)
+@given(st.sampled_from(ROUND_TRIP_BRACELETS).flatmap(
+    lambda b: st.tuples(st.just(b), st.permutations(range(1, sum(b) + 1)))
+))
+def test_property_relabelled_bracelet_realizes_its_complex(case):
+    b, images = case
+    perm = dict(zip(range(1, len(images) + 1), images))
+    fam, cert = instantiate(b)
+    diag = diagram_from_certificate(cert)
+    # vertex perm[v] takes the slot of vertex v
+    relabelled = CombinatorialDiagram(
+        k=diag.k, slots=tuple(diag.slots[images.index(w)] for w in range(1, diag.m + 1))
+    )
+    fam = permuted_family(fam, perm)
+    comp = boundary_complex(reconstruct_points(realize_gale_vectors(relabelled)))
+    assert comp == complex_from_nonfaces(fam)
+    verdict = recognize(comp)
+    assert isinstance(verdict, Sphere) and isinstance(verdict.certificate, MaxOddCycle)
+    assert NonFaceFamily(fam.m, verdict.certificate.ordering) == fam

@@ -130,7 +130,13 @@ def test_euler_relation_for_simplicial_hulls():
         pc = random_points(rng, dim + 3, dim)
         try:
             c = boundary_complex(pc)
-        except (NonSimplicial, NotFullDimensional, InteriorPoint):
+        except (NonSimplicial, NotFullDimensional):
+            continue
+        except InteriorPoint:
+            c = None
+        # the LP vertex test is the independent reference for the facet rule
+        assert (c is not None) == all(is_vertex(pc, label) for label in range(1, pc.n + 1))
+        if c is None:
             continue
         tried += 1
         assert euler_characteristic(c) == 1 + (-1) ** (dim - 1)
