@@ -57,14 +57,15 @@ def _complex_from_any(doc):
     raise serialize.DocumentError("expected a document with 'facets' or 'nonfaces'")
 
 
-def _print_certificate(cert, stream=sys.stderr) -> None:
+def _print_certificate(cert) -> None:
+    # sys.stderr is looked up per call so that redirect_stderr applies
     if isinstance(cert, MaxOddCycle):
         cyc = " - ".join("{" + ",".join(map(str, a)) + "}" for a in cert.ordering)
         blocks = " | ".join("{" + ",".join(map(str, b)) + "}" for b in cert.blocks)
-        print(f"cyclic ordering: {cyc}", file=stream)
-        print(f"blocks: {blocks}", file=stream)
+        print(f"cyclic ordering: {cyc}", file=sys.stderr)
+        print(f"blocks: {blocks}", file=sys.stderr)
     else:
-        print(f"certificate: {cert}", file=stream)
+        print(f"certificate: {cert}", file=sys.stderr)
 
 
 def _cmd_check(args) -> int:

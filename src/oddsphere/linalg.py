@@ -1,12 +1,14 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
-Everything here works over `fractions.Fraction` and is fully deterministic:
-row reduction always pivots on the first nonzero entry in row-major order,
-so kernel and complement bases are reproducible across platforms.
+Row reduction runs fraction-free over Python ints (Bareiss), so every
+division is exact, and returns `fractions.Fraction`.  It always pivots on
+the first nonzero entry in row-major order, so kernel and complement bases
+are reproducible across platforms.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,30 +46,50 @@ def _copy(matrix: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in matrix]
 
 
-def rref(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = _copy(matrix)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+def _integer_row(entries: Iterable) -> list[int]:
+    """The row scaled by the lcm of its denominators: integer, same direction."""
+    row = [Fraction(x) for x in entries]
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _fraction_free_rref(matrix: Sequence[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss's fraction-free Gauss-Jordan elimination over ints.
+
+    Returns the reduced rows, the pivot columns and `det`, the last pivot
+    (1 if there is none).  The reduced rows are exactly `det` times the
+    reduced row echelon form, so every pivot entry equals `det`.  Each step
+    keeps the pivot row and replaces every other row i by
+    (p*row_i - f*row_r) // prev, with p the new pivot, f = row_i[c] and
+    prev the previous pivot; every entry is then a minor of the input, so
+    the division is exact (Sylvester's identity).  The input is not modified.
+    """
+    rows = list(matrix)
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
             break
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         pivots.append(c)
-        r += 1
-    return m, pivots
+        prev = p
+    return rows, pivots, prev
+
+
+def rref(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    red, pivots, det = _fraction_free_rref([_integer_row(row) for row in matrix])
+    return [[Fraction(x, det) for x in row] for row in red], pivots
 
 
 def matrix_rank(matrix: Sequence[Sequence]) -> int:

@@ -4,7 +4,8 @@ Nothing here knows about non-face families or Gale diagrams; it answers
 geometric and topological questions from first principles so the other
 modules can be checked against it.  Facet enumeration is brute force over
 vertex subsets -- at most a few hundred candidate hyperplanes at the sizes
-this library targets -- and all hyperplane arithmetic is exact rational.
+this library targets -- and all hyperplane arithmetic is exact: each point
+becomes one integer homogeneous row, so normals and side tests are integer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import Face, SimplicialComplex, euler_characteristic, faces_by_dimension
-from .linalg import Vec, dot, kernel_basis, linear_feasible_nonneg, matrix_rank, vec
+from .linalg import Vec, _fraction_free_rref, _integer_row, linear_feasible_nonneg, vec
 
 
 class NotFullDimensional(ValueError):
@@ -57,12 +58,6 @@ class PointConfiguration:
         return len(self.points[0])
 
 
-def _homogeneous_rows(pc: PointConfiguration) -> list[list[Fraction]]:
-    rows = [[p[r] for p in pc.points] for r in range(pc.dim)]
-    rows.append([Fraction(1)] * pc.n)
-    return rows
-
-
 def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     """Facets of the convex hull as sorted label tuples.
 
@@ -70,34 +65,46 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     iff every other point lies strictly on one side.  A supporting
     hyperplane through more than D points makes the hull non-simplicial,
     which is reported rather than guessed around.
+
+    Point x becomes the integer row (L*x, L), with L > 0 the lcm of its
+    denominators.  Fraction-free elimination of a subset's D rows gives an
+    integer normal (a, c), <a, x> + c = 0 on the hyperplane, and the side
+    of each other point is the sign of an integer dot product.
     """
     n, d = pc.n, pc.dim
-    if matrix_rank(_homogeneous_rows(pc)) < d + 1:
+    homogeneous = [_integer_row(p + (1,)) for p in pc.points]
+    if len(_fraction_free_rref(homogeneous)[1]) < d + 1:
         raise NotFullDimensional(f"points span less than Q^{d}")
     facets: list[Face] = []
     for combo in itertools.combinations(range(1, n + 1), d):
-        rows = [list(pc.points[i - 1]) + [Fraction(1)] for i in combo]
-        kern = kernel_basis(rows)
-        if len(kern) != 1:
+        red, pivots, det = _fraction_free_rref([homogeneous[i - 1] for i in combo])
+        if len(pivots) != d:
             continue  # affinely dependent subset
-        normal = kern[0]  # (a_1..a_D, c): hyperplane <a, x> + c = 0
+        free = next(c for c in range(d + 1) if c not in pivots)
+        normal = [0] * (d + 1)
+        normal[free] = det
+        for row, col in zip(red, pivots):
+            normal[col] = -row[free]
         pos = neg = False
         coplanar: list[int] = []
-        for i in range(1, n + 1):
+        for i, h in enumerate(homogeneous, 1):
             if i in combo:
                 continue
-            s = dot(normal[:d], pc.points[i - 1]) + normal[d]
+            s = sum(a * x for a, x in zip(normal, h))
             if s > 0:
                 pos = True
             elif s < 0:
                 neg = True
             else:
                 coplanar.append(i)
+            if pos and neg:
+                break  # cuts through the hull: coplanar points do not matter
         if pos and neg:
             continue
         if coplanar:
+            shown = tuple(Fraction(a, det) for a in normal)  # free-column entry 1
             raise NonSimplicial(
-                f"supporting hyperplane {tuple(normal)} contains points "
+                f"supporting hyperplane {shown} contains points "
                 f"{tuple(sorted(set(combo) | set(coplanar)))}"
             )
         facets.append(tuple(combo))

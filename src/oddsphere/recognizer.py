@@ -117,30 +117,25 @@ def alternating_blocks(ordering: CyclicOrdering) -> tuple[Face, ...]:
     return tuple(blocks)
 
 
-def _dihedral_variants(ordering: CyclicOrdering):
-    n = len(ordering)
-    fwd = list(ordering)
-    rev = list(reversed(ordering))
-    for seq in (fwd, rev):
-        for r in range(n):
-            yield tuple(seq[r:] + seq[:r])
-
-
 def canonical_certificate(ordering: CyclicOrdering) -> MaxOddCycle:
     """The dihedral representative whose block sequence is lexicographically least.
 
     Rotating or reversing a valid ordering keeps it valid; this picks one
     representative per orbit, and it reproduces the block labelling used
-    in the worked pentagon example (B_i = {i+1}).
+    in the worked pentagon example (B_i = {i+1}).  The blocks are computed
+    once: rotating the ordering by r rotates the blocks by r, and reversing
+    it sends B_i to B_{(2-i) mod n}.
     """
-    best: tuple | None = None
-    for seq in _dihedral_variants(ordering):
-        blocks = alternating_blocks(seq)
-        key = (blocks, seq)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return MaxOddCycle(ordering=best[1], blocks=best[0])
+    ordering = tuple(ordering)
+    n = len(ordering)
+    blocks = alternating_blocks(ordering)
+    rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
+    best_blocks, best_ordering = min(
+        (b[r:] + b[:r], seq[r:] + seq[:r])
+        for b, seq in ((blocks, ordering), (rev_blocks, ordering[::-1]))
+        for r in range(n)
+    )
+    return MaxOddCycle(ordering=best_ordering, blocks=best_blocks)
 
 
 def _is_partition(blocks: tuple[Face, ...], m: int) -> bool:

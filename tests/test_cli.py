@@ -1,5 +1,6 @@
 """JSON documents and the command-line front end."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -224,6 +225,17 @@ def test_internal_errors_exit_70(stage, argv, error, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: stage contradicted itself\n"
+
+
+@pytest.mark.parametrize("command", ["check", "realize"])
+def test_verbose_certificate_follows_redirected_stderr(command, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--verbose"]) == 0
+    lines = err.getvalue().splitlines()
+    assert any(line.startswith("cyclic ordering: ") for line in lines)
+    assert any(line.startswith("blocks: ") for line in lines)
 
 
 # -- adversarial inputs: each must finish inside a wall-time bound ------------

@@ -3,10 +3,15 @@
 import random
 from fractions import Fraction
 
-from tests_shared import random_fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tests_shared import random_fraction, reference_rref
 
 from oddsphere.linalg import (
     dot,
+    _fraction_free_rref,
+    _integer_row,
     kernel_basis,
     linear_feasible_nonneg,
     matrix_rank,
@@ -21,6 +26,31 @@ def test_rref_pivots_and_rank():
     assert pivots == [0, 1]
     assert red == [[1, 0, -1], [0, 1, 2]]
     assert matrix_rank(m) == 2
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Possibly empty matrices, with zero rows and dependent rows mixed in."""
+    cols = draw(st.integers(0, 6))
+    row = st.lists(SMALL_FRACTIONS, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(SMALL_FRACTIONS, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(cols)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * cols)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_property_rref_matches_fraction_reference(matrix):
+    assert rref(matrix) == reference_rref(matrix)
+    red, pivots, det = _fraction_free_rref([_integer_row(row) for row in matrix])
+    assert all(red[r][c] == det for r, c in enumerate(pivots))
 
 
 def test_kernel_basis_annihilates():

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tests_shared import random_fraction, random_points
+from tests_shared import random_fraction, random_points, reference_hull_facets
 
 from oddsphere.complexes import (
     NonFaceFamily,
@@ -51,6 +53,28 @@ def test_hull_facets_reports_non_simplicial_support():
     pc = PointConfiguration(((0, 0), (1, 0), (2, 0), (1, 1)))
     with pytest.raises(NonSimplicial):
         hull_facets(pc)
+
+
+@st.composite
+def rational_configurations(draw):
+    """Points in Q^1..Q^4 on a coarse grid, so flat and non-simplicial draws are common."""
+    dim = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    point = st.tuples(*[coord] * dim)
+    return PointConfiguration(tuple(draw(st.lists(point, min_size=1, max_size=dim + 4))))
+
+
+def hull_outcome(hull, pc):
+    try:
+        return hull(pc)
+    except (NonSimplicial, NotFullDimensional) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_configurations())
+def test_property_hull_facets_matches_fraction_reference(pc):
+    assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
 
 
 def test_is_vertex_simplex_and_centroid():

@@ -33,7 +33,7 @@ from oddsphere.recognizer import (
     recognize,
     validate_certificate,
 )
-from tests_shared import nonface_families
+from tests_shared import brute_force_canonical_certificate, nonface_families
 
 PENTAGON_F = ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5))
 
@@ -319,3 +319,25 @@ def test_recognize_relabeling_invariance():
             if isinstance(v0, Sphere):
                 assert v1.d == v0.d
                 assert type(v1.certificate) is type(v0.certificate)
+
+
+@st.composite
+def odd_orderings(draw):
+    """Odd sequences of members: arbitrary subsets, or a relabelled bracelet's cycle."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3, 5, 7, 9]))
+        members = draw(st.lists(st.frozensets(st.integers(1, 9)), min_size=n, max_size=n))
+        return tuple(tuple(sorted(a)) for a in members)
+    _, cert = instantiate(draw(st.sampled_from(enumerate_bracelets(draw(st.integers(5, 12))))))
+    m = sum(len(b) for b in cert.blocks)
+    image = draw(st.permutations(range(1, m + 1)))
+    ordering = [tuple(sorted(image[v - 1] for v in a)) for a in cert.ordering]
+    r = draw(st.integers(0, len(ordering) - 1))
+    ordering = ordering[r:] + ordering[:r]
+    return tuple(reversed(ordering)) if draw(st.booleans()) else tuple(ordering)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_orderings())
+def test_property_canonical_certificate_matches_per_variant_blocks(ordering):
+    assert canonical_certificate(ordering) == brute_force_canonical_certificate(ordering)

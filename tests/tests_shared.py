@@ -1,13 +1,15 @@
 """Helpers shared across the test modules."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from oddsphere.complexes import NonFaceFamily, SimplicialComplex
+from oddsphere.complexes import Face, NonFaceFamily, SimplicialComplex
 from oddsphere.gale import GaleConfiguration
-from oddsphere.oracle import PointConfiguration
+from oddsphere.oracle import NonSimplicial, NotFullDimensional, PointConfiguration
+from oddsphere.recognizer import MaxOddCycle, alternating_blocks
 
 
 def random_family(rng: random.Random, m: int) -> NonFaceFamily:
@@ -61,3 +63,84 @@ def random_gale_configuration(rng: random.Random, n: int, e: int) -> GaleConfigu
             return GaleConfiguration(tuple(head) + (tail,))
         except ValueError:
             continue  # degenerate draw: does not span
+
+
+# -- test-only references for the optimized kernels --------------------------
+
+def reference_rref(matrix):
+    """Gauss-Jordan over `Fraction`, pivoting on the first nonzero entry."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
+    """`oracle.hull_facets` with one `Fraction` kernel vector per D-subset.
+
+    Raises the same exceptions with the same messages: the printed normal
+    is the kernel vector whose free-column entry is 1.
+    """
+    n, d = pc.n, pc.dim
+    rows = [[p[r] for p in pc.points] for r in range(d)] + [[Fraction(1)] * n]
+    if len(reference_rref(rows)[1]) < d + 1:
+        raise NotFullDimensional(f"points span less than Q^{d}")
+    facets = []
+    for combo in itertools.combinations(range(1, n + 1), d):
+        red, pivots = reference_rref([list(pc.points[i - 1]) + [Fraction(1)] for i in combo])
+        if len(pivots) != d:
+            continue
+        free = next(c for c in range(d + 1) if c not in pivots)
+        normal = [Fraction(0)] * (d + 1)
+        normal[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            normal[col] = -red[r][free]
+        pos = neg = False
+        coplanar = []
+        for i in range(1, n + 1):
+            if i in combo:
+                continue
+            s = sum((a * x for a, x in zip(normal, pc.points[i - 1])), Fraction(0)) + normal[d]
+            if s > 0:
+                pos = True
+            elif s < 0:
+                neg = True
+            else:
+                coplanar.append(i)
+        if pos and neg:
+            continue
+        if coplanar:
+            raise NonSimplicial(
+                f"supporting hyperplane {tuple(normal)} contains points "
+                f"{tuple(sorted(set(combo) | set(coplanar)))}"
+            )
+        facets.append(tuple(combo))
+    return tuple(sorted(facets))
+
+
+def brute_force_canonical_certificate(ordering) -> MaxOddCycle:
+    """The least (blocks, ordering) over all 2n dihedral variants, blocks recomputed per variant."""
+    n = len(ordering)
+    variants = [
+        tuple(seq[r:] + seq[:r]) for seq in (list(ordering), list(reversed(ordering))) for r in range(n)
+    ]
+    blocks, best = min((alternating_blocks(seq), seq) for seq in variants)
+    return MaxOddCycle(ordering=best, blocks=blocks)
