@@ -4,9 +4,11 @@ A sphere on m vertices of dimension m-4 is determined by the cyclic
 sequence of its block sizes, a bracelet: an odd-length cyclic sequence of
 positive integers summing to m (with every part >= 2 when the length is 3,
 since then the blocks themselves are the non-faces).  The catalog
-instantiates each bracelet, cross-checks every instance through the
-recognizer, the realization pipeline, and the oracle, and groups the
-resulting complexes by combinatorial isomorphism.
+instantiates each bracelet and cross-checks every instance through the
+recognizer, the realization pipeline, and the oracle.  Distinct bracelets
+give non-isomorphic spheres (Perles, via Grunbaum, Convex Polytopes, 6.3),
+so each bracelet is one catalog entry; `are_isomorphic` is the independent
+test of that correspondence.
 """
 
 from __future__ import annotations
@@ -141,17 +143,13 @@ def are_isomorphic(c1: SimplicialComplex, c2: SimplicialComplex) -> bool:
 
 @dataclass(frozen=True)
 class SphereClass:
-    """One isomorphism class of cataloged spheres."""
+    """One isomorphism class of cataloged spheres, given by its bracelet."""
 
-    bracelets: tuple[Bracelet, ...]
+    bracelet: Bracelet
     family: NonFaceFamily
     certificate: MaxOddCycle
     complex: SimplicialComplex
     f_vector: tuple[int, ...]
-
-    @property
-    def bracelet(self) -> Bracelet:
-        return self.bracelets[0]
 
     @property
     def facet_count(self) -> int:
@@ -186,8 +184,8 @@ def _cross_check(m: int, fam: NonFaceFamily, cert: MaxOddCycle, comp: Simplicial
         raise CatalogVerificationError(f"{fam.members}: wrong Euler characteristic")
 
 
-def catalog(m: int, max_m: int = 10, verify: bool = True) -> CatalogReport:
-    """All spheres on m vertices of dimension m-4, one entry per isomorphism class.
+def catalog(m: int, max_m: int = 12, verify: bool = True) -> CatalogReport:
+    """All spheres on m vertices of dimension m-4, one entry per bracelet.
 
     Every instance is verified end to end (recognizer, realization, hull
     equality, Gale readback, pseudomanifold, homology, Euler characteristic);
@@ -195,33 +193,13 @@ def catalog(m: int, max_m: int = 10, verify: bool = True) -> CatalogReport:
     """
     if not 4 <= m <= max_m:
         raise ValueError(f"catalog supports 4 <= m <= {max_m}")
-    entries = []
+    classes = []
     for b in enumerate_bracelets(m):
         fam, cert = instantiate(b)
         comp = complex_from_nonfaces(fam)
         if verify:
             _cross_check(m, fam, cert, comp)
-        entries.append((b, fam, cert, comp))
-    classes: list[list] = []
-    for entry in entries:
-        for cls in classes:
-            if are_isomorphic(entry[3], cls[0][3]):
-                cls.append(entry)
-                break
-        else:
-            classes.append([entry])
-    out = []
-    for cls in classes:
-        cls.sort(key=lambda e: (len(e[0]), e[0]))
-        b, fam, cert, comp = cls[0]
-        out.append(
-            SphereClass(
-                bracelets=tuple(e[0] for e in cls),
-                family=fam,
-                certificate=cert,
-                complex=comp,
-                f_vector=f_vector(comp),
-            )
+        classes.append(
+            SphereClass(bracelet=b, family=fam, certificate=cert, complex=comp, f_vector=f_vector(comp))
         )
-    out.sort(key=lambda s: (len(s.bracelet), s.bracelet))
-    return CatalogReport(m=m, classes=tuple(out))
+    return CatalogReport(m=m, classes=tuple(classes))

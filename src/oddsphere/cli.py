@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "realize":
             p.add_argument("--verify", action="store_true", help="also compare the hull with the complex")
         if name == "catalog":
-            p.add_argument("--m", type=int, required=True, help="vertex count (4..10)")
+            p.add_argument("--m", type=int, required=True, help="vertex count (4..12)")
     return parser
 
 

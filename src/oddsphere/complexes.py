@@ -174,8 +174,8 @@ def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
     return SimplicialComplex(f.m, facets)
 
 
-def all_faces(c: SimplicialComplex) -> set[Face]:
-    """Every face of `c`, including the empty face."""
+def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:
+    """Every face of `c` as a bitmask, grouped by size (index 0 holds the empty face)."""
     seen: set[int] = set()
     for f in c.facets:
         fm = _mask(f)
@@ -185,22 +185,15 @@ def all_faces(c: SimplicialComplex) -> set[Face]:
             if sub == 0:
                 break
             sub = (sub - 1) & fm
-    return {_face(s) for s in seen}
-
-
-def faces_by_dimension(c: SimplicialComplex) -> list[list[Face]]:
-    """Faces grouped by dimension, index 0 holding the empty face (dim -1)."""
-    groups: list[list[Face]] = [[] for _ in range(c.dimension + 2)]
-    for f in all_faces(c):
-        groups[len(f)].append(f)
-    for g in groups:
-        g.sort()
+    groups: list[list[int]] = [[] for _ in range(c.dimension + 2)]
+    for s in seen:
+        groups[s.bit_count()].append(s)
     return groups
 
 
 def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_d): face counts per dimension, with f_-1 = 1."""
-    return tuple(len(g) for g in faces_by_dimension(c))
+    return tuple(len(g) for g in _face_masks_by_size(c))
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -53,20 +53,25 @@ def _integer_row(entries: Iterable) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _fraction_free_rref(matrix: Sequence[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _fraction_free_rref(
+    matrix: Sequence[list[int]],
+) -> tuple[list[list[int]], list[int], int, int]:
     """Bareiss's fraction-free Gauss-Jordan elimination over ints.
 
-    Returns the reduced rows, the pivot columns and `det`, the last pivot
-    (1 if there is none).  The reduced rows are exactly `det` times the
-    reduced row echelon form, so every pivot entry equals `det`.  Each step
-    keeps the pivot row and replaces every other row i by
-    (p*row_i - f*row_r) // prev, with p the new pivot, f = row_i[c] and
-    prev the previous pivot; every entry is then a minor of the input, so
-    the division is exact (Sylvester's identity).  The input is not modified.
+    Returns the reduced rows, the pivot columns, `det`, the last pivot
+    (1 if there is none), and the parity (0 or 1) of the row swaps made.
+    The reduced rows are exactly `det` times the reduced row echelon form,
+    so every pivot entry equals `det`, and `det` is the determinant of the
+    row-swapped input restricted to the pivot columns.  Each step keeps the
+    pivot row and replaces every other row i by (p*row_i - f*row_r) // prev,
+    with p the new pivot, f = row_i[c] and prev the previous pivot; every
+    entry is then a minor of the input, so the division is exact
+    (Sylvester's identity).  The input is not modified.
     """
     rows = list(matrix)
     pivots: list[int] = []
     prev = 1
+    swaps = 0
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == len(rows):
@@ -74,7 +79,9 @@ def _fraction_free_rref(matrix: Sequence[list[int]]) -> tuple[list[list[int]], l
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps ^= 1
         pivot_row = rows[r]
         p = pivot_row[c]
         for i, row in enumerate(rows):
@@ -83,12 +90,12 @@ def _fraction_free_rref(matrix: Sequence[list[int]]) -> tuple[list[list[int]], l
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         pivots.append(c)
         prev = p
-    return rows, pivots, prev
+    return rows, pivots, prev, swaps
 
 
 def rref(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    red, pivots, det = _fraction_free_rref([_integer_row(row) for row in matrix])
+    red, pivots, det, _ = _fraction_free_rref([_integer_row(row) for row in matrix])
     return [[Fraction(x, det) for x in row] for row in red], pivots
 
 

@@ -2,10 +2,12 @@
 
 Nothing here knows about non-face families or Gale diagrams; it answers
 geometric and topological questions from first principles so the other
-modules can be checked against it.  Facet enumeration is brute force over
-vertex subsets -- at most a few hundred candidate hyperplanes at the sizes
-this library targets -- and all hyperplane arithmetic is exact: each point
-becomes one integer homogeneous row, so normals and side tests are integer.
+modules can be checked against it.  Facet enumeration tests every D-subset
+of the points -- at most a few hundred at the sizes this library targets --
+by the signs of exact integer determinants: each point becomes one integer
+homogeneous row, and each orientation, computed once from an integer
+normal, is shared by the D+1 subsets it contains.  Homology is linear
+algebra over GF(2) on int bitsets.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-import numpy as np
-
-from .complexes import Face, SimplicialComplex, euler_characteristic, faces_by_dimension
+from .complexes import Face, SimplicialComplex, _face_masks_by_size, euler_characteristic
 from .linalg import Vec, _fraction_free_rref, _integer_row, linear_feasible_nonneg, vec
 
 
@@ -61,54 +62,93 @@ class PointConfiguration:
 def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     """Facets of the convex hull as sorted label tuples.
 
-    Each D-subset spanning a hyperplane is tested exactly: it is a facet
+    Each D-subset S spanning a hyperplane is tested exactly: it is a facet
     iff every other point lies strictly on one side.  A supporting
     hyperplane through more than D points makes the hull non-simplicial,
     which is reported rather than guessed around.
 
-    Point x becomes the integer row (L*x, L), with L > 0 the lcm of its
-    denominators.  Fraction-free elimination of a subset's D rows gives an
-    integer normal (a, c), <a, x> + c = 0 on the hyperplane, and the side
-    of each other point is the sign of an integer dot product.
+    Point x becomes the integer row h = (L*x, L), with L > 0 the lcm of its
+    denominators.  The side of p relative to S is the orientation chi(T)
+    of T = S + {p}, the sign of the determinant of T's rows in label order,
+    times (-1)^#{s in S : s > p}; S is a facet iff these signs agree and
+    none is zero (the oriented-matroid facet criterion).  Orientations are
+    memoized by the bitmask of T, since D+1 subsets share each one.  On a
+    miss, fraction-free elimination of S's rows gives an integer normal
+    (a, c), <a, x> + c = 0 on the hyperplane, once per subset, and
+    chi(T) = sign(<normal, h_p>) * (-1)^(D + free + swaps + #{s in S : s > p}),
+    with `free` the non-pivot column and `swaps` the elimination's row swaps.
     """
     n, d = pc.n, pc.dim
     homogeneous = [_integer_row(p + (1,)) for p in pc.points]
     if len(_fraction_free_rref(homogeneous)[1]) < d + 1:
         raise NotFullDimensional(f"points span less than Q^{d}")
+    bits = [1 << i for i in range(n)]
+    chi: dict[int, int] = {}
     facets: list[Face] = []
-    for combo in itertools.combinations(range(1, n + 1), d):
-        red, pivots, det = _fraction_free_rref([homogeneous[i - 1] for i in combo])
-        if len(pivots) != d:
-            continue  # affinely dependent subset
-        free = next(c for c in range(d + 1) if c not in pivots)
-        normal = [0] * (d + 1)
-        normal[free] = det
-        for row, col in zip(red, pivots):
-            normal[col] = -row[free]
+    for combo in itertools.combinations(range(n), d):
+        members = 0
+        for i in combo:
+            members |= bits[i]
+        normal: list[int] | None = None
         pos = neg = False
         coplanar: list[int] = []
-        for i, h in enumerate(homogeneous, 1):
-            if i in combo:
+        reorder = -1 if d % 2 else 1  # (-1)^#{s in S : s > p}
+        for p in range(n):
+            if members & bits[p]:
+                reorder = -reorder
                 continue
-            s = sum(a * x for a, x in zip(normal, h))
-            if s > 0:
+            key = members | bits[p]
+            side = chi.get(key)
+            if side is not None:
+                side *= reorder
+            else:
+                if normal is None:
+                    normal, det, flip = _subset_normal(homogeneous, combo)
+                    if normal is None:
+                        break  # affinely dependent subset
+                s = sum(map(mul, normal, homogeneous[p]))
+                side = flip if s > 0 else -flip if s < 0 else 0
+                chi[key] = side * reorder
+            if side > 0:
                 pos = True
-            elif s < 0:
+            elif side < 0:
                 neg = True
             else:
-                coplanar.append(i)
+                coplanar.append(p + 1)
             if pos and neg:
                 break  # cuts through the hull: coplanar points do not matter
-        if pos and neg:
-            continue
+        if pos == neg:
+            continue  # cuts through the hull, or S is affinely dependent
+        labels = tuple(i + 1 for i in combo)
         if coplanar:
+            if normal is None:
+                normal, det, _ = _subset_normal(homogeneous, combo)
             shown = tuple(Fraction(a, det) for a in normal)  # free-column entry 1
             raise NonSimplicial(
                 f"supporting hyperplane {shown} contains points "
-                f"{tuple(sorted(set(combo) | set(coplanar)))}"
+                f"{tuple(sorted(set(labels) | set(coplanar)))}"
             )
-        facets.append(tuple(combo))
+        facets.append(labels)
     return tuple(sorted(facets))
+
+
+def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
+    """(normal, det, flip) for the rows `combo`, or (None, 0, 0) if they are dependent.
+
+    The normal is integer with free-column entry `det`, and
+    flip = (-1)^(D + free + swaps) turns sign(<normal, h>) into the sign of
+    the determinant of the subset's rows followed by h.
+    """
+    d = len(combo)
+    red, pivots, det, swaps = _fraction_free_rref([homogeneous[i] for i in combo])
+    if len(pivots) != d:
+        return None, 0, 0
+    free = next(c for c in range(d + 1) if c not in pivots)
+    normal = [0] * (d + 1)
+    normal[free] = det
+    for row, col in zip(red, pivots):
+        normal[col] = -row[free]
+    return normal, det, -1 if (d + free + swaps) % 2 else 1
 
 
 def is_vertex(pc: PointConfiguration, label: int) -> bool:
@@ -139,42 +179,33 @@ def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
     return SimplicialComplex(pc.n, facets)
 
 
-def _rank_mod2(mat: np.ndarray) -> int:
-    a = mat.copy().astype(np.uint8)
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = r + int(pivots[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        hits = np.nonzero(a[:, c])[0]
-        hits = hits[hits != r]
-        a[hits] ^= a[r]
-        r += 1
-    return r
-
-
 def betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
     """Reduced Betti numbers over GF(2) for dimensions -1 .. d.
 
     A d-sphere has profile (0, ..., 0, 1); that is the necessary condition
-    this oracle contributes.
+    this oracle contributes.  Faces are bitmasks; each boundary column is an
+    int whose bits index the faces one size down, and its rank is that of
+    an XOR basis keyed by leading bit.
     """
-    groups = faces_by_dimension(c)  # groups[s] = faces of size s (dim s-1)
-    index = [{f: i for i, f in enumerate(g)} for g in groups]
+    groups = _face_masks_by_size(c)  # groups[s] = faces of size s (dim s-1)
     ranks = [0] * (len(groups) + 1)  # ranks[s] = rank of boundary C_{s-1} -> C_{s-2}
     for s in range(1, len(groups)):
-        mat = np.zeros((len(groups[s - 1]), len(groups[s])), dtype=np.uint8)
-        for j, face in enumerate(groups[s]):
-            for drop in range(s):
-                sub = face[:drop] + face[drop + 1 :]
-                mat[index[s - 1][sub], j] = 1
-        ranks[s] = _rank_mod2(mat)
+        index = {f: i for i, f in enumerate(groups[s - 1])}
+        basis: dict[int, int] = {}  # leading bit -> reduced column
+        for face in groups[s]:
+            col = 0
+            rest = face
+            while rest:
+                bit = rest & -rest
+                col |= 1 << index[face ^ bit]
+                rest ^= bit
+            while col:
+                lead = col.bit_length() - 1
+                if lead not in basis:
+                    basis[lead] = col
+                    break
+                col ^= basis[lead]
+        ranks[s] = len(basis)
     betti = []
     for s in range(len(groups)):  # dimension s-1
         cycles = len(groups[s]) - ranks[s]

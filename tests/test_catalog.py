@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from tests_shared import burnside_bracelet_count
+
 from oddsphere.catalog import (
     are_isomorphic,
     canonical_bracelet,
@@ -163,14 +165,24 @@ def test_catalog_completeness_against_brute_force():
 
 def test_distinct_bracelets_give_distinct_spheres():
     for m in (5, 6, 7, 8, 9):
-        report = catalog(m)
-        assert len(report.classes) == len(enumerate_bracelets(m))
-        for cls in report.classes:
-            assert len(cls.bracelets) == 1
+        classes = catalog(m).classes
+        assert [cls.bracelet for cls in classes] == enumerate_bracelets(m)
+        for a, b in itertools.combinations(classes, 2):
+            assert not are_isomorphic(a.complex, b.complex), (a.bracelet, b.bracelet)
+
+
+def test_bracelet_count_matches_burnside():
+    assert [len(enumerate_bracelets(m)) for m in range(4, 17)] == [
+        burnside_bracelet_count(m) for m in range(4, 17)
+    ]
+
+
+def test_catalog_eleven_vertices():
+    assert len(catalog(11).classes) == 57
 
 
 def test_catalog_rejects_out_of_range():
     with pytest.raises(ValueError):
         catalog(3)
     with pytest.raises(ValueError):
-        catalog(11)
+        catalog(13)

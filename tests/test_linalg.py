@@ -1,5 +1,6 @@
 """Exact linear algebra helpers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -49,8 +50,23 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_property_rref_matches_fraction_reference(matrix):
     assert rref(matrix) == reference_rref(matrix)
-    red, pivots, det = _fraction_free_rref([_integer_row(row) for row in matrix])
+    ints = [_integer_row(row) for row in matrix]
+    red, pivots, det, swaps = _fraction_free_rref(ints)
     assert all(red[r][c] == det for r, c in enumerate(pivots))
+    if len(pivots) == len(ints):  # full row rank: det is a signed minor of the input
+        square = [[row[c] for c in pivots] for row in ints]
+        assert (-1) ** swaps * det == leibniz_det(square)
+
+
+def leibniz_det(square):
+    total = 0
+    for perm in itertools.permutations(range(len(square))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= square[row][col]
+        total += term
+    return total
 
 
 def test_kernel_basis_annihilates():

@@ -2,14 +2,23 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests_shared import random_fraction, random_points, reference_hull_facets
+from tests_shared import (
+    random_fraction,
+    random_points,
+    reference_betti_mod2,
+    reference_hull_facets,
+    simplicial_complexes,
+)
 
+from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
@@ -56,12 +65,20 @@ def test_hull_facets_reports_non_simplicial_support():
 
 
 @st.composite
-def rational_configurations(draw):
-    """Points in Q^1..Q^4 on a coarse grid, so flat and non-simplicial draws are common."""
-    dim = draw(st.integers(1, 4))
-    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+def rational_configurations(draw, max_dim: int = 4, many: bool = False):
+    """Points in Q^1..Q^max_dim on a coarse grid, so flat and non-simplicial draws are common.
+
+    With `many`, up to 3D+6 points on a finer grid, so that most D-subsets
+    find some of their orientations already memoized by earlier subsets.
+    """
+    dim = draw(st.integers(1, max_dim))
+    if many:
+        coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
+    else:
+        coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
     point = st.tuples(*[coord] * dim)
-    return PointConfiguration(tuple(draw(st.lists(point, min_size=1, max_size=dim + 4))))
+    max_size = 3 * dim + 6 if many else dim + 4
+    return PointConfiguration(tuple(draw(st.lists(point, min_size=1, max_size=max_size))))
 
 
 def hull_outcome(hull, pc):
@@ -72,9 +89,10 @@ def hull_outcome(hull, pc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rational_configurations())
-def test_property_hull_facets_matches_fraction_reference(pc):
+@given(rational_configurations(), rational_configurations(max_dim=3, many=True))
+def test_property_hull_facets_matches_fraction_reference(pc, crowded):
     assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
+    assert hull_outcome(hull_facets, crowded) == hull_outcome(reference_hull_facets, crowded)
 
 
 def test_is_vertex_simplex_and_centroid():
@@ -106,6 +124,29 @@ def test_betti_profiles():
     assert betti_mod2(pent) == (0, 0, 1)
     two_edges = SimplicialComplex(4, ((1, 2), (3, 4)))
     assert betti_mod2(two_edges)[1] == 1  # reduced b_0: two components
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplicial_complexes())
+def test_property_betti_mod2_matches_dense_reference(c):
+    assert betti_mod2(c) == reference_betti_mod2(c)
+
+
+def test_betti_mod2_matches_dense_reference_on_bracelet_spheres():
+    for m in range(5, 10):
+        for b in enumerate_bracelets(m):
+            c = complex_from_nonfaces(instantiate(b)[0])
+            assert betti_mod2(c) == reference_betti_mod2(c) == (0,) * (m - 3) + (1,)
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, oddsphere; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_pseudomanifold():

@@ -1,6 +1,7 @@
 """Helpers shared across the test modules."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -144,3 +145,58 @@ def brute_force_canonical_certificate(ordering) -> MaxOddCycle:
     ]
     blocks, best = min((alternating_blocks(seq), seq) for seq in variants)
     return MaxOddCycle(ordering=best, blocks=blocks)
+
+
+def reference_betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
+    """`oracle.betti_mod2` by dense GF(2) elimination on list-of-lists boundary matrices."""
+    faces = {sub for f in c.facets for k in range(len(f) + 1) for sub in itertools.combinations(f, k)}
+    groups = [sorted(f for f in faces if len(f) == s) for s in range(c.dimension + 2)]
+    ranks = [0] * (len(groups) + 1)
+    for s in range(1, len(groups)):
+        index = {f: i for i, f in enumerate(groups[s - 1])}
+        mat = [[0] * len(groups[s]) for _ in groups[s - 1]]
+        for j, face in enumerate(groups[s]):
+            for drop in range(s):
+                mat[index[face[:drop] + face[drop + 1 :]]][j] = 1
+        r = 0
+        for col in range(len(groups[s])):
+            pr = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+            if pr is None:
+                continue
+            mat[r], mat[pr] = mat[pr], mat[r]
+            for i in range(r + 1, len(mat)):
+                if mat[i][col]:
+                    mat[i] = [x ^ y for x, y in zip(mat[i], mat[r])]
+            r += 1
+        ranks[s] = r
+    return tuple(len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(len(groups)))
+
+
+def burnside_bracelet_count(m: int) -> int:
+    """Odd-length bracelets of positive parts summing to m (parts >= 2 at length 3).
+
+    Burnside's lemma over the dihedral group of each odd length n: a
+    rotation by r fixes the sequences of period gcd(n, r), and each of the
+    n reflections (n odd, so each axis passes through one part) fixes the
+    palindromes around its axis.
+    """
+
+    def compositions(total: int, parts: int, least: int) -> int:
+        free = total - parts * least
+        return math.comb(free + parts - 1, parts - 1) if free >= 0 else 0
+
+    count = 0
+    for n in range(3, m + 1, 2):
+        least = 2 if n == 3 else 1
+        fixed = 0
+        for r in range(n):
+            period = math.gcd(n, r)
+            if m % (n // period) == 0:
+                fixed += compositions(m // (n // period), period, least)
+        half = (n - 1) // 2
+        for axis_part in range(least, m + 1):
+            if (m - axis_part) % 2 == 0:
+                fixed += n * compositions((m - axis_part) // 2, half, least)
+        assert fixed % (2 * n) == 0
+        count += fixed // (2 * n)
+    return count
