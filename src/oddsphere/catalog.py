@@ -7,8 +7,8 @@ since then the blocks themselves are the non-faces).  The catalog
 instantiates each bracelet and cross-checks every instance through the
 recognizer, the realization pipeline, and the oracle.  Distinct bracelets
 give non-isomorphic spheres (Perles, via Grunbaum, Convex Polytopes, 6.3),
-so each bracelet is one catalog entry; `are_isomorphic` is the independent
-test of that correspondence.
+so each bracelet is one catalog entry; the tests check that correspondence
+with an independent isomorphism search.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from itertools import accumulate
 from .complexes import (
     NonFaceFamily,
     SimplicialComplex,
+    _euler_from_f_vector,
     complex_from_nonfaces,
-    euler_characteristic,
     f_vector,
 )
 from .gale import diagram_from_certificate, realize_gale_vectors, reconstruct_points, recover_nonfaces
@@ -28,6 +28,8 @@ from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_bett
 from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
 
 Bracelet = tuple[int, ...]
+
+MAX_M = 12  # the largest m whose fully cross-checked catalog takes seconds
 
 
 class CatalogVerificationError(RuntimeError):
@@ -87,60 +89,6 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
     return NonFaceFamily(m, cert.ordering), cert
 
 
-def _vertex_signature(c: SimplicialComplex, v: int) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for f in c.facets:
-        if v in f:
-            counts[len(f)] = counts.get(len(f), 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def are_isomorphic(c1: SimplicialComplex, c2: SimplicialComplex) -> bool:
-    """Backtracking search for a vertex bijection mapping facets onto facets."""
-    if c1.m != c2.m or len(c1.facets) != len(c2.facets):
-        return False
-    if sorted(len(f) for f in c1.facets) != sorted(len(f) for f in c2.facets):
-        return False
-    if f_vector(c1) != f_vector(c2):
-        return False
-    sig1 = {v: _vertex_signature(c1, v) for v in range(1, c1.m + 1)}
-    sig2 = {v: _vertex_signature(c2, v) for v in range(1, c2.m + 1)}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-    facet_set2 = set(c2.facets)
-    # rarest signatures first shrinks the branching factor
-    order = sorted(range(1, c1.m + 1), key=lambda v: (sum(1 for u in sig1 if sig1[u] == sig1[v]), v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def feasible(v: int) -> bool:
-        for f in c1.facets:
-            if v not in f:
-                continue
-            img = tuple(sorted(mapping[u] for u in f if u in mapping))
-            if not any(set(img) <= set(g) for g in facet_set2):
-                return False
-        return True
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            images = {tuple(sorted(mapping[u] for u in f)) for f in c1.facets}
-            return images == facet_set2
-        v = order[idx]
-        for w in range(1, c2.m + 1):
-            if w in used or sig2[w] != sig1[v]:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if feasible(v) and extend(idx + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend(0)
-
-
 @dataclass(frozen=True)
 class SphereClass:
     """One isomorphism class of cataloged spheres, given by its bracelet."""
@@ -162,8 +110,8 @@ class CatalogReport:
     classes: tuple[SphereClass, ...]
 
 
-def _cross_check(m: int, fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex) -> None:
-    d = m - 4
+def _cross_check(fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex, fv: tuple[int, ...]) -> None:
+    d = fam.m - 4
     if comp.dimension != d:
         raise CatalogVerificationError(f"{fam.members}: dimension {comp.dimension} != {d}")
     verdict = recognize(comp)
@@ -180,26 +128,24 @@ def _cross_check(m: int, fam: NonFaceFamily, cert: MaxOddCycle, comp: Simplicial
         raise CatalogVerificationError(f"{fam.members}: not a pseudomanifold")
     if betti_mod2(comp) != sphere_betti_profile(d):
         raise CatalogVerificationError(f"{fam.members}: wrong homology profile")
-    if euler_characteristic(comp) != 1 + (-1) ** d:
+    if _euler_from_f_vector(fv) != 1 + (-1) ** d:
         raise CatalogVerificationError(f"{fam.members}: wrong Euler characteristic")
 
 
-def catalog(m: int, max_m: int = 12, verify: bool = True) -> CatalogReport:
+def catalog(m: int) -> CatalogReport:
     """All spheres on m vertices of dimension m-4, one entry per bracelet.
 
     Every instance is verified end to end (recognizer, realization, hull
     equality, Gale readback, pseudomanifold, homology, Euler characteristic);
     any failure raises, since it would mean an implementation bug.
     """
-    if not 4 <= m <= max_m:
-        raise ValueError(f"catalog supports 4 <= m <= {max_m}")
+    if not 4 <= m <= MAX_M:
+        raise ValueError(f"catalog supports 4 <= m <= {MAX_M}")
     classes = []
     for b in enumerate_bracelets(m):
         fam, cert = instantiate(b)
         comp = complex_from_nonfaces(fam)
-        if verify:
-            _cross_check(m, fam, cert, comp)
-        classes.append(
-            SphereClass(bracelet=b, family=fam, certificate=cert, complex=comp, f_vector=f_vector(comp))
-        )
+        fv = f_vector(comp)
+        _cross_check(fam, cert, comp, fv)
+        classes.append(SphereClass(bracelet=b, family=fam, certificate=cert, complex=comp, f_vector=fv))
     return CatalogReport(m=m, classes=tuple(classes))

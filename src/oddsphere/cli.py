@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import serialize
-from .catalog import CatalogVerificationError, catalog as run_catalog
+from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog
 from .complexes import complex_from_nonfaces, minimal_nonfaces
 from .gale import diagram_from_certificate, realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, hull_facets, sphere_betti_profile
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "realize":
             p.add_argument("--verify", action="store_true", help="also compare the hull with the complex")
         if name == "catalog":
-            p.add_argument("--m", type=int, required=True, help="vertex count (4..12)")
+            p.add_argument("--m", type=int, required=True, help=f"vertex count (4..{MAX_M})")
     return parser
 
 

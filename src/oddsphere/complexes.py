@@ -114,12 +114,6 @@ class NonFaceFamily:
         _check_antichain(members, "non-face family members")
 
 
-def is_face(c: SimplicialComplex, a: Iterable[int]) -> bool:
-    """True iff `a` is contained in some facet of `c`."""
-    am = _mask(as_face(a, c.m))
-    return any(am & _mask(f) == am for f in c.facets)
-
-
 def _antichain_minima(masks: Iterable[int]) -> set[int]:
     by_size = sorted(set(masks), key=lambda x: (x.bit_count(), x))
     keep: list[int] = []
@@ -197,14 +191,8 @@ def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:
-    fv = f_vector(c)
+    return _euler_from_f_vector(f_vector(c))
+
+
+def _euler_from_f_vector(fv: tuple[int, ...]) -> int:
     return sum((-1) ** i * fi for i, fi in enumerate(fv[1:]))
-
-
-def permuted(c: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
-    """Relabel vertices of a complex by a bijection of [1, m]."""
-    return SimplicialComplex(c.m, tuple(as_face(perm[v] for v in f) for f in c.facets))
-
-
-def permuted_family(f: NonFaceFamily, perm: dict[int, int]) -> NonFaceFamily:
-    return NonFaceFamily(f.m, tuple(as_face(perm[v] for v in a) for a in f.members))

@@ -11,7 +11,6 @@ direction classes are re-verified with exact arithmetic.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,56 +150,43 @@ def diagram_from_certificate(cert: MaxOddCycle) -> CombinatorialDiagram:
     return CombinatorialDiagram(k=k, slots=tuple(slots))
 
 
-def coface_test(diag: CombinatorialDiagram, a: Iterable[int]) -> bool:
-    """True iff the slots missed by `a` never fit inside k+1 consecutive slots.
+def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
+    """Labels grouped by direction class, the classes in counterclockwise order.
 
-    Equivalent to: the vertices of `a` span a proper face of the realized
-    polytope, i.e. `a` is a face of the complex the diagram encodes.
+    None unless the classes are standard: no zero vector, an odd number
+    2k+1 >= 3 of classes, and every k+1 consecutive classes inside an open
+    half-plane.  That rules out antipodal classes too: one of p and -p lies
+    at most k steps after the other, so that window spans a half turn.
     """
-    inside = set(a)
-    comp_slots = {diag.slots[v - 1] for v in range(1, diag.m + 1) if v not in inside}
-    n = diag.size
-    for start in range(n):
-        arc = {(start + t) % n for t in range(diag.k + 1)}
-        if comp_slots <= arc:
-            return False
-    return True
+    if any(is_zero_vec(v) for v in vectors):
+        return None
+    members_of: dict[DiagramDirection, list[int]] = {}
+    for i, v in enumerate(vectors, start=1):
+        members_of.setdefault(primitive_direction(v), []).append(i)
+    s = len(members_of)
+    if s < 3 or s % 2 == 0:
+        return None
+    k = (s - 1) // 2
+    ordered = sort_counterclockwise(members_of)
+    if any(cross2(ordered[j], ordered[(j + k) % s]) <= 0 for j in range(s)):
+        return None
+    return [members_of[p] for p in ordered]
 
 
 def _verified_classes(diag: CombinatorialDiagram, vectors: list[Vec]) -> bool:
     """Exact check that the vectors still encode the diagram's combinatorics.
 
-    Requires: no zero vector, one direction class per slot, all classes
-    distinct, none antipodal, counterclockwise class order equal to the
-    slot order up to rotation, and every k+1 consecutive classes spanning
-    less than a half turn.  Together these pin down the same face lattice
-    as the symbolic diagram, for every vertex subset at once.
+    The direction classes must be standard and, in counterclockwise order,
+    equal the slots in slot order up to rotation.  Together these pin down
+    the same face lattice as the symbolic diagram, for every vertex subset
+    at once.
     """
-    n, k = diag.size, diag.k
-    if any(is_zero_vec(v) for v in vectors):
+    classes = _standard_classes(vectors)
+    if classes is None:
         return False
-    prims = [primitive_direction(v) for v in vectors]
-    class_by_slot: list[tuple[int, int] | None] = [None] * n
-    for i, p in enumerate(prims):
-        j = diag.slots[i]
-        if class_by_slot[j] is None:
-            class_by_slot[j] = p
-        elif class_by_slot[j] != p:
-            return False
-    classes = [p for p in class_by_slot if p is not None]
-    if len(set(classes)) != n:
-        return False
-    for a, b in itertools.combinations(classes, 2):
-        if a == (-b[0], -b[1]):
-            return False
-    ordered = sort_counterclockwise(classes)
-    pos0 = ordered.index(class_by_slot[0])
-    if [ordered[(pos0 + t) % n] for t in range(n)] != list(class_by_slot):
-        return False
-    for j in range(n):
-        if cross2(class_by_slot[j], class_by_slot[(j + k) % n]) <= 0:
-            return False
-    return True
+    slots = [[v for v, s in enumerate(diag.slots, start=1) if s == j] for j in range(diag.size)]
+    shift = diag.slots[0] - next(j for j, labels in enumerate(classes) if 1 in labels)
+    return classes == slots[shift:] + slots[:shift]
 
 
 def realize_gale_vectors(diag: CombinatorialDiagram) -> GaleConfiguration:
@@ -243,9 +229,8 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     """Affinely spanning points in Q^{n-e-1} whose Gale transform spans like g.
 
     The orthogonal complement of the configuration's column space contains
-    the all-ones vector (zero sum); its basis is renormalized so that the
-    all-ones vector is the last element, and the remaining vectors are read
-    off columnwise as point coordinates.
+    the all-ones vector (zero sum); the canonical basis of that complement
+    without its last vector is read off columnwise as point coordinates.
     """
     n, e = g.n, g.dim
     d = n - e - 1
@@ -256,13 +241,10 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     else:
         rows = [[v[coord] for v in g.vectors] for coord in range(e)]
         kern = kernel_basis(rows)
-    ones = [Fraction(1)] * n
-    coeffs = solve([[k[i] for k in kern] for i in range(n)], ones)
-    if coeffs is None:
-        raise InvalidConfiguration("all-ones vector missing from the complement")
-    drop = max(i for i, c in enumerate(coeffs) if c != 0)
-    basis = [kern[i] for i in range(len(kern)) if i != drop]
-    points = tuple(tuple(b[i] for b in basis) for i in range(n))
+    # Each basis vector is 1 at its own free column and 0 at the other free
+    # columns, and the all-ones vector lies in the kernel (zero sum), so it is
+    # the sum of the whole basis: dropping the last vector leaves a complement.
+    points = tuple(tuple(b[i] for b in kern[:-1]) for i in range(n))
     return PointConfiguration(points)
 
 
@@ -321,31 +303,16 @@ def relint_origin_test(vectors: Iterable[Sequence]) -> bool:
 def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] | None:
     """Read a maximum odd cycle back off a planar configuration, if it is one.
 
-    Returns None unless the direction classes are standard: all nonzero,
-    an odd number >= 3 of classes, none antipodal, every k+1 consecutive
-    classes inside an open half-plane, and (for k = 1) every class carrying
-    at least two vectors.  Classes in counterclockwise order are the blocks
+    Returns None unless the direction classes are standard (see
+    `_standard_classes`) and, for k = 1, every class carries at least two
+    vectors.  Classes in counterclockwise order are the blocks
     B_0, B_{-2}, ..., B_{-4k}; members are rebuilt as unions of k
     consecutive blocks.
     """
     if g.dim != 2:
         raise InvalidConfiguration("recover_nonfaces expects a planar configuration")
-    if any(is_zero_vec(v) for v in g.vectors):
+    classes = _standard_classes(g.vectors)
+    if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    members_of: dict[tuple[int, int], list[int]] = {}
-    for i, v in enumerate(g.vectors, start=1):
-        members_of.setdefault(primitive_direction(v), []).append(i)
-    s = len(members_of)
-    if s < 3 or s % 2 == 0:
-        return None
-    for a, b in itertools.combinations(members_of, 2):
-        if a == (-b[0], -b[1]):
-            return None
-    k = (s - 1) // 2
-    ordered = sort_counterclockwise(members_of)
-    if any(cross2(ordered[j], ordered[(j + k) % s]) <= 0 for j in range(s)):
-        return None
-    if k == 1 and any(len(members_of[p]) < 2 for p in ordered):
-        return None
-    cert = certificate_from_slots([members_of[p] for p in ordered], g.n)
+    cert = certificate_from_slots(classes, g.n)
     return NonFaceFamily(g.n, cert.ordering), cert

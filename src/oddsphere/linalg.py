@@ -1,4 +1,4 @@
-"""Exact linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices: elimination only.
 
 Row reduction runs fraction-free over Python ints (Bareiss), so every
 division is exact, and returns `fractions.Fraction`.  It always pivots on
@@ -20,10 +20,6 @@ def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c, a: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * x for x in a)
@@ -40,10 +36,6 @@ def is_zero_vec(a: Vec) -> bool:
 def cross2(a: Sequence, b: Sequence) -> Fraction:
     """z-component of the cross product of two planar vectors."""
     return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
-
-
-def _copy(matrix: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in matrix]
 
 
 def _integer_row(entries: Iterable) -> list[int]:
@@ -137,57 +129,3 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return tuple(x)
-
-
-def linear_feasible_nonneg(matrix: Sequence[Sequence], rhs: Sequence) -> bool:
-    """Decide whether A x = b has a solution with x >= 0 (componentwise).
-
-    Exact phase-1 simplex with Bland's rule, so it terminates and never
-    sees rounding error.  Sizes here are tiny (tens of rows/columns).
-    """
-    a = _copy(matrix)
-    b = [Fraction(x) for x in rhs]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return True
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # tableau columns: n originals, m artificials, rhs
-    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # cost row for minimizing the artificial sum, with basic columns zeroed out
-    cost = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m):
-        cost[j] = Fraction(int(j >= n))
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
-        if enter is None:
-            break
-        best: tuple[Fraction, int, int] | None = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                key = (ratio, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            # unbounded cannot happen in phase 1 (objective bounded below by 0)
-            raise RuntimeError("phase-1 simplex reported an unbounded objective")
-        _, _, leave = best
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        if f != 0:
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
-        basis[leave] = enter
-    return -cost[-1] == 0

@@ -1,4 +1,4 @@
-"""Independent ground truth: exact hulls, homology mod 2, pseudomanifold tests.
+"""Independent oracles: exact hulls, homology mod 2, the pseudomanifold test.
 
 Nothing here knows about non-face families or Gale diagrams; it answers
 geometric and topological questions from first principles so the other
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .complexes import Face, SimplicialComplex, _face_masks_by_size, euler_characteristic
-from .linalg import Vec, _fraction_free_rref, _integer_row, linear_feasible_nonneg, vec
+from .complexes import Face, SimplicialComplex, _face_masks_by_size
+from .linalg import Vec, _fraction_free_rref, _integer_row, vec
 
 
 class NotFullDimensional(ValueError):
@@ -151,19 +151,6 @@ def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
     return normal, det, -1 if (d + free + swaps) % 2 else 1
 
 
-def is_vertex(pc: PointConfiguration, label: int) -> bool:
-    """True iff x_label is not a convex combination of the other points."""
-    if not 1 <= label <= pc.n:
-        raise ValueError(f"label {label} out of range 1..{pc.n}")
-    others = [pc.points[i] for i in range(pc.n) if i != label - 1]
-    if not others:
-        return True
-    cols = [list(p) + [Fraction(1)] for p in others]
-    matrix = [[cols[j][r] for j in range(len(others))] for r in range(pc.dim + 1)]
-    rhs = list(pc.points[label - 1]) + [Fraction(1)]
-    return not linear_feasible_nonneg(matrix, rhs)
-
-
 def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
     """The boundary complex of a simplicial hull with all points extremal.
 
@@ -243,67 +230,3 @@ def is_pseudomanifold(c: SimplicialComplex) -> bool:
                 seen.add(nb)
                 frontier.append(nb)
     return len(seen) == len(facets)
-
-
-def _is_single_cycle(edges: list[Face], vertices: set[int]) -> bool:
-    if any(len(e) != 2 for e in edges):
-        return False
-    if len(edges) != len(vertices) or len(vertices) < 3:
-        return False
-    degree: dict[int, int] = {v: 0 for v in vertices}
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(deg != 2 for deg in degree.values()):
-        return False
-    start = next(iter(vertices))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return seen == vertices
-
-
-def vertex_link_edges(c: SimplicialComplex, v: int) -> list[Face]:
-    """Edges of the link of v in a 2-dimensional pure complex."""
-    return [tuple(u for u in f if u != v) for f in c.facets if v in f]
-
-
-def ground_truth_sphere(
-    c: SimplicialComplex, witnesses: tuple[PointConfiguration, ...] = ()
-) -> bool | None:
-    """Definitive sphere answer where one is available; None if undetermined.
-
-    Dimensions 0..2 are decided combinatorially.  In higher dimension a
-    witness point configuration whose boundary complex equals `c` decides
-    positively; failing the pseudomanifold or homology necessary
-    conditions decides negatively; anything else stays undetermined.
-    """
-    d = c.dimension
-    if d == 0:
-        return c.m == 2 and len(c.facets) == 2
-    if d == 1:
-        return _is_single_cycle(list(c.facets), set(range(1, c.m + 1)))
-    if d == 2:
-        if not is_pseudomanifold(c) or euler_characteristic(c) != 2:
-            return False
-        for v in range(1, c.m + 1):
-            edges = vertex_link_edges(c, v)
-            if not _is_single_cycle(edges, {u for e in edges for u in e}):
-                return False
-        return True
-    for w in witnesses:
-        if boundary_complex(w) == c:
-            return True
-    if not is_pseudomanifold(c):
-        return False
-    if betti_mod2(c) != sphere_betti_profile(d):
-        return False
-    return None

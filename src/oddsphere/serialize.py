@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .catalog import CatalogReport
 from .complexes import NonFaceFamily, SimplicialComplex
-from .gale import GaleConfiguration
 from .oracle import PointConfiguration
 from .recognizer import (
     MaxOddCycle,
@@ -116,13 +115,6 @@ def points_from_doc(doc) -> PointConfiguration:
         return PointConfiguration(tuple(points))
     except ValueError as exc:
         raise DocumentError(f"invalid point configuration: {exc}") from exc
-
-
-def gale_to_doc(g: GaleConfiguration) -> dict:
-    return {
-        "dim": g.dim,
-        "points": [[fraction_to_str(x) for x in v] for v in g.vectors],
-    }
 
 
 def certificate_to_doc(cert) -> dict:

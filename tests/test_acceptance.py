@@ -10,23 +10,21 @@ import random
 import time
 from fractions import Fraction
 
-from tests_shared import random_family, random_gale_configuration
+from tests_shared import are_isomorphic, coface_test, is_face, random_family, random_gale_configuration
 
-from oddsphere.catalog import are_isomorphic, catalog, enumerate_bracelets, instantiate
+from oddsphere.catalog import catalog, enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
     complex_from_nonfaces,
     f_vector,
-    is_face,
     minimal_nonfaces,
 )
 from oddsphere.gale import (
     dependence_from_direction,
     diagram_from_certificate,
     direction_from_dependence,
-    coface_test,
     gale_transform,
     realize_gale_vectors,
     reconstruct_points,
@@ -117,7 +115,7 @@ def test_criterion_3_round_trips():
 def test_criterion_4_triple_agreement():
     disagreements = 0
     for m in (5, 6, 7, 8):
-        for cls in catalog(m, verify=False).classes:
+        for cls in catalog(m).classes:
             cert = cls.certificate
             comp = cls.complex
             diag = diagram_from_certificate(cert)

@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from tests_shared import burnside_bracelet_count
+from tests_shared import are_isomorphic, burnside_bracelet_count, permuted
 
 from oddsphere.catalog import (
-    are_isomorphic,
     canonical_bracelet,
     catalog,
     enumerate_bracelets,
@@ -18,7 +17,6 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     complex_from_nonfaces,
-    permuted,
 )
 from oddsphere.recognizer import find_max_odd_cycle, validate_certificate
 

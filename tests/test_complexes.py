@@ -13,12 +13,9 @@ from oddsphere.complexes import (
     complex_from_nonfaces,
     euler_characteristic,
     f_vector,
-    is_face,
     minimal_nonfaces,
-    permuted,
-    permuted_family,
 )
-from tests_shared import nonface_families, simplicial_complexes
+from tests_shared import is_face, nonface_families, permuted, permuted_family, simplicial_complexes
 
 PENTAGON_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 PENTAGON_NONFACES = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))

@@ -8,15 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests_shared import random_gale_configuration, random_points
+from tests_shared import (
+    coface_test,
+    is_face,
+    is_vertex,
+    linear_feasible_nonneg,
+    permuted_family,
+    random_gale_configuration,
+    random_points,
+)
 
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     MAX_VERTICES,
     NonFaceFamily,
     complex_from_nonfaces,
-    is_face,
-    permuted_family,
 )
 from oddsphere.gale import (
     CombinatorialDiagram,
@@ -24,7 +30,7 @@ from oddsphere.gale import (
     InvalidConfiguration,
     NotAffinelySpanning,
     ZeroInput,
-    coface_test,
+    _verified_classes,
     dependence_from_direction,
     diagram_from_certificate,
     direction_from_dependence,
@@ -35,8 +41,8 @@ from oddsphere.gale import (
     recover_nonfaces,
     relint_origin_test,
 )
-from oddsphere.linalg import linear_feasible_nonneg, matrix_rank
-from oddsphere.oracle import PointConfiguration, boundary_complex, hull_facets, is_vertex
+from oddsphere.linalg import matrix_rank
+from oddsphere.oracle import PointConfiguration, boundary_complex, hull_facets
 from oddsphere.recognizer import MaxOddCycle, Sphere, find_max_odd_cycle, recognize
 
 PENTAGON = NonFaceFamily(5, ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)))
@@ -337,6 +343,32 @@ def test_recover_rejects_singleton_class_when_k_is_one():
         (Fraction(0), Fraction(-1)), (Fraction(0), Fraction(-1)),
     ))
     assert recover_nonfaces(g) is None
+
+
+# k = 2: five slots, vertices 1 and 2 share slot 0; the slots' honest
+# directions in counterclockwise order
+SHARED_SLOT = CombinatorialDiagram(k=2, slots=(0, 0, 1, 2, 3, 4))
+CCW = [(1, -2), (1, 0), (1, 2), (-1, 1), (-1, -1)]
+
+
+def _on_slots(directions, changed=None):
+    """One vector per vertex of SHARED_SLOT: its slot's direction unless `changed` maps it."""
+    changed = changed or {}
+    vs = [changed.get(v, directions[s]) for v, s in enumerate(SHARED_SLOT.slots, start=1)]
+    return [tuple(Fraction(x) for x in v) for v in vs]
+
+
+@pytest.mark.parametrize("vectors, accepted", [
+    pytest.param(list(realize_gale_vectors(SHARED_SLOT).vectors), True, id="honest-realization"),
+    pytest.param(_on_slots(CCW, {2: CCW[2]}), False, id="slot-split-over-two-directions"),
+    pytest.param(_on_slots(CCW, {3: CCW[0]}), False, id="two-slots-on-one-direction"),
+    pytest.param(_on_slots([CCW[-j % 5] for j in range(5)]), False, id="reflected-clockwise-order"),
+    pytest.param(_on_slots(CCW, {5: (-1, 2)}), False, id="antipodal-pair"),
+    pytest.param(_on_slots([(1, 0), (1, 1), (0, 1), (-1, 1), (1, -2)]), False, id="window-beyond-half-plane"),
+    pytest.param(_on_slots(CCW, {4: (0, 0)}), False, id="zero-vector"),
+])
+def test_verified_classes_accepts_only_the_diagrams_classes(vectors, accepted):
+    assert _verified_classes(SHARED_SLOT, vectors) is accepted
 
 
 ROUND_TRIP_BRACELETS = [b for m in range(5, 10) for b in enumerate_bracelets(m)]

@@ -7,14 +7,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests_shared import random_fraction, reference_rref
+from tests_shared import linear_feasible_nonneg, random_fraction, reference_rref
 
 from oddsphere.linalg import (
     dot,
     _fraction_free_rref,
     _integer_row,
     kernel_basis,
-    linear_feasible_nonneg,
     matrix_rank,
     rref,
     solve,

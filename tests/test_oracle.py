@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests_shared import (
+    ground_truth_sphere,
+    is_vertex,
     random_fraction,
     random_points,
     reference_betti_mod2,
@@ -32,10 +34,8 @@ from oddsphere.oracle import (
     PointConfiguration,
     betti_mod2,
     boundary_complex,
-    ground_truth_sphere,
     hull_facets,
     is_pseudomanifold,
-    is_vertex,
 )
 
 UNIT_SIMPLEX_3D = PointConfiguration((
@@ -284,7 +284,7 @@ def test_oracle_agreement_on_witnessed_catalog_spheres():
     from oddsphere.recognizer import Sphere, recognize
 
     for m in (7, 8):
-        for cls in catalog(m, verify=False).classes:
+        for cls in catalog(m).classes:
             pts = reconstruct_points(
                 realize_gale_vectors(diagram_from_certificate(cls.certificate))
             )

@@ -14,8 +14,6 @@ from oddsphere.complexes import (
     SimplicialComplex,
     complex_from_nonfaces,
     minimal_nonfaces,
-    permuted,
-    permuted_family,
 )
 from oddsphere.recognizer import (
     EvenLength,
@@ -33,7 +31,7 @@ from oddsphere.recognizer import (
     recognize,
     validate_certificate,
 )
-from tests_shared import brute_force_canonical_certificate, nonface_families
+from tests_shared import brute_force_canonical_certificate, nonface_families, permuted, permuted_family
 
 PENTAGON_F = ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5))
 

@@ -4,12 +4,30 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
-from oddsphere.complexes import Face, NonFaceFamily, SimplicialComplex
-from oddsphere.gale import GaleConfiguration
-from oddsphere.oracle import NonSimplicial, NotFullDimensional, PointConfiguration
+from oddsphere.complexes import (
+    Face,
+    NonFaceFamily,
+    SimplicialComplex,
+    _mask,
+    as_face,
+    euler_characteristic,
+    f_vector,
+)
+from oddsphere.gale import CombinatorialDiagram, GaleConfiguration
+from oddsphere.linalg import Matrix
+from oddsphere.oracle import (
+    NonSimplicial,
+    NotFullDimensional,
+    PointConfiguration,
+    betti_mod2,
+    boundary_complex,
+    is_pseudomanifold,
+    sphere_betti_profile,
+)
 from oddsphere.recognizer import MaxOddCycle, alternating_blocks
 
 
@@ -200,3 +218,233 @@ def burnside_bracelet_count(m: int) -> int:
         assert fixed % (2 * n) == 0
         count += fixed // (2 * n)
     return count
+
+
+# -- `complexes`: face membership and relabelling ----------------------------
+
+def is_face(c: SimplicialComplex, a: Iterable[int]) -> bool:
+    """True iff `a` is contained in some facet of `c`."""
+    am = _mask(as_face(a, c.m))
+    return any(am & _mask(f) == am for f in c.facets)
+
+
+def permuted(c: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
+    """Relabel vertices of a complex by a bijection of [1, m]."""
+    return SimplicialComplex(c.m, tuple(as_face(perm[v] for v in f) for f in c.facets))
+
+
+def permuted_family(f: NonFaceFamily, perm: dict[int, int]) -> NonFaceFamily:
+    return NonFaceFamily(f.m, tuple(as_face(perm[v] for v in a) for a in f.members))
+
+
+# -- `catalog`: the isomorphism search behind the Perles correspondence ------
+
+def _vertex_signature(c: SimplicialComplex, v: int) -> tuple[tuple[int, int], ...]:
+    counts: dict[int, int] = {}
+    for f in c.facets:
+        if v in f:
+            counts[len(f)] = counts.get(len(f), 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def are_isomorphic(c1: SimplicialComplex, c2: SimplicialComplex) -> bool:
+    """Backtracking search for a vertex bijection mapping facets onto facets."""
+    if c1.m != c2.m or len(c1.facets) != len(c2.facets):
+        return False
+    if sorted(len(f) for f in c1.facets) != sorted(len(f) for f in c2.facets):
+        return False
+    if f_vector(c1) != f_vector(c2):
+        return False
+    sig1 = {v: _vertex_signature(c1, v) for v in range(1, c1.m + 1)}
+    sig2 = {v: _vertex_signature(c2, v) for v in range(1, c2.m + 1)}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return False
+    facet_set2 = set(c2.facets)
+    # rarest signatures first shrinks the branching factor
+    order = sorted(range(1, c1.m + 1), key=lambda v: (sum(1 for u in sig1 if sig1[u] == sig1[v]), v))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def feasible(v: int) -> bool:
+        for f in c1.facets:
+            if v not in f:
+                continue
+            img = tuple(sorted(mapping[u] for u in f if u in mapping))
+            if not any(set(img) <= set(g) for g in facet_set2):
+                return False
+        return True
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            images = {tuple(sorted(mapping[u] for u in f)) for f in c1.facets}
+            return images == facet_set2
+        v = order[idx]
+        for w in range(1, c2.m + 1):
+            if w in used or sig2[w] != sig1[v]:
+                continue
+            mapping[v] = w
+            used.add(w)
+            if feasible(v) and extend(idx + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    return extend(0)
+
+
+# -- `linalg` and `oracle`: the vertex test by a `Fraction` phase-1 simplex --
+
+def _copy(matrix: Sequence[Sequence]) -> Matrix:
+    return [[Fraction(x) for x in row] for row in matrix]
+
+
+def linear_feasible_nonneg(matrix: Sequence[Sequence], rhs: Sequence) -> bool:
+    """Decide whether A x = b has a solution with x >= 0 (componentwise).
+
+    Exact phase-1 simplex with Bland's rule, so it terminates and never
+    sees rounding error.  Sizes here are tiny (tens of rows/columns).
+    """
+    a = _copy(matrix)
+    b = [Fraction(x) for x in rhs]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0:
+        return True
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    # tableau columns: n originals, m artificials, rhs
+    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # cost row for minimizing the artificial sum, with basic columns zeroed out
+    cost = [Fraction(0)] * (n + m + 1)
+    for j in range(n + m):
+        cost[j] = Fraction(int(j >= n))
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= tab[i][j]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        best: tuple[Fraction, int, int] | None = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                key = (ratio, basis[i], i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            # unbounded cannot happen in phase 1 (objective bounded below by 0)
+            raise RuntimeError("phase-1 simplex reported an unbounded objective")
+        _, _, leave = best
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        if f != 0:
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    return -cost[-1] == 0
+
+
+def is_vertex(pc: PointConfiguration, label: int) -> bool:
+    """True iff x_label is not a convex combination of the other points."""
+    if not 1 <= label <= pc.n:
+        raise ValueError(f"label {label} out of range 1..{pc.n}")
+    others = [pc.points[i] for i in range(pc.n) if i != label - 1]
+    if not others:
+        return True
+    cols = [list(p) + [Fraction(1)] for p in others]
+    matrix = [[cols[j][r] for j in range(len(others))] for r in range(pc.dim + 1)]
+    rhs = list(pc.points[label - 1]) + [Fraction(1)]
+    return not linear_feasible_nonneg(matrix, rhs)
+
+
+# -- `oracle`: sphere ground truth in dimension <= 2, witnesses above --------
+
+def _is_single_cycle(edges: list[Face], vertices: set[int]) -> bool:
+    if any(len(e) != 2 for e in edges):
+        return False
+    if len(edges) != len(vertices) or len(vertices) < 3:
+        return False
+    degree: dict[int, int] = {v: 0 for v in vertices}
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+        adj[a].append(b)
+        adj[b].append(a)
+    if any(deg != 2 for deg in degree.values()):
+        return False
+    start = next(iter(vertices))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for nb in adj[cur]:
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return seen == vertices
+
+
+def vertex_link_edges(c: SimplicialComplex, v: int) -> list[Face]:
+    """Edges of the link of v in a 2-dimensional pure complex."""
+    return [tuple(u for u in f if u != v) for f in c.facets if v in f]
+
+
+def ground_truth_sphere(
+    c: SimplicialComplex, witnesses: tuple[PointConfiguration, ...] = ()
+) -> bool | None:
+    """Definitive sphere answer where one is available; None if undetermined.
+
+    Dimensions 0..2 are decided combinatorially.  In higher dimension a
+    witness point configuration whose boundary complex equals `c` decides
+    positively; failing the pseudomanifold or homology necessary
+    conditions decides negatively; anything else stays undetermined.
+    """
+    d = c.dimension
+    if d == 0:
+        return c.m == 2 and len(c.facets) == 2
+    if d == 1:
+        return _is_single_cycle(list(c.facets), set(range(1, c.m + 1)))
+    if d == 2:
+        if not is_pseudomanifold(c) or euler_characteristic(c) != 2:
+            return False
+        for v in range(1, c.m + 1):
+            edges = vertex_link_edges(c, v)
+            if not _is_single_cycle(edges, {u for e in edges for u in e}):
+                return False
+        return True
+    for w in witnesses:
+        if boundary_complex(w) == c:
+            return True
+    if not is_pseudomanifold(c):
+        return False
+    if betti_mod2(c) != sphere_betti_profile(d):
+        return False
+    return None
+
+
+# -- `gale`: the face test read off a combinatorial diagram ------------------
+
+def coface_test(diag: CombinatorialDiagram, a: Iterable[int]) -> bool:
+    """True iff the slots missed by `a` never fit inside k+1 consecutive slots.
+
+    Equivalent to: the vertices of `a` span a proper face of the realized
+    polytope, i.e. `a` is a face of the complex the diagram encodes.
+    """
+    inside = set(a)
+    comp_slots = {diag.slots[v - 1] for v in range(1, diag.m + 1) if v not in inside}
+    n = diag.size
+    for start in range(n):
+        arc = {(start + t) % n for t in range(diag.k + 1)}
+        if comp_slots <= arc:
+            return False
+    return True
