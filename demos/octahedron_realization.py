@@ -13,7 +13,6 @@ from oddsphere import (
     NonFaceFamily,
     betti_mod2,
     complex_from_nonfaces,
-    diagram_from_certificate,
     euler_characteristic,
     f_vector,
     find_max_odd_cycle,
@@ -34,7 +33,7 @@ print("reduced Betti numbers mod 2:", betti_mod2(octahedron))
 cert = find_max_odd_cycle(family)
 print("\nmaximum 3-cycle blocks:", [set(b) for b in cert.blocks])
 
-points = reconstruct_points(realize_gale_vectors(diagram_from_certificate(cert)))
+points = reconstruct_points(realize_gale_vectors(cert))
 print("\nsix exact points in Q^3:")
 for i, p in enumerate(points.points, start=1):
     print(f"  x_{i} =", tuple(str(x) for x in p))

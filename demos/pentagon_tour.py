@@ -14,7 +14,6 @@ from oddsphere import (
     NonFaceFamily,
     boundary_complex,
     complex_from_nonfaces,
-    diagram_from_certificate,
     minimal_nonfaces,
     realize_gale_vectors,
     reconstruct_points,
@@ -36,11 +35,9 @@ print("cyclic ordering:", " - ".join(str(set(a)) for a in cert.ordering))
 print("blocks B_i:     ", [set(b) for b in cert.blocks])
 
 # place the blocks on five integer directions in the regular pentagon's cyclic order
-diagram = diagram_from_certificate(cert)
-slots = sorted(range(1, 6), key=lambda v: diagram.slots[v - 1])
-print("\npolygon slots 0..4 carry vertices:", slots)
+print("\npolygon slots 0..4 carry vertices:", [v for block in cert.slots for v in block])
 
-gale = realize_gale_vectors(diagram)
+gale = realize_gale_vectors(cert)
 print("Gale vectors sum to zero:",
       all(sum(v[c] for v in gale.vectors) == 0 for c in range(2)))
 

@@ -23,7 +23,7 @@ from .complexes import (
     complex_from_nonfaces,
     f_vector,
 )
-from .gale import diagram_from_certificate, realize_gale_vectors, reconstruct_points, recover_nonfaces
+from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
 from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
 
@@ -77,8 +77,9 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
     """Labelled maximum odd cycle for a bracelet.
 
     Vertex labels 1..m are assigned consecutively along the slot order
-    B_0, B_{-2}, B_{-4}, ..., slot j taking the next b_j labels, and the
-    members are the unions of k consecutive blocks.
+    (`MaxOddCycle.slots`, inverted by `certificate_from_slots`), slot j
+    taking the next b_j labels, and the members are the unions of k
+    consecutive blocks.
     """
     n = len(b)
     if n < 3 or n % 2 == 0 or any(p < 1 for p in b) or (n == 3 and any(p < 2 for p in b)):
@@ -117,7 +118,7 @@ def _cross_check(fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex,
     verdict = recognize(comp)
     if not (isinstance(verdict, Sphere) and verdict.d == d and isinstance(verdict.certificate, MaxOddCycle)):
         raise CatalogVerificationError(f"{fam.members}: recognizer returned {verdict}")
-    g = realize_gale_vectors(diagram_from_certificate(cert))
+    g = realize_gale_vectors(cert)
     realized = boundary_complex(reconstruct_points(g))
     if realized != comp:
         raise CatalogVerificationError(f"{fam.members}: realized hull differs from the complex")

@@ -5,7 +5,9 @@ positive-ray direction classes carry the same information exactly, because
 the origin-in-relative-interior test is invariant under positive scaling.
 The regular polygon is likewise irrational, so diagrams are realized on
 small primitive integer directions in the same cyclic order, and the
-direction classes are re-verified with exact arithmetic.
+direction classes are re-verified with exact arithmetic.  A maximum odd
+cycle already is its diagram: the slot order is defined by
+`MaxOddCycle.slots` and inverted by `certificate_from_slots`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .linalg import (
     vec_scale,
 )
 from .oracle import PointConfiguration
-from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots
+from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots, validate_certificate
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -78,37 +80,6 @@ class GaleConfiguration:
         return len(self.vectors[0])
 
 
-@dataclass(frozen=True)
-class CombinatorialDiagram:
-    """Assignment of each vertex of [m] to one of 2k+1 polygon slots.
-
-    Slot j, read for j = 0, 1, ..., 2k, carries the blocks in the order
-    B_0, B_{-2}, B_{-4}, ...; every slot must be occupied.
-    """
-
-    k: int
-    slots: tuple[int, ...]  # slots[i-1] = slot of vertex i
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        size = 2 * self.k + 1
-        if len(self.slots) < size:
-            raise ValueError(f"need at least {size} vertices to fill {size} slots")
-        if any(not (0 <= s < size) for s in self.slots):
-            raise ValueError(f"slot indices must lie in 0..{size - 1}")
-        if len(set(self.slots)) != size:
-            raise ValueError("every slot needs at least one vertex")
-
-    @property
-    def m(self) -> int:
-        return len(self.slots)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.k + 1
-
-
 def primitive_direction(v: Sequence) -> DiagramDirection:
     """The primitive integer vector on the positive ray through v (v nonzero)."""
     x, y = Fraction(v[0]), Fraction(v[1])
@@ -138,18 +109,6 @@ def sort_counterclockwise(directions: Iterable[tuple[int, int]]) -> list[tuple[i
     return sorted(directions, key=functools.cmp_to_key(_angular_cmp))
 
 
-def diagram_from_certificate(cert: MaxOddCycle) -> CombinatorialDiagram:
-    """Place vertex i at slot j exactly when i lies in block B_{-2j}."""
-    n = len(cert.blocks)
-    k = (n - 1) // 2
-    m = sum(len(b) for b in cert.blocks)
-    slots = [-1] * m
-    for j in range(n):
-        for v in cert.blocks[(-2 * j) % n]:
-            slots[v - 1] = j
-    return CombinatorialDiagram(k=k, slots=tuple(slots))
-
-
 def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
     """Labels grouped by direction class, the classes in counterclockwise order.
 
@@ -173,24 +132,25 @@ def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
     return [members_of[p] for p in ordered]
 
 
-def _verified_classes(diag: CombinatorialDiagram, vectors: list[Vec]) -> bool:
-    """Exact check that the vectors still encode the diagram's combinatorics.
+def _verified_classes(cert: MaxOddCycle, vectors: list[Vec]) -> bool:
+    """Exact check that the vectors still encode the certificate's combinatorics.
 
     The direction classes must be standard and, in counterclockwise order,
-    equal the slots in slot order up to rotation.  Together these pin down
-    the same face lattice as the symbolic diagram, for every vertex subset
-    at once.
+    equal the certificate's slots in slot order up to rotation.  Together
+    these pin down the same face lattice as the symbolic diagram, for every
+    vertex subset at once.
     """
     classes = _standard_classes(vectors)
     if classes is None:
         return False
-    slots = [[v for v, s in enumerate(diag.slots, start=1) if s == j] for j in range(diag.size)]
-    shift = diag.slots[0] - next(j for j, labels in enumerate(classes) if 1 in labels)
+    slots = [list(block) for block in cert.slots]
+    first = next(j for j, block in enumerate(slots) if 1 in block)
+    shift = first - next(j for j, labels in enumerate(classes) if 1 in labels)
     return classes == slots[shift:] + slots[:shift]
 
 
-def realize_gale_vectors(diag: CombinatorialDiagram) -> GaleConfiguration:
-    """Planar Gale vectors for a diagram: (w_s / |block s|) u_s for slot s.
+def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
+    """Planar Gale vectors: (w_s / |block s|) u_s for each vertex of block `cert.slots[s]`.
 
     The directions u_s, in counterclockwise order, are (1, 2i-k) for
     i = 0..k with weight k, then (-1, k-1-2j) for j = 0..k-1 with weight
@@ -201,14 +161,16 @@ def realize_gale_vectors(diag: CombinatorialDiagram) -> GaleConfiguration:
     half-plane encode the same face lattice as the regular polygon
     (Gruenbaum, Convex Polytopes, 6.3); the exact check below confirms it.
     """
-    k = diag.k
+    m = sum(len(b) for b in cert.blocks)
+    validate_certificate(cert, m)
+    k = cert.k
     directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
     weights = [k] * (k + 1) + [k + 1] * k
-    sizes = [0] * diag.size
-    for s in diag.slots:
-        sizes[s] += 1
-    vectors = [vec_scale(Fraction(weights[s], sizes[s]), directions[s]) for s in diag.slots]
-    if not _verified_classes(diag, vectors):
+    vectors: list[Vec] = [()] * m
+    for s, block in enumerate(cert.slots):
+        for v in block:
+            vectors[v - 1] = vec_scale(Fraction(weights[s], len(block)), directions[s])
+    if not _verified_classes(cert, vectors):
         raise InternalInconsistency(f"integer directions for k = {k} fail the diagram check")
     return GaleConfiguration(tuple(vectors))
 

@@ -73,6 +73,12 @@ class MaxOddCycle:
     def k(self) -> int:
         return (len(self.ordering) - 1) // 2
 
+    @property
+    def slots(self) -> tuple[Face, ...]:
+        """Slot j of the (2k+1)-gon holds block B_{-2j}; `certificate_from_slots` inverts this."""
+        n = len(self.blocks)
+        return tuple(self.blocks[(-2 * j) % n] for j in range(n))
+
 
 Certificate = SimplexBoundary | TwoPartition | MaxOddCycle
 

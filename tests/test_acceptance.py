@@ -23,7 +23,6 @@ from oddsphere.complexes import (
 )
 from oddsphere.gale import (
     dependence_from_direction,
-    diagram_from_certificate,
     direction_from_dependence,
     gale_transform,
     realize_gale_vectors,
@@ -91,9 +90,7 @@ def test_criterion_2_octahedron():
     assert isinstance(verdict, Sphere) and verdict.d == 2
     assert isinstance(verdict.certificate, MaxOddCycle) and verdict.certificate.n == 3
     assert f_vector(comp)[1:] == (6, 12, 8)
-    points = reconstruct_points(
-        realize_gale_vectors(diagram_from_certificate(verdict.certificate))
-    )
+    points = reconstruct_points(realize_gale_vectors(verdict.certificate))
     assert points.dim == 3
     assert hull_facets(points) == comp.facets
     assert time.monotonic() - start < 1.0
@@ -118,12 +115,11 @@ def test_criterion_4_triple_agreement():
         for cls in catalog(m).classes:
             cert = cls.certificate
             comp = cls.complex
-            diag = diagram_from_certificate(cert)
-            g = realize_gale_vectors(diag)
+            g = realize_gale_vectors(cert)
             for size in range(m + 1):
                 for a in itertools.combinations(range(1, m + 1), size):
                     inside = set(a)
-                    combinatorial = coface_test(diag, a)
+                    combinatorial = coface_test(cert, a)
                     geometric = relint_origin_test(
                         [g.vectors[i - 1] for i in range(1, m + 1) if i not in inside]
                     )
@@ -238,7 +234,7 @@ def test_criterion_8_gale_round_trips():
     for m in range(5, 10):
         for b in enumerate_bracelets(m):
             fam, cert = instantiate(b)
-            g = realize_gale_vectors(diagram_from_certificate(cert))
+            g = realize_gale_vectors(cert)
             recovered = recover_nonfaces(g)
             assert recovered is not None
             assert recovered[0] == fam

@@ -25,14 +25,12 @@ from oddsphere.complexes import (
     complex_from_nonfaces,
 )
 from oddsphere.gale import (
-    CombinatorialDiagram,
     GaleConfiguration,
     InvalidConfiguration,
     NotAffinelySpanning,
     ZeroInput,
     _verified_classes,
     dependence_from_direction,
-    diagram_from_certificate,
     direction_from_dependence,
     gale_transform,
     primitive_direction,
@@ -43,7 +41,7 @@ from oddsphere.gale import (
 )
 from oddsphere.linalg import matrix_rank
 from oddsphere.oracle import PointConfiguration, boundary_complex, hull_facets
-from oddsphere.recognizer import MaxOddCycle, Sphere, find_max_odd_cycle, recognize
+from oddsphere.recognizer import MaxOddCycle, Sphere, certificate_from_slots, find_max_odd_cycle, recognize
 
 PENTAGON = NonFaceFamily(5, ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)))
 OCTAHEDRON = NonFaceFamily(6, ((1, 2), (3, 4), (5, 6)))
@@ -75,48 +73,51 @@ def relint_oracle(vectors) -> bool:
     return linear_feasible_nonneg(matrix, rhs)
 
 
-# -- diagrams and the combinatorial face test --------------------------------
+# -- polygon slots and the combinatorial face test -----------------------------
 
 def test_diagram_from_pentagon_certificate():
-    diag = diagram_from_certificate(pentagon_certificate())
     # slots 0..4 carry vertices 1, 4, 2, 5, 3
-    by_slot = sorted(range(1, 6), key=lambda v: diag.slots[v - 1])
-    assert by_slot == [1, 4, 2, 5, 3]
+    assert pentagon_certificate().slots == ((1,), (4,), (2,), (5,), (3,))
 
 
 def test_diagram_from_octahedron_certificate():
-    diag = diagram_from_certificate(octahedron_certificate())
-    slot_members = [tuple(v for v in range(1, 7) if diag.slots[v - 1] == j) for j in range(3)]
-    assert slot_members == [(1, 2), (3, 4), (5, 6)]
+    assert octahedron_certificate().slots == ((1, 2), (3, 4), (5, 6))
+
+
+def test_slots_round_trip_on_every_bracelet():
+    for m in range(4, 13):
+        for b in enumerate_bracelets(m):
+            _, cert = instantiate(b)
+            assert certificate_from_slots(cert.slots, m) == cert
+            assert tuple(len(s) for s in cert.slots) == b
 
 
 def test_coface_test_pentagon():
-    diag = diagram_from_certificate(pentagon_certificate())
-    assert coface_test(diag, (1, 2))       # an edge of the 5-cycle
-    assert not coface_test(diag, (1, 3))   # a minimal non-face
-    assert not coface_test(diag, (1, 2, 3, 4, 5))  # [m] is never a proper face
+    cert = pentagon_certificate()
+    assert coface_test(cert, (1, 2))       # an edge of the 5-cycle
+    assert not coface_test(cert, (1, 3))   # a minimal non-face
+    assert not coface_test(cert, (1, 2, 3, 4, 5))  # [m] is never a proper face
 
 
 def test_coface_test_matches_complex_exhaustively():
     for fam in (PENTAGON, OCTAHEDRON):
         cert = find_max_odd_cycle(fam)
-        diag = diagram_from_certificate(cert)
         comp = complex_from_nonfaces(fam)
         for size in range(fam.m + 1):
             for a in itertools.combinations(range(1, fam.m + 1), size):
-                assert coface_test(diag, a) == is_face(comp, a)
+                assert coface_test(cert, a) == is_face(comp, a)
 
 
 # -- realization ---------------------------------------------------------------
 
 def test_realize_pentagon_vectors():
-    g = realize_gale_vectors(diagram_from_certificate(pentagon_certificate()))
+    g = realize_gale_vectors(pentagon_certificate())
     assert g.n == 5 and g.dim == 2
     assert len({primitive_direction(v) for v in g.vectors}) == 5
 
 
 def test_realize_octahedron_vectors_pair_up():
-    g = realize_gale_vectors(diagram_from_certificate(octahedron_certificate()))
+    g = realize_gale_vectors(octahedron_certificate())
     assert g.n == 6
     classes = {}
     for i, v in enumerate(g.vectors, start=1):
@@ -126,7 +127,7 @@ def test_realize_octahedron_vectors_pair_up():
 
 def test_realized_configuration_sums_to_zero():
     for fam in (PENTAGON, OCTAHEDRON):
-        g = realize_gale_vectors(diagram_from_certificate(find_max_odd_cycle(fam)))
+        g = realize_gale_vectors(find_max_odd_cycle(fam))
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
 
 
@@ -135,7 +136,8 @@ def test_realize_one_vertex_per_slot_for_every_k():
         n = 2 * k + 1
         # a 3-cycle needs blocks of size >= 2, so k = 1 doubles every slot
         slots = tuple(range(n)) if k > 1 else (0, 0, 1, 1, 2, 2)
-        g = realize_gale_vectors(CombinatorialDiagram(k=k, slots=slots))
+        blocks = [tuple(v for v in range(1, len(slots) + 1) if slots[v - 1] == j) for j in range(n)]
+        g = realize_gale_vectors(certificate_from_slots(blocks, len(slots)))
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
         if len(slots) > MAX_VERTICES:
             continue  # no NonFaceFamily to read back
@@ -151,9 +153,26 @@ def test_realized_coordinates_stay_small():
     for m in range(5, 11):
         for b in enumerate_bracelets(m):
             _, cert = instantiate(b)
-            pts = reconstruct_points(realize_gale_vectors(diagram_from_certificate(cert)))
+            pts = reconstruct_points(realize_gale_vectors(cert))
             for x in (x for p in pts.points for x in p):
                 assert x.numerator.bit_length() < 16 and x.denominator.bit_length() < 16, (b, x)
+
+
+@pytest.mark.parametrize("cert, reason", [
+    pytest.param(MaxOddCycle(((1, 2), (3, 4), (5, 6), (7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))),
+                 "odd length", id="even-length-ordering"),
+    # successive members are disjoint, but B_4 = A_4 & A_1 is empty
+    pytest.param(MaxOddCycle(((1, 4), (2,), (1, 3), (2, 4), (3,)), ((1,), (2,), (3,), (4,), ())),
+                 "do not partition", id="blocks-not-a-partition"),
+    pytest.param(MaxOddCycle(((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)), ((2,), (3,), (4,), (5,), (1,))),
+                 "disagree", id="stored-blocks-differ"),
+    # a singleton non-face would be a missing vertex, so no sphere has this family
+    pytest.param(MaxOddCycle(((1,), (2, 3), (4, 5)), ((1,), (2, 3), (4, 5))),
+                 "size >= 2", id="three-cycle-with-singleton-block"),
+])
+def test_realize_rejects_malformed_certificates(cert, reason):
+    with pytest.raises(ValueError, match=reason):
+        realize_gale_vectors(cert)
 
 
 # -- transform and reconstruction ----------------------------------------------
@@ -188,7 +207,7 @@ def test_reconstruct_collinear_configuration():
 
 
 def test_reconstruct_pentagon_is_convex_pentagon():
-    g = realize_gale_vectors(diagram_from_certificate(pentagon_certificate()))
+    g = realize_gale_vectors(pentagon_certificate())
     pts = reconstruct_points(g)
     assert pts.dim == 2 and pts.n == 5
     assert all(is_vertex(pts, label) for label in range(1, 6))
@@ -198,7 +217,7 @@ def test_reconstruct_pentagon_is_convex_pentagon():
 
 
 def test_reconstruct_octahedron_configuration():
-    g = realize_gale_vectors(diagram_from_certificate(octahedron_certificate()))
+    g = realize_gale_vectors(octahedron_certificate())
     pts = reconstruct_points(g)
     assert pts.dim == 3 and pts.n == 6
     assert boundary_complex(pts) == complex_from_nonfaces(OCTAHEDRON)
@@ -301,7 +320,7 @@ def test_relint_matches_lp_oracle():
 
 def test_recover_pentagon_roundtrip():
     cert = pentagon_certificate()
-    g = realize_gale_vectors(diagram_from_certificate(cert))
+    g = realize_gale_vectors(cert)
     recovered = recover_nonfaces(g)
     assert recovered is not None
     fam, cert2 = recovered
@@ -311,7 +330,7 @@ def test_recover_pentagon_roundtrip():
 
 def test_recover_octahedron_roundtrip():
     cert = octahedron_certificate()
-    g = realize_gale_vectors(diagram_from_certificate(cert))
+    g = realize_gale_vectors(cert)
     recovered = recover_nonfaces(g)
     assert recovered is not None
     assert recovered[0] == OCTAHEDRON
@@ -347,14 +366,15 @@ def test_recover_rejects_singleton_class_when_k_is_one():
 
 # k = 2: five slots, vertices 1 and 2 share slot 0; the slots' honest
 # directions in counterclockwise order
-SHARED_SLOT = CombinatorialDiagram(k=2, slots=(0, 0, 1, 2, 3, 4))
+SHARED_SLOT = certificate_from_slots([(1, 2), (3,), (4,), (5,), (6,)], 6)
 CCW = [(1, -2), (1, 0), (1, 2), (-1, 1), (-1, -1)]
 
 
 def _on_slots(directions, changed=None):
     """One vector per vertex of SHARED_SLOT: its slot's direction unless `changed` maps it."""
     changed = changed or {}
-    vs = [changed.get(v, directions[s]) for v, s in enumerate(SHARED_SLOT.slots, start=1)]
+    slot_of = {v: s for s, block in enumerate(SHARED_SLOT.slots) for v in block}
+    vs = [changed.get(v, directions[slot_of[v]]) for v in range(1, 7)]
     return [tuple(Fraction(x) for x in v) for v in vs]
 
 
@@ -382,11 +402,8 @@ def test_property_relabelled_bracelet_realizes_its_complex(case):
     b, images = case
     perm = dict(zip(range(1, len(images) + 1), images))
     fam, cert = instantiate(b)
-    diag = diagram_from_certificate(cert)
     # vertex perm[v] takes the slot of vertex v
-    relabelled = CombinatorialDiagram(
-        k=diag.k, slots=tuple(diag.slots[images.index(w)] for w in range(1, diag.m + 1))
-    )
+    relabelled = certificate_from_slots([[perm[v] for v in block] for block in cert.slots], fam.m)
     fam = permuted_family(fam, perm)
     comp = boundary_complex(reconstruct_points(realize_gale_vectors(relabelled)))
     assert comp == complex_from_nonfaces(fam)

@@ -280,14 +280,12 @@ def test_oracle_recognizer_agreement_on_graph_zoo():
 
 def test_oracle_agreement_on_witnessed_catalog_spheres():
     from oddsphere.catalog import catalog
-    from oddsphere.gale import diagram_from_certificate, realize_gale_vectors, reconstruct_points
+    from oddsphere.gale import realize_gale_vectors, reconstruct_points
     from oddsphere.recognizer import Sphere, recognize
 
     for m in (7, 8):
         for cls in catalog(m).classes:
-            pts = reconstruct_points(
-                realize_gale_vectors(diagram_from_certificate(cls.certificate))
-            )
+            pts = reconstruct_points(realize_gale_vectors(cls.certificate))
             truth = ground_truth_sphere(cls.complex, witnesses=(pts,))
             assert truth is True
             assert isinstance(recognize(cls.complex), Sphere)

@@ -17,7 +17,7 @@ from oddsphere.complexes import (
     euler_characteristic,
     f_vector,
 )
-from oddsphere.gale import CombinatorialDiagram, GaleConfiguration
+from oddsphere.gale import GaleConfiguration
 from oddsphere.linalg import Matrix
 from oddsphere.oracle import (
     NonSimplicial,
@@ -432,19 +432,19 @@ def ground_truth_sphere(
     return None
 
 
-# -- `gale`: the face test read off a combinatorial diagram ------------------
+# -- `gale`: the face test read off a certificate's polygon slots ------------
 
-def coface_test(diag: CombinatorialDiagram, a: Iterable[int]) -> bool:
+def coface_test(cert: MaxOddCycle, a: Iterable[int]) -> bool:
     """True iff the slots missed by `a` never fit inside k+1 consecutive slots.
 
     Equivalent to: the vertices of `a` span a proper face of the realized
-    polytope, i.e. `a` is a face of the complex the diagram encodes.
+    polytope, i.e. `a` is a face of the complex the certificate encodes.
     """
     inside = set(a)
-    comp_slots = {diag.slots[v - 1] for v in range(1, diag.m + 1) if v not in inside}
-    n = diag.size
+    comp_slots = {j for j, block in enumerate(cert.slots) if any(v not in inside for v in block)}
+    n = cert.n
     for start in range(n):
-        arc = {(start + t) % n for t in range(diag.k + 1)}
+        arc = {(start + t) % n for t in range(cert.k + 1)}
         if comp_slots <= arc:
             return False
     return True
