@@ -41,7 +41,14 @@ from oddsphere.gale import (
 )
 from oddsphere.linalg import matrix_rank
 from oddsphere.oracle import PointConfiguration, boundary_complex, hull_facets
-from oddsphere.recognizer import MaxOddCycle, Sphere, certificate_from_slots, find_max_odd_cycle, recognize
+from oddsphere.recognizer import (
+    MaxOddCycle,
+    Sphere,
+    alternating_blocks,
+    certificate_from_slots,
+    find_max_odd_cycle,
+    recognize,
+)
 
 PENTAGON = NonFaceFamily(5, ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)))
 OCTAHEDRON = NonFaceFamily(6, ((1, 2), (3, 4), (5, 6)))
@@ -135,18 +142,30 @@ def test_realize_one_vertex_per_slot_for_every_k():
     for k in range(1, 41):
         n = 2 * k + 1
         # a 3-cycle needs blocks of size >= 2, so k = 1 doubles every slot
-        slots = tuple(range(n)) if k > 1 else (0, 0, 1, 1, 2, 2)
-        blocks = [tuple(v for v in range(1, len(slots) + 1) if slots[v - 1] == j) for j in range(n)]
-        g = realize_gale_vectors(certificate_from_slots(blocks, len(slots)))
+        slots = [(j + 1,) for j in range(n)] if k > 1 else [(1, 2), (3, 4), (5, 6)]
+        m = sum(len(s) for s in slots)
+        g = realize_gale_vectors(certificate_from_slots(slots, m))
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
-        if len(slots) > MAX_VERTICES:
+        if m > MAX_VERTICES:
             continue  # no NonFaceFamily to read back
         # member A_i is the union of k cyclically consecutive slots
-        expected = NonFaceFamily(len(slots), tuple(
-            tuple(v for v in range(1, len(slots) + 1) if (slots[v - 1] - j) % n < k) for j in range(n)
+        expected = NonFaceFamily(m, tuple(
+            tuple(sorted(v for i in range(k) for v in slots[(j + i) % n])) for j in range(n)
         ))
         recovered = recover_nonfaces(g)
         assert recovered is not None and recovered[0] == expected
+
+
+def test_realize_every_rotation_and_reflection_of_the_ordering():
+    # valid certificates need not be canonical: label 1 may sit in any slot
+    for fam in (PENTAGON, OCTAHEDRON, instantiate((2, 1, 1, 1, 1))[0]):
+        ordering = find_max_odd_cycle(fam).ordering
+        n = len(ordering)
+        for r in range(n):
+            for turned in (ordering[r:] + ordering[:r], tuple(reversed(ordering[r:] + ordering[:r]))):
+                g = realize_gale_vectors(MaxOddCycle(turned, alternating_blocks(turned)))
+                recovered = recover_nonfaces(g)
+                assert recovered is not None and recovered[0] == fam
 
 
 def test_realized_coordinates_stay_small():
@@ -402,8 +421,11 @@ def test_property_relabelled_bracelet_realizes_its_complex(case):
     b, images = case
     perm = dict(zip(range(1, len(images) + 1), images))
     fam, cert = instantiate(b)
-    # vertex perm[v] takes the slot of vertex v
-    relabelled = certificate_from_slots([[perm[v] for v in block] for block in cert.slots], fam.m)
+    # relabelled in place, so label 1 may sit in any block and slot
+    relabelled = MaxOddCycle(
+        tuple(tuple(sorted(perm[v] for v in a)) for a in cert.ordering),
+        tuple(tuple(sorted(perm[v] for v in b)) for b in cert.blocks),
+    )
     fam = permuted_family(fam, perm)
     comp = boundary_complex(reconstruct_points(realize_gale_vectors(relabelled)))
     assert comp == complex_from_nonfaces(fam)
