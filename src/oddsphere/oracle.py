@@ -3,11 +3,14 @@
 Nothing here knows about non-face families or Gale diagrams; it answers
 geometric and topological questions from first principles so the other
 modules can be checked against it.  Facet enumeration tests every D-subset
-of the points -- at most a few hundred at the sizes this library targets --
-by the signs of exact integer determinants: each point becomes one integer
-homogeneous row, and each orientation, computed once from an integer
-normal, is shared by the D+1 subsets it contains.  Homology is linear
-algebra over GF(2) on int bitsets.
+of the points by the signs of exact integer determinants: each point
+becomes one integer homogeneous column, the matrix of these columns is
+reduced once, and each orientation is computed once and shared by the D+1
+subsets it contains.  At small codimension n - D - 1, which every realized
+sphere has (n = D+3), an orientation is the sign of a minor of the one
+reduction; at large codimension it comes from an integer normal eliminated
+per subset, since a normal serves all the orientations of its subset.
+Homology is linear algebra over GF(2) on int bitsets.
 """
 
 from __future__ import annotations
@@ -72,16 +75,28 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     of T = S + {p}, the sign of the determinant of T's rows in label order,
     times (-1)^#{s in S : s > p}; S is a facet iff these signs agree and
     none is zero (the oriented-matroid facet criterion).  Orientations are
-    memoized by the bitmask of T, since D+1 subsets share each one.  On a
-    miss, fraction-free elimination of S's rows gives an integer normal
-    (a, c), <a, x> + c = 0 on the hyperplane, once per subset, and
-    chi(T) = sign(<normal, h_p>) * (-1)^(D + free + swaps + #{s in S : s > p}),
-    with `free` the non-pivot column and `swaps` the elimination's row swaps.
+    memoized by the bitmask of T, since D+1 subsets share each one.
+
+    The (D+1) x n matrix M whose columns are the rows h is reduced once;
+    its rank decides `NotFullDimensional`.  What a memo miss computes
+    depends only on the codimension c = n - D - 1:
+
+    - c <= MINOR_MAX_CODIM: chi(T) is the sign of a minor of the reduced
+      matrix of size at most min(c, D+1), times a global sign (see
+      `_reduced_orientation`).
+    - larger c: fraction-free elimination of S's rows gives an integer
+      normal (a, b), <a, x> + b = 0 on the hyperplane, once per subset, and
+      chi(T) = sign(<normal, h_p>) * (-1)^(D + free + swaps + #{s in S : s > p}),
+      with `free` the non-pivot column and `swaps` the elimination's row
+      swaps.  One normal serves all n - D orientations of its subset, which
+      beats a large minor per orientation.
     """
     n, d = pc.n, pc.dim
     homogeneous = [_integer_row(p + (1,)) for p in pc.points]
-    if len(_fraction_free_rref(homogeneous)[1]) < d + 1:
+    reduction = _fraction_free_rref([list(col) for col in zip(*homogeneous)])
+    if len(reduction[1]) < d + 1:
         raise NotFullDimensional(f"points span less than Q^{d}")
+    reduced = _reduced_orientation(*reduction) if n - d - 1 <= MINOR_MAX_CODIM else None
     bits = [1 << i for i in range(n)]
     chi: dict[int, int] = {}
     facets: list[Face] = []
@@ -100,6 +115,9 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
             key = members | bits[p]
             side = chi.get(key)
             if side is not None:
+                side *= reorder
+            elif reduced is not None:
+                side = chi[key] = reduced(sorted((*combo, p)))
                 side *= reorder
             else:
                 if normal is None:
@@ -149,6 +167,78 @@ def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
     for row, col in zip(red, pivots):
         normal[col] = -row[free]
     return normal, det, -1 if (d + free + swaps) % 2 else 1
+
+
+# Largest codimension n - D - 1 at which `hull_facets` reads orientations
+# off the global reduction.  Best-of-5 single-hull time of the minor path
+# over that of the per-subset path on random points (BENCH_chirotope_hull.json):
+# c = 2, 3: 0.13-0.84 for D = 2..8, 1.0 for D = 1;  c = 4: 0.20-0.71 for
+# D = 3..8 but 1.06 for D = 2;  c = 6: 1.15-1.23 for D = 2, 3.
+MINOR_MAX_CODIM = 3
+
+
+def _reduced_orientation(red: list[list[int]], pivots: list[int], det: int, swaps: int):
+    """chi(T) for sorted lists T of D+1 columns, from the full-rank reduction of M.
+
+    With R the reduced matrix, M = M_P * R / det on the pivot columns P, and
+    each pivot column of R is det times a unit column.  Expanding det R_T
+    along the pivot columns in T (rows I, positions J within T) leaves the
+    minor of R on the rows outside I and the columns of T outside P, so
+
+        chi(T) = (-1)^swaps * sign(det)^(D+|T & P|) * (-1)^(sum I + sum J) * sign(minor),
+
+    and D + |T & P| has the parity of k + 1, k = |T - P| <= c being the
+    minor's size.
+    """
+    pivot_row = [-1] * len(red[0])
+    for r, col in enumerate(pivots):
+        pivot_row[col] = r
+    all_rows = (1 << len(red)) - 1
+    base = -1 if swaps else 1
+    negative = det < 0
+
+    def orientation(t: list[int]) -> int:
+        sign = base
+        used = 0
+        free: list[int] = []
+        for pos, j in enumerate(t):
+            r = pivot_row[j]
+            if r < 0:
+                free.append(j)
+            else:
+                used |= 1 << r
+                if (r + pos) & 1:
+                    sign = -sign
+        if negative and not len(free) % 2:
+            sign = -sign
+        rest = all_rows ^ used
+        block = []
+        while rest:
+            low = rest & -rest
+            row = red[low.bit_length() - 1]
+            block.append([row[j] for j in free])
+            rest ^= low
+        return sign * _determinant_sign(block)
+
+    return orientation
+
+
+def _determinant_sign(block: list[list[int]]) -> int:
+    """Sign of the determinant of a small square integer matrix (1 if empty)."""
+    k = len(block)
+    if k == 0:
+        return 1
+    if k == 1:
+        x = block[0][0]
+    elif k == 2:
+        x = block[0][0] * block[1][1] - block[0][1] * block[1][0]
+    else:
+        _, pivots, x, swaps = _fraction_free_rref(block)
+        if len(pivots) < k:
+            return 0
+        if swaps:
+            x = -x
+    return (x > 0) - (x < 0)
 
 
 def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:

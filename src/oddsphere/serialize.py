@@ -38,6 +38,14 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
+    """A rational from a "p/q", integer or decimal string, or a JSON integer.
+
+    Exponents are refused: "1e1000000" is nine characters whose value has a
+    million digits, so accepting them would make the work unbounded in the
+    size of the document.
+    """
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise DocumentError(f"bad rational {s!r}: exponents are not accepted")
     try:
         if isinstance(s, str):
             return Fraction(s)

@@ -12,7 +12,7 @@ import pytest
 
 from oddsphere import cli, serialize
 from oddsphere.catalog import CatalogVerificationError, catalog, instantiate
-from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces
+from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
 from oddsphere.recognizer import InternalInconsistency, recognize
 
@@ -58,6 +58,21 @@ def test_fraction_strings_lowest_terms():
         serialize.fraction_from_str("1/0")
     with pytest.raises(serialize.DocumentError):
         serialize.fraction_from_str(1.5)
+    assert serialize.fraction_from_str("-7") == Fraction(-7)
+    assert serialize.fraction_from_str("0.125") == Fraction(1, 8)
+    assert serialize.fraction_from_str(12) == Fraction(12)
+    for text in ("1e1000000", "1E5", "2.5e-3", "-3/4e2"):
+        with pytest.raises(serialize.DocumentError, match="exponent"):
+            serialize.fraction_from_str(text)
+
+
+def test_hull_refuses_an_exponent_before_any_work(monkeypatch, capsys):
+    doc = {"dim": 1, "points": [["0"], ["1e1000000"]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["hull"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad rational '1e1000000': exponents are not accepted\n"
 
 
 def test_document_errors():
@@ -257,6 +272,17 @@ def test_check_large_bracelet_sphere_is_fast(bracelet, d, monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "sphere" and doc["d"] == d
     assert elapsed < 2.0
+
+
+def test_hull_of_a_realized_forty_four_vertex_bracelet_is_fast(monkeypatch, capsys):
+    fam, cert = instantiate((4,) * 11)
+    rc, points_doc, _ = run_main_timed(["realize"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    assert rc == 0
+    rc, out, elapsed = run_main_timed(["hull"], json.loads(points_doc), monkeypatch, capsys)
+    assert rc == 0
+    assert elapsed < 2.0
+    # compare non-faces: expanding the family into facets is the slow direction
+    assert minimal_nonfaces(serialize.complex_from_doc(json.loads(out))) == fam
 
 
 def test_realize_eleven_disjoint_pairs_is_fast(monkeypatch, capsys):

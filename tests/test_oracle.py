@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from tests_shared import (
     simplicial_complexes,
 )
 
+from oddsphere import oracle
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     NonFaceFamily,
@@ -93,6 +95,28 @@ def hull_outcome(hull, pc):
 def test_property_hull_facets_matches_fraction_reference(pc, crowded):
     assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
     assert hull_outcome(hull_facets, crowded) == hull_outcome(reference_hull_facets, crowded)
+
+
+@st.composite
+def low_codimension_configurations(draw):
+    """n = D+2..D+4 points in Q^1..Q^8 on the coarse grid: realized spheres have n = D+3."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(dim + 2, dim + 4))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    point = st.tuples(*[coord] * dim)
+    return PointConfiguration(tuple(draw(st.lists(point, min_size=n, max_size=n))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(low_codimension_configurations())
+def test_property_both_miss_paths_match_fraction_reference(pc):
+    """Each draw runs once with the codimension cut as set and once with it moved past c."""
+    expected = hull_outcome(reference_hull_facets, pc)
+    assert hull_outcome(hull_facets, pc) == expected
+    codim = pc.n - pc.dim - 1
+    other_side = codim - 1 if codim <= oracle.MINOR_MAX_CODIM else codim
+    with patch.object(oracle, "MINOR_MAX_CODIM", other_side):
+        assert hull_outcome(hull_facets, pc) == expected
 
 
 def test_is_vertex_simplex_and_centroid():
