@@ -61,10 +61,15 @@ def _check_m(m: int) -> None:
 
 
 def _check_antichain(faces: Sequence[Face], what: str) -> None:
+    # Distinct faces of one size never nest (callers deduplicate), so test only larger ones.
+    sizes = [len(f) for f in faces]
+    larger = {s: [j for j, t in enumerate(sizes) if t > s] for s in set(sizes)}
+    if len(larger) < 2:
+        return
     masks = [_mask(f) for f in faces]
     for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if i != j and a & b == a:
+        for j in larger[sizes[i]]:
+            if a & masks[j] == a:
                 raise InvariantError(
                     f"{what} must form an antichain: {faces[i]} is contained in {faces[j]}"
                 )
@@ -114,34 +119,37 @@ class NonFaceFamily:
         _check_antichain(members, "non-face family members")
 
 
-def _antichain_minima(masks: Iterable[int]) -> set[int]:
-    by_size = sorted(set(masks), key=lambda x: (x.bit_count(), x))
-    keep: list[int] = []
-    for cand in by_size:
-        if not any(cand & k == k for k in keep):
-            keep.append(cand)
-    return set(keep)
-
-
-def _minimal_transversals(masks: Iterable[int]) -> set[int]:
+def _minimal_transversals(masks: Iterable[int]) -> list[int]:
     """The inclusion-minimal sets meeting every mask (Berge's sequential dualization).
 
-    Masks are absorbed one at a time; after each step the partial
-    transversals are pruned back to an antichain.
+    Masks are absorbed one at a time into an antichain of partial
+    transversals, which stays an antichain without re-minimizing. When
+    mask `am` is absorbed, a transversal that meets it stays minimal. A
+    transversal `t` that misses it grows into the candidates `t | b`, one
+    per vertex bit `b` of `am`. A candidate is minimal exactly when no kept
+    transversal `h` with `b` in `h` satisfies `h <= t | b`, that is, has
+    `h - b <= t`; a kept `h` without `b` cannot, as it would lie inside `t`.
+    Two candidates never contain or repeat each other: `t2 <= t | b` with
+    `b` not in `t2` forces `t2 <= t`, so `t2 == t`. An empty mask leaves no
+    transversal.
     """
-    transversals: set[int] = {0}
+    transversals = [0]
     for am in masks:
-        nxt: set[int] = set()
-        for t in transversals:
-            if t & am:
-                nxt.add(t)
-            else:
-                rest = am
-                while rest:
-                    bit = rest & -rest
-                    nxt.add(t | bit)
-                    rest ^= bit
-        transversals = _antichain_minima(nxt)
+        missing = [t for t in transversals if not t & am]
+        kept = [t for t in transversals if t & am]
+        grown = []
+        rest = am
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            inside = [h ^ bit for h in kept if h & bit]
+            for t in missing:
+                for r in inside:
+                    if r & t == r:
+                        break
+                else:
+                    grown.append(t | bit)
+        transversals = kept + grown
     return transversals
 
 

@@ -260,25 +260,44 @@ def run_main_timed(argv, doc, monkeypatch, capsys):
     start = time.perf_counter()
     rc = cli.main(argv)
     elapsed = time.perf_counter() - start
-    out, _ = capsys.readouterr()
-    return rc, out, elapsed
+    out, err = capsys.readouterr()
+    return rc, out, err, elapsed
 
 
 @pytest.mark.parametrize("bracelet, d", [((4, 4, 4, 4, 4, 4, 6), 26), ((3,) * 7, 17)])
 def test_check_large_bracelet_sphere_is_fast(bracelet, d, monkeypatch, capsys):
     fam, _ = instantiate(bracelet)
-    rc, out, elapsed = run_main_timed(["check"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    rc, out, _, elapsed = run_main_timed(["check"], serialize.family_to_doc(fam), monkeypatch, capsys)
     assert rc == 0
     doc = json.loads(out)
     assert doc["verdict"] == "sphere" and doc["d"] == d
     assert elapsed < 2.0
 
 
+def test_check_sixty_three_vertex_complex_document_is_fast(monkeypatch, capsys):
+    fam, _ = instantiate((7,) * 9)
+    doc = serialize.complex_to_doc(complex_from_nonfaces(fam))
+    rc, out, _, elapsed = run_main_timed(["check"], doc, monkeypatch, capsys)
+    assert rc == 0
+    result = json.loads(out)
+    assert result["verdict"] == "sphere" and result["d"] == 59
+    assert elapsed < 2.0
+
+
+def test_realize_verify_forty_four_vertex_bracelet_is_fast(monkeypatch, capsys):
+    fam, _ = instantiate((4,) * 11)
+    doc = serialize.family_to_doc(fam)
+    rc, _, err, elapsed = run_main_timed(["realize", "--verify"], doc, monkeypatch, capsys)
+    assert rc == 0
+    assert "verification: hull boundary matches the complex" in err.splitlines()
+    assert elapsed < 2.0
+
+
 def test_hull_of_a_realized_forty_four_vertex_bracelet_is_fast(monkeypatch, capsys):
     fam, cert = instantiate((4,) * 11)
-    rc, points_doc, _ = run_main_timed(["realize"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    rc, points_doc, _, _ = run_main_timed(["realize"], serialize.family_to_doc(fam), monkeypatch, capsys)
     assert rc == 0
-    rc, out, elapsed = run_main_timed(["hull"], json.loads(points_doc), monkeypatch, capsys)
+    rc, out, _, elapsed = run_main_timed(["hull"], json.loads(points_doc), monkeypatch, capsys)
     assert rc == 0
     assert elapsed < 2.0
     # compare non-faces: expanding the family into facets is the slow direction
@@ -287,7 +306,7 @@ def test_hull_of_a_realized_forty_four_vertex_bracelet_is_fast(monkeypatch, caps
 
 def test_realize_eleven_disjoint_pairs_is_fast(monkeypatch, capsys):
     doc = {"m": 22, "nonfaces": [[2 * i + 1, 2 * i + 2] for i in range(11)]}
-    rc, out, elapsed = run_main_timed(["realize", "--verify"], doc, monkeypatch, capsys)
+    rc, out, _, elapsed = run_main_timed(["realize", "--verify"], doc, monkeypatch, capsys)
     assert rc == 1
     assert out == ""
     assert elapsed < 2.0

@@ -5,17 +5,28 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddsphere.complexes import (
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
+    _check_antichain,
+    _minimal_transversals,
     complex_from_nonfaces,
     euler_characteristic,
     f_vector,
     minimal_nonfaces,
 )
-from tests_shared import is_face, nonface_families, permuted, permuted_family, simplicial_complexes
+from tests_shared import (
+    is_face,
+    nonface_families,
+    permuted,
+    permuted_family,
+    reference_check_antichain,
+    reference_minimal_transversals,
+    simplicial_complexes,
+)
 
 PENTAGON_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 PENTAGON_NONFACES = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
@@ -200,6 +211,77 @@ def test_property_complex_nonfaces_complex(c):
 @given(simplicial_complexes(max_m=7))
 def test_property_minimal_nonfaces_matches_naive(c):
     assert minimal_nonfaces(c).members == naive_minimal_nonfaces(c.m, c.facets)
+
+
+# -- the dualization and the antichain check against their references ------
+
+@st.composite
+def mask_lists(draw, budget: int = 256):
+    """Vertex masks on up to 64 vertices, with repeated, nested and empty masks.
+
+    The product of the sizes of the fresh and subset masks, which bounds the
+    number of minimal transversals, stays within `budget`.
+    """
+    m = draw(st.integers(1, 64))
+    masks: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "superset", "subset", "empty")))
+        old = draw(st.sampled_from(masks)) if masks else 0
+        if kind == "empty":
+            masks.append(0)
+        elif kind == "repeat":
+            masks.append(old)
+        elif kind == "superset":
+            extra = draw(st.sets(st.integers(0, m - 1), max_size=4))
+            masks.append(old | sum(1 << b for b in extra))
+        else:
+            pool = [b for b in range(m) if old >> b & 1] if kind == "subset" and old else range(m)
+            bits = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=budget))
+            budget //= len(bits)
+            masks.append(sum(1 << b for b in bits))
+    return masks
+
+
+@settings(deadline=None)
+@given(mask_lists())
+def test_property_minimal_transversals_match_reference(masks):
+    transversals = _minimal_transversals(masks)
+    assert len(set(transversals)) == len(transversals)
+    assert set(transversals) == reference_minimal_transversals(masks)
+
+
+@st.composite
+def face_lists(draw):
+    """Distinct faces on [m] in any order; `nested` when one was put inside or around another."""
+    m = draw(st.integers(1, 12))
+    faces = draw(st.lists(st.frozensets(st.integers(1, m)), unique=True, max_size=12))
+    nested = False
+    if faces and draw(st.booleans()):
+        base = draw(st.sampled_from(faces))
+        other = draw(st.frozensets(st.integers(1, m)))
+        extra = base & other if draw(st.booleans()) else base | other
+        if extra not in faces:
+            faces.insert(draw(st.integers(0, len(faces))), extra)
+            nested = True
+    return [tuple(sorted(f)) for f in faces], nested
+
+
+def _antichain_error(check, faces):
+    try:
+        check(faces, "faces")
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None)
+@given(face_lists())
+def test_property_check_antichain_matches_reference(drawn):
+    faces, nested = drawn
+    error = _antichain_error(_check_antichain, faces)
+    assert error == _antichain_error(reference_check_antichain, faces)
+    if nested:
+        assert error is not None
 
 
 # -- invariant violations ---------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oddsphere.complexes import (
     Face,
+    InvariantError,
     NonFaceFamily,
     SimplicialComplex,
     _mask,
@@ -85,6 +86,48 @@ def random_gale_configuration(rng: random.Random, n: int, e: int) -> GaleConfigu
 
 
 # -- test-only references for the optimized kernels --------------------------
+
+def _antichain_minima(masks: Iterable[int]) -> set[int]:
+    by_size = sorted(set(masks), key=lambda x: (x.bit_count(), x))
+    keep: list[int] = []
+    for cand in by_size:
+        if not any(cand & k == k for k in keep):
+            keep.append(cand)
+    return set(keep)
+
+
+def reference_minimal_transversals(masks: Iterable[int]) -> set[int]:
+    """`complexes._minimal_transversals` by Berge's sequential dualization.
+
+    Masks are absorbed one at a time; after each step the partial
+    transversals are pruned back to an antichain.
+    """
+    transversals: set[int] = {0}
+    for am in masks:
+        nxt: set[int] = set()
+        for t in transversals:
+            if t & am:
+                nxt.add(t)
+            else:
+                rest = am
+                while rest:
+                    bit = rest & -rest
+                    nxt.add(t | bit)
+                    rest ^= bit
+        transversals = _antichain_minima(nxt)
+    return transversals
+
+
+def reference_check_antichain(faces: Sequence[Face], what: str) -> None:
+    """`complexes._check_antichain` testing every ordered pair of faces."""
+    masks = [_mask(f) for f in faces]
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if i != j and a & b == a:
+                raise InvariantError(
+                    f"{what} must form an antichain: {faces[i]} is contained in {faces[j]}"
+                )
+
 
 def reference_rref(matrix):
     """Gauss-Jordan over `Fraction`, pivoting on the first nonzero entry."""
