@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .complexes import NonFaceFamily
 from .linalg import (
     Vec,
+    _integer_row,
     cross2,
     dot,
     is_zero_vec,
@@ -82,12 +83,10 @@ class GaleConfiguration:
 
 def primitive_direction(v: Sequence) -> DiagramDirection:
     """The primitive integer vector on the positive ray through v (v nonzero)."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x == 0 and y == 0:
+    a, b = _integer_row((v[0], v[1]))
+    if a == 0 and b == 0:
         raise ZeroInput("the zero vector has no direction")
-    scale = math.lcm(x.denominator, y.denominator)
-    a, b = int(x * scale), int(y * scale)
-    g = math.gcd(abs(a), abs(b))
+    g = math.gcd(a, b)
     return a // g, b // g
 
 

@@ -4,6 +4,11 @@ Row reduction runs fraction-free over Python ints (Bareiss), so every
 division is exact, and returns `fractions.Fraction`.  It always pivots on
 the first nonzero entry in row-major order, so kernel and complement bases
 are reproducible across platforms.
+
+Exact values pass through: an entry whose type is exactly `Fraction`, or
+exactly `int` where an integer serves as well, is used as it is, and
+anything else (a bool, a string, another number type) is converted once
+with `Fraction(x)`, which also decides what is accepted and what raises.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ Matrix = list[list[Fraction]]
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def vec_scale(c, a: Vec) -> Vec:
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return tuple(c * x for x in a)
 
 
@@ -33,14 +39,14 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def cross2(a: Sequence, b: Sequence) -> Fraction:
-    """z-component of the cross product of two planar vectors."""
-    return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
+def cross2(a: Sequence, b: Sequence):
+    """z-component of the cross product of two planar vectors, in their own type."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def _integer_row(entries: Iterable) -> list[int]:
     """The row scaled by the lcm of its denominators: integer, same direction."""
-    row = [Fraction(x) for x in entries]
+    row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in entries]
     scale = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row]
 
@@ -92,7 +98,7 @@ def rref(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def matrix_rank(matrix: Sequence[Sequence]) -> int:
-    return len(rref(matrix)[1])
+    return len(_fraction_free_rref([_integer_row(row) for row in matrix])[1])
 
 
 def kernel_basis(matrix: Sequence[Sequence]) -> list[Vec]:

@@ -33,7 +33,8 @@ def dumps(doc) -> str:
 
 
 def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

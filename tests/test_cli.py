@@ -1,6 +1,7 @@
 """JSON documents and the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from oddsphere import cli, serialize
-from oddsphere.catalog import CatalogVerificationError, catalog, instantiate
+from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_bracelets, instantiate
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
 from oddsphere.recognizer import InternalInconsistency, recognize
@@ -253,6 +254,49 @@ def test_verbose_certificate_follows_redirected_stderr(command, monkeypatch):
     assert any(line.startswith("blocks: ") for line in lines)
 
 
+# -- golden output -------------------------------------------------------------
+
+# sha256 of `cli_transcript()` as printed before the exact-arithmetic helpers
+# let `Fraction` and `int` values pass through unconverted; any change to a
+# byte of stdout or stderr, or to an exit code, changes it.
+CLI_OUTPUT_DIGEST = "d1e634e746b731d6fd3f453571a6b818e79398fb94a7adebab21854b5c472f36"
+
+
+def cli_transcript() -> str:
+    """Digest of stdout, stderr and exit code of in-process `cli.main` runs.
+
+    The runs are `catalog --m 4..10` and, for every bracelet with m <= 9,
+    `realize --verify --verbose` on its non-face document, `hull` on the
+    printed points and `verify --verbose` on the same document.
+    """
+    digest = hashlib.sha256()
+
+    def record(argv, stdin_text=""):
+        out, err = io.StringIO(), io.StringIO()
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+        finally:
+            sys.stdin = saved
+        digest.update(json.dumps([argv, out.getvalue(), err.getvalue(), rc]).encode())
+        return out.getvalue()
+
+    for m in range(4, 11):
+        record(["catalog", "--m", str(m)])
+    for m in range(5, 10):
+        for bracelet in enumerate_bracelets(m):
+            doc = json.dumps(serialize.family_to_doc(instantiate(bracelet)[0]))
+            points = record(["realize", "--verify", "--verbose"], doc)
+            record(["hull"], points)
+            record(["verify", "--verbose"], doc)
+    return digest.hexdigest()
+
+
+def test_cli_output_digest():
+    assert cli_transcript() == CLI_OUTPUT_DIGEST
+
+
 # -- adversarial inputs: each must finish inside a wall-time bound ------------
 
 def run_main_timed(argv, doc, monkeypatch, capsys):
@@ -310,3 +354,24 @@ def test_realize_eleven_disjoint_pairs_is_fast(monkeypatch, capsys):
     assert rc == 1
     assert out == ""
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("command, as_complex", [("verify", False), ("verify", True), ("homology", True)])
+def test_face_enumeration_is_refused_up_front(command, as_complex, monkeypatch, capsys):
+    fam, _ = instantiate((3,) * 7)  # m = 21: 378 facets of size 18
+    doc = serialize.complex_to_doc(complex_from_nonfaces(fam)) if as_complex else serialize.family_to_doc(fam)
+    rc, out, err, elapsed = run_main_timed([command], doc, monkeypatch, capsys)
+    assert rc == cli.EX_INPUT == 64
+    assert out == ""
+    assert err == (
+        "error: too many faces to enumerate: the sum over facets of 2^|F| is 99090432, "
+        "above the limit of 4194304 (2^22)\n"
+    )
+    assert elapsed < 2.0
+
+
+def test_verify_below_the_face_limit(monkeypatch, capsys):
+    fam, _ = instantiate((3,) * 5)  # m = 15: 135 facets of size 12, 552,960 subsets
+    rc, out, _, _ = run_main_timed(["verify"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    assert rc == 0
+    assert json.loads(out)["ok"] is True

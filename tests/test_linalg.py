@@ -4,12 +4,26 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests_shared import linear_feasible_nonneg, random_fraction, reference_rref
+from tests_shared import (
+    linear_feasible_nonneg,
+    random_fraction,
+    reference_cross2,
+    reference_fraction_to_str,
+    reference_integer_row,
+    reference_matrix_rank,
+    reference_primitive_direction,
+    reference_rref,
+    reference_vec,
+    reference_vec_scale,
+)
 
+from oddsphere.gale import primitive_direction
 from oddsphere.linalg import (
+    cross2,
     dot,
     _fraction_free_rref,
     _integer_row,
@@ -17,7 +31,10 @@ from oddsphere.linalg import (
     matrix_rank,
     rref,
     solve,
+    vec,
+    vec_scale,
 )
+from oddsphere.serialize import fraction_to_str
 
 
 def test_rref_pivots_and_rank():
@@ -55,6 +72,65 @@ def test_property_rref_matches_fraction_reference(matrix):
     if len(pivots) == len(ints):  # full row rank: det is a signed minor of the input
         square = [[row[c] for c in pivots] for row in ints]
         assert (-1) ** swaps * det == leibniz_det(square)
+
+
+# Exact entries pass through the helpers; everything else goes through
+# `Fraction(x)`, so the wrapping versions in tests_shared are the reference.
+EXACT_ENTRIES = st.one_of(st.integers(-6, 6), st.booleans(), SMALL_FRACTIONS)
+MIXED_ENTRIES = st.one_of(
+    EXACT_ENTRIES,
+    st.decimals(min_value=-50, max_value=50, places=2, allow_nan=False, allow_infinity=False).map(str),
+)
+
+
+@st.composite
+def mixed_rows(draw, size=None):
+    """Rows of mixed entries; about one in ten carries a string `Fraction` rejects."""
+    row = draw(st.lists(MIXED_ENTRIES, min_size=size or 0, max_size=5 if size is None else size))
+    if row and draw(st.integers(0, 9)) == 0:
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(["x", "1/0", ""]))
+    return row
+
+
+def assert_same_outcome(helper, reference, *args):
+    """Equal values of equal types (compared by repr), or the same exception class."""
+    try:
+        expected = reference(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            helper(*args)
+        assert type(raised.value) is type(exc)
+        return
+    assert repr(helper(*args)) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_rows(), mixed_rows(1), mixed_rows(2))
+def test_property_helpers_match_wrapping_versions(row, scalar, pair):
+    assert_same_outcome(vec, reference_vec, row)
+    assert_same_outcome(vec_scale, reference_vec_scale, *scalar, row)
+    assert_same_outcome(_integer_row, reference_integer_row, row)
+    assert_same_outcome(primitive_direction, reference_primitive_direction, pair)
+    assert_same_outcome(fraction_to_str, reference_fraction_to_str, *scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda cols: st.lists(mixed_rows(cols), max_size=4)))
+def test_property_matrix_rank_matches_wrapping_version(matrix):
+    assert_same_outcome(matrix_rank, reference_matrix_rank, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.lists(EXACT_ENTRIES, min_size=2, max_size=2)] * 2)
+def test_property_cross2_matches_wrapping_version(a, b):
+    # cross2 computes in its entries' own type; its callers pass ints or Fractions
+    assert cross2(a, b) == reference_cross2(a, b)
+
+
+def test_vec_keeps_the_fraction_objects_it_is_given():
+    entries = [Fraction(1, 3), Fraction(-7, 2), Fraction(5)]
+    assert all(x is y for x, y in zip(vec(entries), entries, strict=True))
+    assert vec([1, True, "1/2"]) == (Fraction(1), Fraction(1), Fraction(1, 2))
 
 
 def leibniz_det(square):

@@ -18,8 +18,8 @@ from oddsphere.complexes import (
     euler_characteristic,
     f_vector,
 )
-from oddsphere.gale import GaleConfiguration
-from oddsphere.linalg import Matrix
+from oddsphere.gale import GaleConfiguration, ZeroInput
+from oddsphere.linalg import Matrix, rref
 from oddsphere.oracle import (
     NonSimplicial,
     NotFullDimensional,
@@ -127,6 +127,50 @@ def reference_check_antichain(faces: Sequence[Face], what: str) -> None:
                 raise InvariantError(
                     f"{what} must form an antichain: {faces[i]} is contained in {faces[j]}"
                 )
+
+
+# The exact-arithmetic helpers as they were before exact values passed
+# through: each entry is wrapped in `Fraction` on every call.
+
+def reference_vec(entries: Iterable) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for x in entries)
+
+
+def reference_vec_scale(c, a) -> tuple[Fraction, ...]:
+    c = Fraction(c)
+    return tuple(c * x for x in a)
+
+
+def reference_cross2(a: Sequence, b: Sequence) -> Fraction:
+    """z-component of the cross product of two planar vectors."""
+    return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
+
+
+def reference_integer_row(entries: Iterable) -> list[int]:
+    """The row scaled by the lcm of its denominators: integer, same direction."""
+    row = [Fraction(x) for x in entries]
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def reference_matrix_rank(matrix: Sequence[Sequence]) -> int:
+    return len(rref(matrix)[1])
+
+
+def reference_primitive_direction(v: Sequence) -> tuple[int, int]:
+    """The primitive integer vector on the positive ray through v (v nonzero)."""
+    x, y = Fraction(v[0]), Fraction(v[1])
+    if x == 0 and y == 0:
+        raise ZeroInput("the zero vector has no direction")
+    scale = math.lcm(x.denominator, y.denominator)
+    a, b = int(x * scale), int(y * scale)
+    g = math.gcd(abs(a), abs(b))
+    return a // g, b // g
+
+
+def reference_fraction_to_str(x: Fraction) -> str:
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def reference_rref(matrix):
