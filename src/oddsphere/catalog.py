@@ -29,7 +29,7 @@ from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
 
 Bracelet = tuple[int, ...]
 
-MAX_M = 12  # the largest m whose fully cross-checked catalog takes seconds
+MAX_M = 14  # the largest m whose fully cross-checked catalog takes seconds
 
 
 class CatalogVerificationError(RuntimeError):

@@ -5,9 +5,12 @@ Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
 `internal error:` message; other operational failures exit 1.
 
-`homology` and `verify` enumerate every face of their complex.  A complex
-whose facets F have sum of 2^|F| above MAX_FACE_SUBSETS is refused with
-exit 64 before any other work.
+`homology` and `verify` compute homology by one of two enumerations, the
+faces of the complex or the nerve of its minimal non-faces, picked by
+`complexes._uses_nerve`.  Before the recognizer or either enumeration
+runs, a complex is refused with exit 64 when the picked enumeration is over
+its limit: MAX_FACE_SUBSETS on the facets' sum of 2^|F|, or MAX_NERVE_FACES
+on the faces of the nerve, counted by a walk that stops past the limit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import sys
 
 from . import serialize
 from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog
-from .complexes import complex_from_nonfaces, minimal_nonfaces
+from .complexes import (
+    _face_subset_bound,
+    _nerve,
+    _uses_nerve,
+    complex_from_nonfaces,
+    minimal_nonfaces,
+)
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, hull_facets, sphere_betti_profile
 from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, find_max_odd_cycle, recognize
@@ -26,11 +35,15 @@ from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, f
 EX_INPUT = 64
 EX_SOFTWARE = 70
 
-# Limit on the sum over facets of 2^|F|, the subsets that face enumeration
-# visits.  On a 2-vCPU x86-64 VM with Python 3.11, `betti_mod2` on the
-# (2,)*8+(1,) bracelet sphere (3,276,800) takes about 1.3 s and 48 MB, and
-# on (4,)*5 (41.9 million) it took 28 s and 1.2 GB.
+# Limits on the enumeration behind `betti_mod2`, measured on a 2-vCPU x86-64
+# VM with Python 3.11.  Face enumeration visits the sum over facets of 2^|F|
+# subsets: on the (2,)*8+(1,) bracelet sphere (3,276,800) it took about
+# 1.3 s and 48 MB, and on (4,)*5 (41.9 million) 28 s and 1.2 GB.  The worst
+# nerve per face is a full simplex, the nerve of a cone: on the cone over
+# the (1,)*17 bracelet sphere (2^17 nerve faces) the nerve walk and its
+# reduction took 1.4 s, and over (1,)*19 (2^19) 10 s.
 MAX_FACE_SUBSETS = 1 << 22
+MAX_NERVE_FACES = 1 << 17
 
 
 class InputError(Exception):
@@ -68,12 +81,21 @@ def _complex_from_any(doc):
 
 
 def _require_enumerable_faces(comp) -> None:
-    subsets = sum(1 << len(f) for f in comp.facets)
-    if subsets > MAX_FACE_SUBSETS:
-        raise InputError(
-            f"too many faces to enumerate: the sum over facets of 2^|F| is {subsets}, "
-            f"above the limit of {MAX_FACE_SUBSETS} (2^{MAX_FACE_SUBSETS.bit_length() - 1})"
-        )
+    subsets = _face_subset_bound(comp)
+    use_nerve = _uses_nerve(comp)
+    if not use_nerve and subsets <= MAX_FACE_SUBSETS:
+        return
+    nerve = _nerve(comp, MAX_NERVE_FACES)  # stops one face past the limit
+    if use_nerve and nerve is not None:
+        return
+    n = len(minimal_nonfaces(comp).members)
+    nerve_faces = f"more than {MAX_NERVE_FACES}" if nerve is None else sum(map(len, nerve[0]))
+    raise InputError(
+        f"too many faces to enumerate: the sum over facets of 2^|F| is {subsets} "
+        f"(limit {MAX_FACE_SUBSETS} = 2^{MAX_FACE_SUBSETS.bit_length() - 1}) and the nerve "
+        f"of the {n} minimal non-faces has {nerve_faces} faces "
+        f"(limit {MAX_NERVE_FACES} = 2^{MAX_NERVE_FACES.bit_length() - 1})"
+    )
 
 
 def _print_certificate(cert) -> None:

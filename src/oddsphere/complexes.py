@@ -2,15 +2,21 @@
 
 A complex is stored by its facets (inclusion-maximal faces); a non-face
 family is the antichain of inclusion-minimal subsets that are not faces.
-The two determine each other, and both conversions live here.
+The two determine each other, and both conversions live here, with the two
+enumerations that homology and f-vectors read: the faces of a complex and
+the nerve of its minimal non-faces.
 
 All values are immutable and all operations are pure functions, so
-everything in this module is safe to share between threads.
+everything in this module is safe to share between threads.  A complex
+keeps its minimal non-faces once computed; two threads that race to
+compute them store equal values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
 Face = tuple[int, ...]
@@ -101,6 +107,14 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
+    @cached_property
+    def _minimal_nonfaces(self) -> NonFaceFamily:
+        # Stored in the instance __dict__, outside the dataclass fields, so
+        # equality, hashing and repr do not see it.
+        full = (1 << self.m) - 1
+        transversals = _minimal_transversals(full ^ _mask(f) for f in self.facets)
+        return NonFaceFamily(self.m, tuple(_face(t) for t in transversals))
+
 
 @dataclass(frozen=True)
 class NonFaceFamily:
@@ -158,11 +172,11 @@ def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
 
     A set is a non-face exactly when it meets the complement of every
     facet, so the minimal non-faces are the minimal transversals of the
-    facet complements; no bound on their size is needed.
+    facet complements; no bound on their size is needed.  The dualization
+    runs at most once per complex object, so the recognizer, the homology
+    and the f-vector of one complex share it.
     """
-    full = (1 << c.m) - 1
-    transversals = _minimal_transversals(full ^ _mask(f) for f in c.facets)
-    return NonFaceFamily(c.m, tuple(_face(t) for t in transversals))
+    return c._minimal_nonfaces
 
 
 def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
@@ -193,9 +207,84 @@ def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:
     return groups
 
 
+def _face_subset_bound(c: SimplicialComplex) -> int:
+    """Sum over facets F of 2^|F|: the subsets `_face_masks_by_size` visits."""
+    return sum(1 << len(f) for f in c.facets)
+
+
+def _uses_nerve(c: SimplicialComplex) -> bool:
+    """Whether homology and f-vectors of `c` come from the nerve of its minimal non-faces.
+
+    The nerve of n minimal non-faces has at most 2^n faces, and face
+    enumeration visits `_face_subset_bound(c)` subsets; the smaller bound wins.
+    """
+    return 1 << len(minimal_nonfaces(c).members) <= _face_subset_bound(c)
+
+
+def _nerve(c: SimplicialComplex, limit: int | None = None):
+    """The nerve N = {S <= F : union of S != [m]} of the minimal non-faces F of `c`.
+
+    Returns (groups, tally): groups[s] holds the faces of N with s members
+    as bitmasks over the indices of F, and tally[u] is the sum of (-1)^|S|
+    over the faces S whose union has u vertices.  A depth-first search
+    extends S by later members only while the union stays short of [m].
+    Returns None as soon as N has more than `limit` faces.
+
+    The facets of the Alexander dual {s : [m] - s is not a face} are the
+    complements of the members of F, so N is the nerve of that cover, and
+    by the nerve theorem and Alexander duality (Bjorner and Tancer 2009)
+    the reduced Betti numbers satisfy b_i(c) = b_{m-i-3}(N) unless F is
+    empty (c is then the full simplex).
+    """
+    full = (1 << c.m) - 1
+    members = [_mask(a) for a in minimal_nonfaces(c).members]
+    n = len(members)
+    if limit is None:
+        limit = 1 << n
+    groups: list[list[int]] = [[0]]
+    tally = [0] * (c.m + 1)
+    tally[0] = 1
+    count = 1
+    stack = [(0, 0, 0, 1)]  # (face, its union, first member to add, size after adding)
+    while stack:
+        face, union, start, size = stack.pop()
+        if size == len(groups):
+            groups.append([])
+        group = groups[size]
+        sign = -1 if size & 1 else 1
+        for j in range(start, n):
+            u = union | members[j]
+            if u != full:
+                count += 1
+                if count > limit:
+                    return None
+                child = face | 1 << j
+                group.append(child)
+                tally[u.bit_count()] += sign
+                stack.append((child, u, j + 1, size + 1))
+    while not groups[-1]:
+        groups.pop()
+    return groups, tally
+
+
 def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_d): face counts per dimension, with f_-1 = 1."""
-    return tuple(len(g) for g in _face_masks_by_size(c))
+    """(f_-1, f_0, ..., f_d): face counts per dimension, with f_-1 = 1.
+
+    On the nerve route, inclusion-exclusion over the minimal non-faces F
+    (Miller and Sturmfels 2005, ch. 1) gives
+    f_{k-1} = sum over S <= F of (-1)^|S| C(m - |U|, k - |U|), U the union
+    of S.  A set S with U = [m] counts only toward f_{m-1}, which is 0
+    whenever F is nonempty, and k <= d + 1 <= m - 1 then; so the sum runs
+    over the nerve, and its tally by |U| suffices.
+    """
+    if not _uses_nerve(c):
+        return tuple(len(g) for g in _face_masks_by_size(c))
+    _, tally = _nerve(c)
+    m = c.m
+    return tuple(
+        sum(t * comb(m - u, k - u) for u, t in enumerate(tally[: k + 1]) if t)
+        for k in range(c.dimension + 2)
+    )
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

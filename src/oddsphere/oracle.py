@@ -1,16 +1,18 @@
 """Independent oracles: exact hulls, homology mod 2, the pseudomanifold test.
 
-Nothing here knows about non-face families or Gale diagrams; it answers
-geometric and topological questions from first principles so the other
-modules can be checked against it.  Facet enumeration tests every D-subset
-of the points by the signs of exact integer determinants: each point
-becomes one integer homogeneous column, the matrix of these columns is
-reduced once, and each orientation is computed once and shared by the D+1
-subsets it contains.  At small codimension n - D - 1, which every realized
-sphere has (n = D+3), an orientation is the sign of a minor of the one
-reduction; at large codimension it comes from an integer normal eliminated
-per subset, since a normal serves all the orientations of its subset.
-Homology is linear algebra over GF(2) on int bitsets.
+The oracles answer geometric and topological questions from first principles
+so the other modules can be checked against them.  The homology reads the
+minimal non-faces, which `complexes` derives again from the facets, but
+nothing here reads a Gale diagram.  Facet enumeration tests every D-subset
+of the points by the signs of exact integer determinants: each point becomes
+one integer homogeneous column, the matrix of these columns is reduced once,
+and each orientation is computed once and shared by the D+1 subsets it
+contains.  At small codimension n - D - 1, which every realized sphere has
+(n = D+3), an orientation is the sign of a minor of the one reduction; at
+large codimension it comes from an integer normal eliminated per subset,
+since a normal serves all the orientations of its subset.
+Homology is linear algebra over GF(2) on int bitsets, on the faces of the
+complex or on the nerve of its minimal non-faces, whichever is smaller.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .complexes import Face, SimplicialComplex, _face_masks_by_size
+from .complexes import Face, SimplicialComplex, _face_masks_by_size, _mask, _nerve, _uses_nerve
 from .linalg import Vec, _fraction_free_rref, _integer_row, vec
 
 
@@ -260,11 +262,30 @@ def betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
     """Reduced Betti numbers over GF(2) for dimensions -1 .. d.
 
     A d-sphere has profile (0, ..., 0, 1); that is the necessary condition
-    this oracle contributes.  Faces are bitmasks; each boundary column is an
-    int whose bits index the faces one size down, and its rank is that of
-    an XOR basis keyed by leading bit.
+    this oracle contributes.  The numbers come from the faces of `c` or,
+    when that bound is smaller, by Alexander duality from the nerve N of
+    the minimal non-faces: b_i(c) = b_{m-i-3}(N) (see `complexes._nerve`).
+    No minimal non-face means the full simplex, which is acyclic.
     """
-    groups = _face_masks_by_size(c)  # groups[s] = faces of size s (dim s-1)
+    d = c.dimension
+    if d == c.m - 1:
+        return (0,) * (d + 2)
+    if not _uses_nerve(c):
+        return tuple(_reduced_betti(_face_masks_by_size(c)))
+    nerve_betti = _reduced_betti(_nerve(c)[0])  # nerve_betti[j + 1] = b_j(N)
+    shift = c.m - 2
+    return tuple(
+        nerve_betti[shift - i] if shift - i < len(nerve_betti) else 0 for i in range(-1, d + 1)
+    )
+
+
+def _reduced_betti(groups: list[list[int]]) -> list[int]:
+    """Reduced GF(2) Betti numbers of the complex whose faces of size s are the bitmasks groups[s].
+
+    Entry s is the Betti number in dimension s - 1.  Each boundary column
+    is an int whose bits index the faces one size down, and its rank is
+    that of an XOR basis keyed by leading bit.
+    """
     ranks = [0] * (len(groups) + 1)  # ranks[s] = rank of boundary C_{s-1} -> C_{s-2}
     for s in range(1, len(groups)):
         index = {f: i for i, f in enumerate(groups[s - 1])}
@@ -283,11 +304,7 @@ def betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
                     break
                 col ^= basis[lead]
         ranks[s] = len(basis)
-    betti = []
-    for s in range(len(groups)):  # dimension s-1
-        cycles = len(groups[s]) - ranks[s]
-        betti.append(cycles - ranks[s + 1])
-    return tuple(betti)
+    return [len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(len(groups))]
 
 
 def sphere_betti_profile(d: int) -> tuple[int, ...]:
@@ -300,22 +317,24 @@ def is_pseudomanifold(c: SimplicialComplex) -> bool:
     facets = c.facets
     if any(len(f) != d + 1 for f in facets):
         return False
-    ridge_count: dict[Face, list[int]] = {}
+    ridges: dict[int, list[int]] = {}  # ridge mask -> facets containing it
     for fi, f in enumerate(facets):
-        for drop in range(d + 1):
-            ridge = f[:drop] + f[drop + 1 :]
-            ridge_count.setdefault(ridge, []).append(fi)
-    if any(len(fs) != 2 for fs in ridge_count.values()):
-        return False
+        fm = _mask(f)
+        rest = fm
+        while rest:
+            bit = rest & -rest
+            ridges.setdefault(fm ^ bit, []).append(fi)
+            rest ^= bit
+    neighbors: list[list[int]] = [[] for _ in facets]
+    for fs in ridges.values():
+        if len(fs) != 2:
+            return False
+        neighbors[fs[0]].append(fs[1])
+        neighbors[fs[1]].append(fs[0])
     seen = {0}
     frontier = [0]
-    neighbors: dict[int, set[int]] = {i: set() for i in range(len(facets))}
-    for fs in ridge_count.values():
-        neighbors[fs[0]].add(fs[1])
-        neighbors[fs[1]].add(fs[0])
     while frontier:
-        cur = frontier.pop()
-        for nb in neighbors[cur]:
+        for nb in neighbors[frontier.pop()]:
             if nb not in seen:
                 seen.add(nb)
                 frontier.append(nb)

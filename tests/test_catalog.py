@@ -179,8 +179,14 @@ def test_catalog_eleven_vertices():
     assert len(catalog(11).classes) == 57
 
 
+def test_catalog_thirteen_vertices_has_one_class_per_bracelet():
+    report = catalog(13)
+    assert [cls.bracelet for cls in report.classes] == enumerate_bracelets(13)
+    assert len(report.classes) == 183
+
+
 def test_catalog_rejects_out_of_range():
     with pytest.raises(ValueError):
         catalog(3)
     with pytest.raises(ValueError):
-        catalog(13)
+        catalog(15)

@@ -356,17 +356,69 @@ def test_realize_eleven_disjoint_pairs_is_fast(monkeypatch, capsys):
     assert elapsed < 2.0
 
 
+def cone_over_odd_cycle_nonfaces(k):
+    """Non-faces of the cone, with apex k+1, over the (1,)*k bracelet sphere: k members, m = k+1."""
+    fam, _ = instantiate((1,) * k)
+    return NonFaceFamily(k + 1, fam.members)
+
+
 @pytest.mark.parametrize("command, as_complex", [("verify", False), ("verify", True), ("homology", True)])
 def test_face_enumeration_is_refused_up_front(command, as_complex, monkeypatch, capsys):
-    fam, _ = instantiate((3,) * 7)  # m = 21: 378 facets of size 18
+    # The apex is in no non-face, so the nerve is the full simplex on 19 vertices.
+    fam = cone_over_odd_cycle_nonfaces(19)  # m = 20: 285 facets of size 17
     doc = serialize.complex_to_doc(complex_from_nonfaces(fam)) if as_complex else serialize.family_to_doc(fam)
     rc, out, err, elapsed = run_main_timed([command], doc, monkeypatch, capsys)
     assert rc == cli.EX_INPUT == 64
     assert out == ""
     assert err == (
-        "error: too many faces to enumerate: the sum over facets of 2^|F| is 99090432, "
-        "above the limit of 4194304 (2^22)\n"
+        "error: too many faces to enumerate: the sum over facets of 2^|F| is 37355520 "
+        "(limit 4194304 = 2^22) and the nerve of the 19 minimal non-faces has more than "
+        "131072 faces (limit 131072 = 2^17)\n"
     )
+    assert elapsed < 2.0
+
+
+def test_nerve_limit_admits_the_full_simplex_on_seventeen_vertices(monkeypatch, capsys):
+    fam = cone_over_odd_cycle_nonfaces(17)  # nerve: 2^17 faces, face bound 6684672 above 2^22
+    doc = serialize.complex_to_doc(complex_from_nonfaces(fam))
+    rc, out, _, _ = run_main_timed(["homology"], doc, monkeypatch, capsys)
+    assert rc == 0
+    assert json.loads(out) == {"reduced_betti": [0] * 16}  # a cone is acyclic
+
+
+@pytest.mark.parametrize("as_complex", [False, True])
+def test_verify_answers_what_face_enumeration_refused(as_complex, monkeypatch, capsys):
+    fam, _ = instantiate((3,) * 7)  # m = 21: face bound 99,090,432, nerve of 57 faces
+    doc = serialize.complex_to_doc(complex_from_nonfaces(fam)) if as_complex else serialize.family_to_doc(fam)
+    rc, out, _, elapsed = run_main_timed(["verify"], doc, monkeypatch, capsys)
+    assert rc == 0
+    assert json.loads(out)["ok"] is True
+    assert elapsed < 2.0
+
+
+def test_verify_sixty_three_vertex_bracelet_is_fast(monkeypatch, capsys):
+    fam, _ = instantiate((7,) * 9)
+    rc, out, _, elapsed = run_main_timed(["verify"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    assert rc == 0
+    assert json.loads(out) == {
+        "ok": True,
+        "stages": {
+            "gale_readback": True,
+            "homology_profile": True,
+            "hull_matches_complex": True,
+            "realization": True,
+            "recognizer": True,
+        },
+    }
+    assert elapsed < 2.0
+
+
+def test_homology_of_the_sixty_three_vertex_complex_document(monkeypatch, capsys):
+    fam, _ = instantiate((7,) * 9)
+    doc = serialize.complex_to_doc(complex_from_nonfaces(fam))
+    rc, out, _, elapsed = run_main_timed(["homology"], doc, monkeypatch, capsys)
+    assert rc == 0
+    assert json.loads(out) == {"reduced_betti": [0] * 60 + [1]}  # the 59-sphere profile
     assert elapsed < 2.0
 
 

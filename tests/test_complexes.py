@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddsphere import complexes
 from oddsphere.complexes import (
     InvariantError,
     NonFaceFamily,
@@ -18,6 +19,8 @@ from oddsphere.complexes import (
     f_vector,
     minimal_nonfaces,
 )
+from oddsphere.oracle import betti_mod2
+from oddsphere.recognizer import recognize
 from tests_shared import (
     is_face,
     nonface_families,
@@ -135,6 +138,25 @@ def test_f_vector_and_euler():
     assert euler_characteristic(pent) == 0
     tetra = SimplicialComplex(4, tuple(itertools.combinations(range(1, 5), 3)))
     assert euler_characteristic(tetra) == 2
+
+
+def test_one_dualization_per_complex(monkeypatch):
+    calls = []
+
+    def counted(masks):
+        calls.append(1)
+        return _minimal_transversals(masks)
+
+    monkeypatch.setattr(complexes, "_minimal_transversals", counted)
+    octa = SimplicialComplex(6, OCTAHEDRON_FACETS)
+    recognize(octa)
+    betti_mod2(octa)
+    f_vector(octa)
+    assert minimal_nonfaces(octa).members == ((1, 2), (3, 4), (5, 6))
+    assert len(calls) == 1
+    fresh = SimplicialComplex(6, OCTAHEDRON_FACETS)  # the cache is not a dataclass field
+    assert octa == fresh and hash(octa) == hash(fresh) and repr(octa) == repr(fresh)
+    assert len(calls) == 1
 
 
 # -- invariants -------------------------------------------------------------

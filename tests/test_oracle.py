@@ -1,6 +1,7 @@
 """Exact hull, homology, and pseudomanifold ground truth."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -8,12 +9,13 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests_shared import (
     ground_truth_sphere,
     is_vertex,
+    nonface_families,
     random_fraction,
     random_points,
     reference_betti_mod2,
@@ -21,13 +23,16 @@ from tests_shared import (
     simplicial_complexes,
 )
 
-from oddsphere import oracle
+from oddsphere import complexes, oracle
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
+    _nerve,
     complex_from_nonfaces,
     euler_characteristic,
+    f_vector,
+    minimal_nonfaces,
 )
 from oddsphere.oracle import (
     InteriorPoint,
@@ -161,6 +166,45 @@ def test_betti_mod2_matches_dense_reference_on_bracelet_spheres():
         for b in enumerate_bracelets(m):
             c = complex_from_nonfaces(instantiate(b)[0])
             assert betti_mod2(c) == reference_betti_mod2(c) == (0,) * (m - 3) + (1,)
+
+
+def by_route(c, nerve):
+    """(betti_mod2(c), f_vector(c)) with the enumeration forced to the nerve or to the faces."""
+    def route(_):
+        return nerve
+
+    with patch.object(oracle, "_uses_nerve", route), patch.object(complexes, "_uses_nerve", route):
+        return betti_mod2(c), f_vector(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(simplicial_complexes(max_m=8), nonface_families(max_m=9).map(complex_from_nonfaces)))
+def test_property_nerve_and_face_routes_agree(c):
+    # Alexander duality with the nerve theorem, and inclusion-exclusion over
+    # the non-faces, are the claims under test: each route is the other's reference.
+    assume(_nerve(c, 1 << 12) is not None)
+    assert by_route(c, True) == by_route(c, False)
+
+
+def test_nerve_route_on_the_full_simplex_and_its_boundary():
+    for m in range(1, 8):
+        simplex = SimplicialComplex(m, (tuple(range(1, m + 1)),))
+        assert minimal_nonfaces(simplex).members == ()  # empty family: every Betti number is 0
+        expected = ((0,) * (m + 1), tuple(math.comb(m, k) for k in range(m + 1)))
+        assert by_route(simplex, True) == by_route(simplex, False) == expected
+    for m in range(2, 8):
+        boundary = complex_from_nonfaces(NonFaceFamily(m, (tuple(range(1, m + 1)),)))
+        assert _nerve(boundary) == ([[0]], [1] + [0] * m)  # N = {empty set}, so b_{m-2} = 1
+        expected = ((0,) * (m - 1) + (1,), tuple(math.comb(m, k) for k in range(m)))
+        assert by_route(boundary, True) == by_route(boundary, False) == expected
+
+
+def test_bracelet_spheres_take_the_nerve_route():
+    pentagon = complex_from_nonfaces(instantiate((1,) * 5)[0])
+    assert not complexes._uses_nerve(pentagon)  # 5 edges bound 20 faces, against 2^5
+    for m in range(6, 13):
+        for b in enumerate_bracelets(m):
+            assert complexes._uses_nerve(complex_from_nonfaces(instantiate(b)[0])), b
 
 
 def test_import_leaves_numpy_unloaded():
