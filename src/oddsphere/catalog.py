@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .complexes import (
+    Chains,
     NonFaceFamily,
     SimplicialComplex,
     _euler_from_f_vector,
     complex_from_nonfaces,
+    enumerate_chains,
     f_vector,
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
@@ -111,7 +113,9 @@ class CatalogReport:
     classes: tuple[SphereClass, ...]
 
 
-def _cross_check(fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex, fv: tuple[int, ...]) -> None:
+def _cross_check(
+    fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex, chains: Chains, fv: tuple[int, ...]
+) -> None:
     d = fam.m - 4
     if comp.dimension != d:
         raise CatalogVerificationError(f"{fam.members}: dimension {comp.dimension} != {d}")
@@ -127,7 +131,7 @@ def _cross_check(fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex,
         raise CatalogVerificationError(f"{fam.members}: Gale readback failed to return the family")
     if not is_pseudomanifold(comp):
         raise CatalogVerificationError(f"{fam.members}: not a pseudomanifold")
-    if betti_mod2(comp) != sphere_betti_profile(d):
+    if betti_mod2(comp, chains) != sphere_betti_profile(d):
         raise CatalogVerificationError(f"{fam.members}: wrong homology profile")
     if _euler_from_f_vector(fv) != 1 + (-1) ** d:
         raise CatalogVerificationError(f"{fam.members}: wrong Euler characteristic")
@@ -146,7 +150,8 @@ def catalog(m: int) -> CatalogReport:
     for b in enumerate_bracelets(m):
         fam, cert = instantiate(b)
         comp = complex_from_nonfaces(fam)
-        fv = f_vector(comp)
-        _cross_check(fam, cert, comp, fv)
+        chains = enumerate_chains(comp)  # one enumeration serves the f-vector and the homology
+        fv = f_vector(comp, chains)
+        _cross_check(fam, cert, comp, chains, fv)
         classes.append(SphereClass(bracelet=b, family=fam, certificate=cert, complex=comp, f_vector=fv))
     return CatalogReport(m=m, classes=tuple(classes))

@@ -5,12 +5,13 @@ Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
 `internal error:` message; other operational failures exit 1.
 
-`homology` and `verify` compute homology by one of two enumerations, the
-faces of the complex or the nerve of its minimal non-faces, picked by
-`complexes._uses_nerve`.  Before the recognizer or either enumeration
-runs, a complex is refused with exit 64 when the picked enumeration is over
+`homology` and `verify` compute homology from one of two enumerations, the
+faces of the complex or the nerve of its minimal non-faces, chosen by
+`complexes.enumerate_chains`.  Before the recognizer or the reduction
+runs, a complex is refused with exit 64 when neither enumeration is within
 its limit: MAX_FACE_SUBSETS on the facets' sum of 2^|F|, or MAX_NERVE_FACES
 on the faces of the nerve, counted by a walk that stops past the limit.
+The dualization that finds the non-faces is capped by the nerve limit too.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import sys
 
 from . import serialize
 from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog
-from .complexes import (
-    _face_subset_bound,
-    _nerve,
-    _uses_nerve,
-    complex_from_nonfaces,
-    minimal_nonfaces,
-)
+from .complexes import complex_from_nonfaces, enumerate_chains, minimal_nonfaces
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, hull_facets, sphere_betti_profile
 from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, find_max_odd_cycle, recognize
@@ -78,24 +73,6 @@ def _complex_from_any(doc):
     if isinstance(doc, dict) and "nonfaces" in doc:
         return complex_from_nonfaces(serialize.family_from_doc(doc))
     raise serialize.DocumentError("expected a document with 'facets' or 'nonfaces'")
-
-
-def _require_enumerable_faces(comp) -> None:
-    subsets = _face_subset_bound(comp)
-    use_nerve = _uses_nerve(comp)
-    if not use_nerve and subsets <= MAX_FACE_SUBSETS:
-        return
-    nerve = _nerve(comp, MAX_NERVE_FACES)  # stops one face past the limit
-    if use_nerve and nerve is not None:
-        return
-    n = len(minimal_nonfaces(comp).members)
-    nerve_faces = f"more than {MAX_NERVE_FACES}" if nerve is None else sum(map(len, nerve[0]))
-    raise InputError(
-        f"too many faces to enumerate: the sum over facets of 2^|F| is {subsets} "
-        f"(limit {MAX_FACE_SUBSETS} = 2^{MAX_FACE_SUBSETS.bit_length() - 1}) and the nerve "
-        f"of the {n} minimal non-faces has {nerve_faces} faces "
-        f"(limit {MAX_NERVE_FACES} = 2^{MAX_NERVE_FACES.bit_length() - 1})"
-    )
 
 
 def _print_certificate(cert) -> None:
@@ -164,8 +141,8 @@ def _cmd_hull(args) -> int:
 
 def _cmd_homology(args) -> int:
     comp = serialize.complex_from_doc(_read_doc(args.input))
-    _require_enumerable_faces(comp)
-    _write_doc(serialize.betti_to_doc(betti_mod2(comp)), args.output)
+    chains = enumerate_chains(comp, MAX_FACE_SUBSETS, MAX_NERVE_FACES)
+    _write_doc(serialize.betti_to_doc(betti_mod2(comp, chains)), args.output)
     return 0
 
 
@@ -177,7 +154,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
-    _require_enumerable_faces(comp)
+    chains = enumerate_chains(comp, MAX_FACE_SUBSETS, MAX_NERVE_FACES)
     verdict = recognize(comp)
     stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
     if isinstance(verdict, Sphere):
@@ -193,7 +170,7 @@ def _cmd_verify(args) -> int:
         else:
             # simplex boundary / two-partition spheres have no planar diagram
             stages.update(realization="skipped", hull_matches_complex="skipped", gale_readback="skipped")
-        stages["homology_profile"] = betti_mod2(comp) == sphere_betti_profile(verdict.d)
+        stages["homology_profile"] = betti_mod2(comp, chains) == sphere_betti_profile(verdict.d)
     ok = all(v is not False for v in stages.values())
     _write_doc({"ok": ok, "stages": stages}, args.output)
     return 0 if ok else 1

@@ -4,7 +4,8 @@ A complex is stored by its facets (inclusion-maximal faces); a non-face
 family is the antichain of inclusion-minimal subsets that are not faces.
 The two determine each other, and both conversions live here, with the two
 enumerations that homology and f-vectors read: the faces of a complex and
-the nerve of its minimal non-faces.
+the nerve of its minimal non-faces, of which `enumerate_chains` takes the
+cheaper.
 
 All values are immutable and all operations are pure functions, so
 everything in this module is safe to share between threads.  A complex
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Face = tuple[int, ...]
 
@@ -107,13 +108,27 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
+    def _nonface_masks(self, cap: int | None = None) -> tuple[int, ...] | None:
+        """The minimal non-faces as bitmasks, dualized at most once per complex object.
+
+        Returns None, and keeps nothing, when the dualization outgrows
+        `cap` (see `_minimal_transversals`).  The result is kept in the instance
+        __dict__, outside the dataclass fields, so equality, hashing and
+        repr do not see it.
+        """
+        masks = self.__dict__.get("_nonface_mask_cache")
+        if masks is None:
+            full = (1 << self.m) - 1
+            found = _minimal_transversals((full ^ _mask(f) for f in self.facets), cap)
+            if found is None:
+                return None
+            masks = tuple(found)
+            object.__setattr__(self, "_nonface_mask_cache", masks)
+        return masks
+
     @cached_property
     def _minimal_nonfaces(self) -> NonFaceFamily:
-        # Stored in the instance __dict__, outside the dataclass fields, so
-        # equality, hashing and repr do not see it.
-        full = (1 << self.m) - 1
-        transversals = _minimal_transversals(full ^ _mask(f) for f in self.facets)
-        return NonFaceFamily(self.m, tuple(_face(t) for t in transversals))
+        return NonFaceFamily(self.m, tuple(_face(t) for t in self._nonface_masks()))
 
 
 @dataclass(frozen=True)
@@ -133,7 +148,17 @@ class NonFaceFamily:
         _check_antichain(members, "non-face family members")
 
 
-def _minimal_transversals(masks: Iterable[int]) -> list[int]:
+# The work a dualization capped at `cap` members may spend, per member of
+# the cap.  Per member of the budget `enumerate_chains` gives it, the
+# dualization of a bracelet sphere with 8 <= m <= 14 takes at most 4.4
+# units (25 below m = 8); at the nerve limit 2^17, the 63-vertex (7,)*9
+# sphere takes 2.8 and the cone over 13 disjoint pairs (8,192 facets)
+# 15.3.  A unit took about 80 ns (2-vCPU x86-64 VM, Python 3.11), so a
+# dualization capped at 2^17 stops within about 0.4 s.
+TRANSVERSAL_WORK_PER_MEMBER = 32
+
+
+def _minimal_transversals(masks: Iterable[int], cap: int | None = None) -> list[int] | None:
     """The inclusion-minimal sets meeting every mask (Berge's sequential dualization).
 
     Masks are absorbed one at a time into an antichain of partial
@@ -146,10 +171,18 @@ def _minimal_transversals(masks: Iterable[int]) -> list[int]:
     Two candidates never contain or repeat each other: `t2 <= t | b` with
     `b` not in `t2` forces `t2 <= t`, so `t2 == t`. An empty mask leaves no
     transversal.
+
+    Returns None as soon as the antichain has more than `cap` members, or
+    the work passes TRANSVERSAL_WORK_PER_MEMBER * cap units: one per
+    antichain member scanned and one per minimality test that a candidate
+    could need (`inside` in full).
     """
     transversals = [0]
+    work_left = None if cap is None else cap * TRANSVERSAL_WORK_PER_MEMBER
     for am in masks:
         missing = [t for t in transversals if not t & am]
+        if not missing:
+            continue
         kept = [t for t in transversals if t & am]
         grown = []
         rest = am
@@ -157,6 +190,10 @@ def _minimal_transversals(masks: Iterable[int]) -> list[int]:
             bit = rest & -rest
             rest ^= bit
             inside = [h ^ bit for h in kept if h & bit]
+            if work_left is not None:
+                work_left -= len(kept) + len(missing) * len(inside)
+                if work_left < 0:
+                    return None
             for t in missing:
                 for r in inside:
                     if r & t == r:
@@ -164,6 +201,8 @@ def _minimal_transversals(masks: Iterable[int]) -> list[int]:
                 else:
                     grown.append(t | bit)
         transversals = kept + grown
+        if cap is not None and len(transversals) > cap:
+            return None
     return transversals
 
 
@@ -212,17 +251,8 @@ def _face_subset_bound(c: SimplicialComplex) -> int:
     return sum(1 << len(f) for f in c.facets)
 
 
-def _uses_nerve(c: SimplicialComplex) -> bool:
-    """Whether homology and f-vectors of `c` come from the nerve of its minimal non-faces.
-
-    The nerve of n minimal non-faces has at most 2^n faces, and face
-    enumeration visits `_face_subset_bound(c)` subsets; the smaller bound wins.
-    """
-    return 1 << len(minimal_nonfaces(c).members) <= _face_subset_bound(c)
-
-
-def _nerve(c: SimplicialComplex, limit: int | None = None):
-    """The nerve N = {S <= F : union of S != [m]} of the minimal non-faces F of `c`.
+def _nerve(members: Sequence[int], m: int, limit: int | None = None):
+    """The nerve N = {S <= F : union of S != [m]} of the non-faces F, given as bitmasks.
 
     Returns (groups, tally): groups[s] holds the faces of N with s members
     as bitmasks over the indices of F, and tally[u] is the sum of (-1)^|S|
@@ -236,13 +266,10 @@ def _nerve(c: SimplicialComplex, limit: int | None = None):
     the reduced Betti numbers satisfy b_i(c) = b_{m-i-3}(N) unless F is
     empty (c is then the full simplex).
     """
-    full = (1 << c.m) - 1
-    members = [_mask(a) for a in minimal_nonfaces(c).members]
+    full = (1 << m) - 1
     n = len(members)
-    if limit is None:
-        limit = 1 << n
     groups: list[list[int]] = [[0]]
-    tally = [0] * (c.m + 1)
+    tally = [0] * (m + 1)
     tally[0] = 1
     count = 1
     stack = [(0, 0, 0, 1)]  # (face, its union, first member to add, size after adding)
@@ -256,7 +283,7 @@ def _nerve(c: SimplicialComplex, limit: int | None = None):
             u = union | members[j]
             if u != full:
                 count += 1
-                if count > limit:
+                if limit is not None and count > limit:
                     return None
                 child = face | 1 << j
                 group.append(child)
@@ -267,19 +294,81 @@ def _nerve(c: SimplicialComplex, limit: int | None = None):
     return groups, tally
 
 
-def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
+class Chains(NamedTuple):
+    """The faces, grouped by size as bitmasks, that homology and f-vectors read.
+
+    groups[s] holds the faces with s elements.  With `nerve_tally` None they
+    are the faces of the complex; otherwise they are the faces of the nerve
+    of its minimal non-faces (see `_nerve`), and nerve_tally[u] is the sum
+    of (-1)^|S| over the nerve faces S whose union has u vertices.
+    """
+
+    groups: list[list[int]]
+    nerve_tally: list[int] | None
+
+
+class EnumerationLimitError(ValueError):
+    """Neither enumeration of a complex's faces fits within its limit."""
+
+
+# A nerve face costs about as much as this many facet subsets: from m = 9
+# bracelet spheres to cones with a 2^15-face nerve, face enumeration plus
+# reduction took 0.28-0.45 us per facet subset and the nerve walk plus
+# reduction 1.3-5.0 us per nerve face (2-vCPU x86-64 VM, Python 3.11).
+NERVE_FACE_COST = 8
+
+
+def enumerate_chains(
+    c: SimplicialComplex, max_subsets: int | None = None, max_nerve_faces: int | None = None
+) -> Chains:
+    """The faces of `c`, or of the nerve of its minimal non-faces, whichever is cheaper.
+
+    Face enumeration visits `_face_subset_bound(c)` subsets; the nerve is
+    taken when it has at most 1/NERVE_FACE_COST as many faces, which the
+    walk counts, stopping past that budget.  An enumeration over its
+    limit is not taken either: the facet subsets over `max_subsets`, or the
+    nerve faces over `max_nerve_faces`.  The dualization that finds the
+    minimal non-faces is capped by the same budget, since each non-face is
+    a nerve face: it stops once its antichain, or its work, outgrows the
+    cap (see `_minimal_transversals`).  Berge's partial antichains can
+    outgrow the final one, so such a nerve is then passed over.  Raises
+    EnumerationLimitError when neither enumeration is taken.
+    """
+    subsets = _face_subset_bound(c)
+    faces_fit = max_subsets is None or subsets <= max_subsets
+    budget = subsets // NERVE_FACE_COST if faces_fit else None
+    if max_nerve_faces is not None:
+        budget = max_nerve_faces if budget is None else min(budget, max_nerve_faces)
+    members = c._nonface_masks(budget)
+    if members is not None:
+        nerve = _nerve(members, c.m, budget)
+        if nerve is not None:
+            return Chains(*nerve)
+    if faces_fit:
+        return Chains(_face_masks_by_size(c), None)
+    raise EnumerationLimitError(
+        f"too many faces to enumerate: the sum over facets of 2^|F| is {subsets} "
+        f"(limit {max_subsets}), and the nerve of the minimal non-faces, or the "
+        f"dualization that finds them, outgrows the limit of {max_nerve_faces} nerve faces"
+    )
+
+
+def f_vector(c: SimplicialComplex, chains: Chains | None = None) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_d): face counts per dimension, with f_-1 = 1.
 
-    On the nerve route, inclusion-exclusion over the minimal non-faces F
-    (Miller and Sturmfels 2005, ch. 1) gives
+    `chains` is `enumerate_chains(c)`, computed here when not given.  On
+    the nerve, inclusion-exclusion over the minimal non-faces F (Miller and
+    Sturmfels 2005, ch. 1) gives
     f_{k-1} = sum over S <= F of (-1)^|S| C(m - |U|, k - |U|), U the union
     of S.  A set S with U = [m] counts only toward f_{m-1}, which is 0
     whenever F is nonempty, and k <= d + 1 <= m - 1 then; so the sum runs
     over the nerve, and its tally by |U| suffices.
     """
-    if not _uses_nerve(c):
-        return tuple(len(g) for g in _face_masks_by_size(c))
-    _, tally = _nerve(c)
+    if chains is None:
+        chains = enumerate_chains(c)
+    tally = chains.nerve_tally
+    if tally is None:
+        return tuple(len(g) for g in chains.groups)
     m = c.m
     return tuple(
         sum(t * comb(m - u, k - u) for u, t in enumerate(tally[: k + 1]) if t)

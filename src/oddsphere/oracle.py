@@ -12,7 +12,8 @@ contains.  At small codimension n - D - 1, which every realized sphere has
 large codimension it comes from an integer normal eliminated per subset,
 since a normal serves all the orientations of its subset.
 Homology is linear algebra over GF(2) on int bitsets, on the faces of the
-complex or on the nerve of its minimal non-faces, whichever is smaller.
+complex or on the nerve of its minimal non-faces, whichever
+`complexes.enumerate_chains` finds cheaper.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .complexes import Face, SimplicialComplex, _face_masks_by_size, _mask, _nerve, _uses_nerve
+from .complexes import Chains, Face, SimplicialComplex, _mask, enumerate_chains
 from .linalg import Vec, _fraction_free_rref, _integer_row, vec
 
 
@@ -258,25 +259,26 @@ def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
     return SimplicialComplex(pc.n, facets)
 
 
-def betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
+def betti_mod2(c: SimplicialComplex, chains: Chains | None = None) -> tuple[int, ...]:
     """Reduced Betti numbers over GF(2) for dimensions -1 .. d.
 
     A d-sphere has profile (0, ..., 0, 1); that is the necessary condition
-    this oracle contributes.  The numbers come from the faces of `c` or,
-    when that bound is smaller, by Alexander duality from the nerve N of
-    the minimal non-faces: b_i(c) = b_{m-i-3}(N) (see `complexes._nerve`).
-    No minimal non-face means the full simplex, which is acyclic.
+    this oracle contributes.  `chains` is `complexes.enumerate_chains(c)`,
+    computed here when not given: the faces of `c`, or the nerve N of the
+    minimal non-faces, read by Alexander duality as b_i(c) = b_{m-i-3}(N)
+    (see `complexes._nerve`).  No minimal non-face means the full simplex,
+    which is acyclic.
     """
     d = c.dimension
     if d == c.m - 1:
         return (0,) * (d + 2)
-    if not _uses_nerve(c):
-        return tuple(_reduced_betti(_face_masks_by_size(c)))
-    nerve_betti = _reduced_betti(_nerve(c)[0])  # nerve_betti[j + 1] = b_j(N)
+    if chains is None:
+        chains = enumerate_chains(c)
+    betti = _reduced_betti(chains.groups)  # betti[j + 1] = b_j
+    if chains.nerve_tally is None:
+        return tuple(betti)
     shift = c.m - 2
-    return tuple(
-        nerve_betti[shift - i] if shift - i < len(nerve_betti) else 0 for i in range(-1, d + 1)
-    )
+    return tuple(betti[shift - i] if shift - i < len(betti) else 0 for i in range(-1, d + 1))
 
 
 def _reduced_betti(groups: list[list[int]]) -> list[int]:

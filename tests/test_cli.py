@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -372,10 +373,48 @@ def test_face_enumeration_is_refused_up_front(command, as_complex, monkeypatch, 
     assert out == ""
     assert err == (
         "error: too many faces to enumerate: the sum over facets of 2^|F| is 37355520 "
-        "(limit 4194304 = 2^22) and the nerve of the 19 minimal non-faces has more than "
-        "131072 faces (limit 131072 = 2^17)\n"
+        "(limit 4194304), and the nerve of the minimal non-faces, or the dualization "
+        "that finds them, outgrows the limit of 131072 nerve faces\n"
     )
     assert elapsed < 2.0
+
+
+def pair_complement_facets(m, k):
+    """The facets [m] - {2i-1, 2i}, i = 1..k, whose minimal non-faces pick one vertex per pair."""
+    return [[v for v in range(1, m + 1) if (v + 1) // 2 != i] for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("command", ["verify", "homology"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # 2^32 minimal non-faces: the dualization's antichain outgrows the nerve limit
+        {"m": 64, "facets": pair_complement_facets(64, 32)},
+        # 2^17 partial transversals, at the nerve limit, then a facet missing
+        # {1, 35} that Berge's step would test against 2^16 of them each
+        {"m": 35, "facets": pair_complement_facets(35, 17) + [list(range(2, 35))]},
+    ],
+    ids=["32-pairs", "17-pairs-and-a-step"],
+)
+def test_exponential_dualization_is_refused_up_front(command, doc, monkeypatch, capsys):
+    rc, out, err, elapsed = run_main_timed([command], doc, monkeypatch, capsys)
+    assert rc == cli.EX_INPUT
+    assert out == ""
+    assert err.startswith("error: too many faces to enumerate: the sum over facets of 2^|F| is ")
+    assert elapsed < 2.0
+
+
+def test_homology_walks_the_faces_when_the_nerve_is_over_its_limit(monkeypatch, capsys):
+    # Cone, with apex 22, over the join of the 8-pair cross-polytope and 5
+    # points: 8 + 10 minimal non-faces, so the nerve is the full simplex on
+    # 18 vertices (2^18 faces, over the nerve limit), while the 1280 facets of
+    # size 10 bound 1,310,720 subsets, under the face limit.
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(8)]
+    fam = NonFaceFamily(22, (*pairs, *itertools.combinations(range(17, 22), 2)))
+    doc = serialize.complex_to_doc(complex_from_nonfaces(fam))
+    rc, out, _, _ = run_main_timed(["homology"], doc, monkeypatch, capsys)
+    assert rc == 0
+    assert json.loads(out) == {"reduced_betti": [0] * 11}  # a cone is acyclic
 
 
 def test_nerve_limit_admits_the_full_simplex_on_seventeen_vertices(monkeypatch, capsys):

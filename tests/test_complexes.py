@@ -143,9 +143,9 @@ def test_f_vector_and_euler():
 def test_one_dualization_per_complex(monkeypatch):
     calls = []
 
-    def counted(masks):
+    def counted(masks, cap=None):
         calls.append(1)
-        return _minimal_transversals(masks)
+        return _minimal_transversals(masks, cap)
 
     monkeypatch.setattr(complexes, "_minimal_transversals", counted)
     octa = SimplicialComplex(6, OCTAHEDRON_FACETS)
@@ -157,6 +157,10 @@ def test_one_dualization_per_complex(monkeypatch):
     fresh = SimplicialComplex(6, OCTAHEDRON_FACETS)  # the cache is not a dataclass field
     assert octa == fresh and hash(octa) == hash(fresh) and repr(octa) == repr(fresh)
     assert len(calls) == 1
+    betti_mod2(fresh)  # a dualization bounded by the nerve budget is kept as well
+    f_vector(fresh)
+    recognize(fresh)
+    assert len(calls) == 2
 
 
 # -- invariants -------------------------------------------------------------
@@ -262,6 +266,12 @@ def mask_lists(draw, budget: int = 256):
             budget //= len(bits)
             masks.append(sum(1 << b for b in bits))
     return masks
+
+
+def test_minimal_transversals_stop_past_the_cap():
+    pairs = [3 << 2 * i for i in range(10)]  # 2^10 minimal transversals, one bit per pair
+    assert _minimal_transversals(pairs, (1 << 10) - 1) is None
+    assert len(_minimal_transversals(pairs, 1 << 10)) == 1 << 10
 
 
 @settings(deadline=None)

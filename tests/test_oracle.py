@@ -23,13 +23,19 @@ from tests_shared import (
     simplicial_complexes,
 )
 
-from oddsphere import complexes, oracle
+from oddsphere import oracle
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
+    NERVE_FACE_COST,
+    Chains,
     NonFaceFamily,
     SimplicialComplex,
+    _face_masks_by_size,
+    _face_subset_bound,
+    _mask,
     _nerve,
     complex_from_nonfaces,
+    enumerate_chains,
     euler_characteristic,
     f_vector,
     minimal_nonfaces,
@@ -169,12 +175,12 @@ def test_betti_mod2_matches_dense_reference_on_bracelet_spheres():
 
 
 def by_route(c, nerve):
-    """(betti_mod2(c), f_vector(c)) with the enumeration forced to the nerve or to the faces."""
-    def route(_):
-        return nerve
-
-    with patch.object(oracle, "_uses_nerve", route), patch.object(complexes, "_uses_nerve", route):
-        return betti_mod2(c), f_vector(c)
+    """(betti_mod2(c), f_vector(c)) read from the nerve or from the faces, whichever is asked."""
+    if nerve:
+        chains = Chains(*_nerve([_mask(a) for a in minimal_nonfaces(c).members], c.m))
+    else:
+        chains = Chains(_face_masks_by_size(c), None)
+    return betti_mod2(c, chains), f_vector(c, chains)
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,7 +188,8 @@ def by_route(c, nerve):
 def test_property_nerve_and_face_routes_agree(c):
     # Alexander duality with the nerve theorem, and inclusion-exclusion over
     # the non-faces, are the claims under test: each route is the other's reference.
-    assume(_nerve(c, 1 << 12) is not None)
+    members = [_mask(a) for a in minimal_nonfaces(c).members]
+    assume(_nerve(members, c.m, 1 << 12) is not None)
     assert by_route(c, True) == by_route(c, False)
 
 
@@ -194,17 +201,33 @@ def test_nerve_route_on_the_full_simplex_and_its_boundary():
         assert by_route(simplex, True) == by_route(simplex, False) == expected
     for m in range(2, 8):
         boundary = complex_from_nonfaces(NonFaceFamily(m, (tuple(range(1, m + 1)),)))
-        assert _nerve(boundary) == ([[0]], [1] + [0] * m)  # N = {empty set}, so b_{m-2} = 1
+        assert _nerve([(1 << m) - 1], m) == ([[0]], [1] + [0] * m)  # N = {empty set}, so b_{m-2} = 1
         expected = ((0,) * (m - 1) + (1,), tuple(math.comb(m, k) for k in range(m)))
         assert by_route(boundary, True) == by_route(boundary, False) == expected
 
 
 def test_bracelet_spheres_take_the_nerve_route():
+    # Below m = 8 a bracelet sphere's nerve has more than 1/NERVE_FACE_COST
+    # as many faces as its facets have subsets, so the faces are cheaper.
     pentagon = complex_from_nonfaces(instantiate((1,) * 5)[0])
-    assert not complexes._uses_nerve(pentagon)  # 5 edges bound 20 faces, against 2^5
-    for m in range(6, 13):
+    assert enumerate_chains(pentagon).nerve_tally is None  # 5 edges bound 20 faces, 21 nerve faces
+    for m in range(8, 13):
         for b in enumerate_bracelets(m):
-            assert complexes._uses_nerve(complex_from_nonfaces(instantiate(b)[0])), b
+            assert enumerate_chains(complex_from_nonfaces(instantiate(b)[0])).nerve_tally is not None, b
+
+
+def test_route_follows_the_nerve_size_not_its_bound():
+    # Cone, with apex 18, over the join of the 6-pair cross-polytope and 5
+    # points: 6 + 10 minimal non-faces, so the nerve is the full simplex on
+    # 16 vertices, 65,536 faces; the 320 facets of size 8 bound 81,920
+    # subsets, more than 2^16 but less than NERVE_FACE_COST times the nerve.
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(6)]
+    c = complex_from_nonfaces(NonFaceFamily(18, (*pairs, *itertools.combinations(range(13, 18), 2))))
+    assert 1 << 16 < _face_subset_bound(c) == 320 << 8 < NERVE_FACE_COST << 16
+    chains = enumerate_chains(c)
+    assert chains.nerve_tally is None
+    assert betti_mod2(c, chains) == (0,) * 9  # a cone is acyclic
+    assert f_vector(c, chains) == by_route(c, True)[1]
 
 
 def test_import_leaves_numpy_unloaded():
