@@ -21,13 +21,14 @@ from .complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _euler_from_f_vector,
+    _from_masks,
     complex_from_nonfaces,
     enumerate_chains,
     f_vector,
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
+from .recognizer import MaxOddCycle, Sphere, _cycle_from_slots, recognize
 
 Bracelet = tuple[int, ...]
 
@@ -87,9 +88,9 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
     if n < 3 or n % 2 == 0 or any(p < 1 for p in b) or (n == 3 and any(p < 2 for p in b)):
         raise ValueError(f"{b} is not a valid bracelet")
     m = sum(b)
-    slots = [tuple(range(start, start + part)) for start, part in zip(accumulate(b, initial=1), b)]
-    cert = certificate_from_slots(slots, m)
-    return NonFaceFamily(m, cert.ordering), cert
+    slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
+    members, cert = _cycle_from_slots(slots, m)
+    return _from_masks(NonFaceFamily, m, members), cert
 
 
 @dataclass(frozen=True)

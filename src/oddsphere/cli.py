@@ -11,7 +11,9 @@ faces of the complex or the nerve of its minimal non-faces, chosen by
 runs, a complex is refused with exit 64 when neither enumeration is within
 its limit: MAX_FACE_SUBSETS on the facets' sum of 2^|F|, or MAX_NERVE_FACES
 on the faces of the nerve, counted by a walk that stops past the limit.
-The dualization that finds the non-faces is capped by the nerve limit too.
+The dualization that finds the non-faces is capped by the nerve limit too,
+and so is every dualization `check`, `complex`, `nonfaces` and `verify`
+start: past MAX_NERVE_FACES sets, or its work bound, it exits 64.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _complex_from_any(doc):
     if isinstance(doc, dict) and "facets" in doc:
         return serialize.complex_from_doc(doc)
     if isinstance(doc, dict) and "nonfaces" in doc:
-        return complex_from_nonfaces(serialize.family_from_doc(doc))
+        return complex_from_nonfaces(serialize.family_from_doc(doc), MAX_NERVE_FACES)
     raise serialize.DocumentError("expected a document with 'facets' or 'nonfaces'")
 
 
@@ -88,7 +90,7 @@ def _print_certificate(cert) -> None:
 
 def _cmd_check(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
-    verdict = recognize(comp)
+    verdict = recognize(comp, MAX_NERVE_FACES)
     _write_doc(serialize.verdict_to_doc(verdict), args.output)
     if isinstance(verdict, Sphere):
         if args.verbose:
@@ -101,13 +103,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_nonfaces(args) -> int:
     comp = serialize.complex_from_doc(_read_doc(args.input))
-    _write_doc(serialize.family_to_doc(minimal_nonfaces(comp)), args.output)
+    _write_doc(serialize.family_to_doc(minimal_nonfaces(comp, MAX_NERVE_FACES)), args.output)
     return 0
 
 
 def _cmd_complex(args) -> int:
     fam = serialize.family_from_doc(_read_doc(args.input))
-    _write_doc(serialize.complex_to_doc(complex_from_nonfaces(fam)), args.output)
+    _write_doc(serialize.complex_to_doc(complex_from_nonfaces(fam, MAX_NERVE_FACES)), args.output)
     return 0
 
 
@@ -155,7 +157,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
     chains = enumerate_chains(comp, MAX_FACE_SUBSETS, MAX_NERVE_FACES)
-    verdict = recognize(comp)
+    verdict = recognize(comp, MAX_NERVE_FACES)
     stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
     if isinstance(verdict, Sphere):
         cert = verdict.certificate

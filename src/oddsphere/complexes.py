@@ -7,6 +7,14 @@ enumerations that homology and f-vectors read: the faces of a complex and
 the nerve of its minimal non-faces, of which `enumerate_chains` takes the
 cheaper.
 
+Each vertex set is stored once as a bitmask (vertex v is bit v - 1) in
+`_masks`, which every kernel reads, beside the sorted tuple view `facets`
+or `members` that equality, hashing, repr and the documents read.  Labels
+are checked once, where a value enters from outside: the public
+constructors check each row in one pass.  Values the library derives are
+built by `_from_masks`, which checks only what their construction does
+not prove.
+
 All values are immutable and all operations are pure functions, so
 everything in this module is safe to share between threads.  A complex
 keeps its minimal non-faces once computed; two threads that race to
@@ -16,30 +24,38 @@ compute them store equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 Face = tuple[int, ...]
 
-MAX_VERTICES = 64  # vertex sets are machine-word bitmasks internally
+# Not a word size (Python ints have none): the largest m the tests and timings
+# cover, the 63-vertex (7,)*9 bracelet sphere.  ROADMAP item 7 asks whether
+# the CLI's work limits could replace it.
+MAX_VERTICES = 64
 
 
 class InvariantError(ValueError):
     """A value violates one of the structural invariants of its type."""
 
 
-def as_face(vertices: Iterable[int], m: int | None = None) -> Face:
-    """Normalize an iterable of vertex labels into a sorted, duplicate-free face."""
-    vs = tuple(sorted(vertices))
-    for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+class EnumerationLimitError(ValueError):
+    """A capped dualization or face enumeration outgrew its limit."""
+
+
+def _row_mask(row: Iterable[int], m: int) -> int:
+    """The bitmask of a row of labels, checked in one pass: distinct ints (not bools) in [1, m]."""
+    mask = 0
+    for v in row:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)) or v < 1:
             raise InvariantError(f"vertex labels must be integers >= 1, got {v!r}")
-    if len(set(vs)) != len(vs):
-        raise InvariantError(f"duplicate vertex in face {vs}")
-    if m is not None and vs and vs[-1] > m:
-        raise InvariantError(f"face {vs} exceeds vertex count m={m}")
-    return vs
+        if v > m:
+            raise InvariantError(f"face {tuple(row)} exceeds vertex count m={m}")
+        bit = 1 << (v - 1)
+        if mask & bit:
+            raise InvariantError(f"duplicate vertex in face {tuple(row)}")
+        mask |= bit
+    return mask
 
 
 def _mask(face: Face) -> int:
@@ -51,12 +67,10 @@ def _mask(face: Face) -> int:
 
 def _face(mask: int) -> Face:
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -67,19 +81,49 @@ def _check_m(m: int) -> None:
         raise InvariantError(f"vertex count m={m} exceeds the bitmask limit {MAX_VERTICES}")
 
 
-def _check_antichain(faces: Sequence[Face], what: str) -> None:
-    # Distinct faces of one size never nest (callers deduplicate), so test only larger ones.
-    sizes = [len(f) for f in faces]
+def _check_antichain(masks: Sequence[int], what: str) -> None:
+    # Distinct sets of one size never nest (callers deduplicate), so test only larger ones.
+    sizes = [a.bit_count() for a in masks]
     larger = {s: [j for j, t in enumerate(sizes) if t > s] for s in set(sizes)}
     if len(larger) < 2:
         return
-    masks = [_mask(f) for f in faces]
     for i, a in enumerate(masks):
         for j in larger[sizes[i]]:
             if a & masks[j] == a:
                 raise InvariantError(
-                    f"{what} must form an antichain: {faces[i]} is contained in {faces[j]}"
+                    f"{what} must form an antichain: {_face(a)} is contained in {_face(masks[j])}"
                 )
+
+
+def _checked_rows(rows: Iterable[Iterable[int]], m: int) -> list[tuple[Face, int]]:
+    """(sorted face, mask) for each distinct row, its labels checked once (see `_row_mask`)."""
+    by_mask = {_row_mask(row, m): row for row in map(tuple, rows)}
+    return [(tuple(sorted(row)), a) for a, row in by_mask.items()]
+
+
+def _store(obj, pairs: Iterable[tuple[Face, int]]) -> tuple[int, ...]:
+    """Set the view of `obj` to the sorted faces of the (face, mask) `pairs`, and `_masks` beside it.
+
+    `_masks` lives in the instance __dict__, outside the dataclass fields,
+    so equality, hashing and repr see only the view.
+    """
+    pairs = sorted(pairs)
+    object.__setattr__(obj, obj._VIEW, tuple(f for f, _ in pairs))
+    masks = tuple(a for _, a in pairs)
+    object.__setattr__(obj, "_masks", masks)
+    return masks
+
+
+def _from_masks(cls, m: int, masks: Sequence[int], faces: Iterable[Face] | None = None):
+    """A `cls` on [m] from distinct masks (and their faces), checking only m.
+
+    For values the library derives, whose construction proves the rest.
+    """
+    _check_m(m)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "m", m)
+    _store(obj, zip(map(_face, masks) if faces is None else faces, masks))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -89,16 +133,17 @@ class SimplicialComplex:
     m: int
     facets: tuple[Face, ...]
 
+    _VIEW = "facets"
+
     def __post_init__(self):
         _check_m(self.m)
-        facets = tuple(sorted({as_face(f, self.m) for f in self.facets}))
-        object.__setattr__(self, "facets", facets)
-        if not facets:
+        masks = _store(self, _checked_rows(self.facets, self.m))
+        if not masks:
             raise InvariantError("a complex needs at least one facet")
-        _check_antichain(facets, "facets")
+        _check_antichain(masks, "facets")
         covered = 0
-        for f in facets:
-            covered |= _mask(f)
+        for a in masks:
+            covered |= a
         if covered != (1 << self.m) - 1:
             raise InvariantError(
                 f"facets must cover every vertex of [1, {self.m}] (every singleton is a face)"
@@ -108,28 +153,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
-    def _nonface_masks(self, cap: int | None = None) -> tuple[int, ...] | None:
-        """The minimal non-faces as bitmasks, dualized at most once per complex object.
-
-        Returns None, and keeps nothing, when the dualization outgrows
-        `cap` (see `_minimal_transversals`).  The result is kept in the instance
-        __dict__, outside the dataclass fields, so equality, hashing and
-        repr do not see it.
-        """
-        masks = self.__dict__.get("_nonface_mask_cache")
-        if masks is None:
-            full = (1 << self.m) - 1
-            found = _minimal_transversals((full ^ _mask(f) for f in self.facets), cap)
-            if found is None:
-                return None
-            masks = tuple(found)
-            object.__setattr__(self, "_nonface_mask_cache", masks)
-        return masks
-
-    @cached_property
-    def _minimal_nonfaces(self) -> NonFaceFamily:
-        return NonFaceFamily(self.m, tuple(_face(t) for t in self._nonface_masks()))
-
 
 @dataclass(frozen=True)
 class NonFaceFamily:
@@ -138,14 +161,15 @@ class NonFaceFamily:
     m: int
     members: tuple[Face, ...]
 
+    _VIEW = "members"
+
     def __post_init__(self):
         _check_m(self.m)
-        members = tuple(sorted({as_face(f, self.m) for f in self.members}))
-        object.__setattr__(self, "members", members)
-        for f in members:
-            if len(f) < 2:
+        masks = _store(self, _checked_rows(self.members, self.m))
+        for f, a in zip(self.members, masks):
+            if a.bit_count() < 2:
                 raise InvariantError(f"non-face {f} has size < 2; singletons are always faces")
-        _check_antichain(members, "non-face family members")
+        _check_antichain(masks, "non-face family members")
 
 
 # The work a dualization capped at `cap` members may spend, per member of
@@ -206,34 +230,52 @@ def _minimal_transversals(masks: Iterable[int], cap: int | None = None) -> list[
     return transversals
 
 
-def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
+def _transversals(masks: Sequence[int], cap: int | None, what: str) -> list[int]:
+    found = _minimal_transversals(masks, cap)
+    if found is None:
+        raise EnumerationLimitError(
+            f"too many {what}: the dualization that finds them outgrows the limit of {cap} sets"
+        )
+    return found
+
+
+def minimal_nonfaces(c: SimplicialComplex, cap: int | None = None) -> NonFaceFamily:
     """The inclusion-minimal subsets of [m] that are not faces of `c`.
 
     A set is a non-face exactly when it meets the complement of every
     facet, so the minimal non-faces are the minimal transversals of the
-    facet complements; no bound on their size is needed.  The dualization
-    runs at most once per complex object, so the recognizer, the homology
-    and the f-vector of one complex share it.
+    facet complements: an antichain whose members have size >= 2, since the
+    facets cover [m].  Raises EnumerationLimitError, and keeps nothing, when
+    the dualization outgrows `cap` (see `_minimal_transversals`).  Otherwise
+    the family is kept in the complex's __dict__, outside the dataclass
+    fields, so the recognizer, the homology and the f-vector of one complex
+    object share one dualization.
     """
-    return c._minimal_nonfaces
+    fam = c.__dict__.get("_nonface_cache")
+    if fam is None:
+        full = (1 << c.m) - 1
+        found = _transversals([full ^ a for a in c._masks], cap, "minimal non-faces")
+        fam = _from_masks(NonFaceFamily, c.m, found)
+        object.__setattr__(c, "_nonface_cache", fam)
+    return fam
 
 
-def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
+def complex_from_nonfaces(f: NonFaceFamily, cap: int | None = None) -> SimplicialComplex:
     """The complex whose faces are exactly the sets containing no member of `f`.
 
-    Facets are complements of the minimal transversals of the family.
+    Facets are complements of the minimal transversals of the family, an
+    antichain that covers [m], since members of size >= 2 leave every
+    singleton a face.  Raises EnumerationLimitError when the dualization
+    outgrows `cap` (see `_minimal_transversals`).
     """
     full = (1 << f.m) - 1
-    transversals = _minimal_transversals(_mask(a) for a in f.members)
-    facets = tuple(sorted(_face(full ^ t) for t in transversals))
-    return SimplicialComplex(f.m, facets)
+    return _from_masks(SimplicialComplex, f.m, [full ^ t for t in _transversals(f._masks, cap, "facets")])
 
 
 def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:
     """Every face of `c` as a bitmask, grouped by size (index 0 holds the empty face)."""
     seen: set[int] = set()
-    for f in c.facets:
-        fm = _mask(f)
+    for fm in c._masks:
         sub = fm
         while True:
             seen.add(sub)
@@ -307,10 +349,6 @@ class Chains(NamedTuple):
     nerve_tally: list[int] | None
 
 
-class EnumerationLimitError(ValueError):
-    """Neither enumeration of a complex's faces fits within its limit."""
-
-
 # A nerve face costs about as much as this many facet subsets: from m = 9
 # bracelet spheres to cones with a 2^15-face nerve, face enumeration plus
 # reduction took 0.28-0.45 us per facet subset and the nerve walk plus
@@ -339,11 +377,12 @@ def enumerate_chains(
     budget = subsets // NERVE_FACE_COST if faces_fit else None
     if max_nerve_faces is not None:
         budget = max_nerve_faces if budget is None else min(budget, max_nerve_faces)
-    members = c._nonface_masks(budget)
-    if members is not None:
-        nerve = _nerve(members, c.m, budget)
-        if nerve is not None:
-            return Chains(*nerve)
+    try:
+        nerve = _nerve(minimal_nonfaces(c, budget)._masks, c.m, budget)
+    except EnumerationLimitError:
+        nerve = None
+    if nerve is not None:
+        return Chains(*nerve)
     if faces_fit:
         return Chains(_face_masks_by_size(c), None)
     raise EnumerationLimitError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .complexes import NonFaceFamily
+from .complexes import NonFaceFamily, _from_masks
 from .linalg import (
     Vec,
     _integer_row,
@@ -32,7 +32,7 @@ from .linalg import (
     vec_scale,
 )
 from .oracle import PointConfiguration
-from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots, validate_certificate
+from .recognizer import InternalInconsistency, MaxOddCycle, _cycle_from_slots, validate_certificate
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -67,7 +67,10 @@ class GaleConfiguration:
             raise InvalidConfiguration(f"vectors of mixed dimensions {sorted(dims)}")
         e = dims.pop()
         for coord in range(e):
-            if sum(v[coord] for v in vs) != 0:
+            # sum over the common denominator, in ints, not by adding Fractions
+            column = [v[coord] for v in vs]
+            scale = math.lcm(*(x.denominator for x in column))
+            if sum(x.numerator * (scale // x.denominator) for x in column):
                 raise InvalidConfiguration("vectors must sum to zero exactly")
         if matrix_rank([list(v) for v in vs]) != e:
             raise InvalidConfiguration(f"vectors must linearly span Q^{e}")
@@ -167,8 +170,9 @@ def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
     weights = [k] * (k + 1) + [k + 1] * k
     vectors: list[Vec] = [()] * m
     for s, block in enumerate(cert.slots):
+        y = vec_scale(Fraction(weights[s], len(block)), directions[s])
         for v in block:
-            vectors[v - 1] = vec_scale(Fraction(weights[s], len(block)), directions[s])
+            vectors[v - 1] = y
     if not _verified_classes(cert, vectors):
         raise InternalInconsistency(f"integer directions for k = {k} fail the diagram check")
     return GaleConfiguration(tuple(vectors))
@@ -275,5 +279,5 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] 
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    cert = certificate_from_slots(classes, g.n)
-    return NonFaceFamily(g.n, cert.ordering), cert
+    members, cert = _cycle_from_slots(classes, g.n)
+    return _from_masks(NonFaceFamily, g.n, members), cert

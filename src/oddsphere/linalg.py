@@ -110,14 +110,15 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[Vec]:
     if not matrix:
         return []
     cols = len(matrix[0])
-    red, pivots = rref(matrix)
+    red, pivots, det, _ = _fraction_free_rref([_integer_row(row) for row in matrix])
     free = [c for c in range(cols) if c not in pivots]
+    zero, one = Fraction(0), Fraction(1)
     basis: list[Vec] = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        v = [zero] * cols
+        v[fc] = one
+        for row, pc in zip(red, pivots):
+            v[pc] = Fraction(-row[fc], det)  # the reduced rows are det times the rref
         basis.append(tuple(v))
     return basis
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .complexes import (
     Face,
     NonFaceFamily,
     SimplicialComplex,
-    as_face,
+    _face,
+    _mask,
+    _row_mask,
     minimal_nonfaces,
 )
 
@@ -113,28 +115,35 @@ def alternating_blocks(ordering: CyclicOrdering) -> tuple[Face, ...]:
         raise TooShort(f"cyclic ordering has length {n} < 3")
     if n % 2 == 0:
         raise EvenLength(f"cyclic ordering has even length {n}")
+    return tuple(_face(b) for b in _alternating_masks([_mask(a) for a in ordering]))
+
+
+def _alternating_masks(members: Sequence[int]) -> list[int]:
+    """`alternating_blocks` on bitmasks, for an odd number n >= 3 of members."""
+    n = len(members)
     k = (n - 1) // 2
     blocks = []
     for i in range(n):
-        acc = set(ordering[i])
+        acc = members[i]
         for j in range(1, k):
-            acc &= set(ordering[(i + 2 * j) % n])
-        blocks.append(tuple(sorted(acc)))
-    return tuple(blocks)
+            acc &= members[(i + 2 * j) % n]
+        blocks.append(acc)
+    return blocks
 
 
-def canonical_certificate(ordering: CyclicOrdering) -> MaxOddCycle:
+def canonical_certificate(ordering: CyclicOrdering, blocks: tuple[Face, ...] | None = None) -> MaxOddCycle:
     """The dihedral representative whose block sequence is lexicographically least.
 
     Rotating or reversing a valid ordering keeps it valid; this picks one
     representative per orbit, and it reproduces the block labelling used
-    in the worked pentagon example (B_i = {i+1}).  The blocks are computed
-    once: rotating the ordering by r rotates the blocks by r, and reversing
-    it sends B_i to B_{(2-i) mod n}.
+    in the worked pentagon example (B_i = {i+1}).  The blocks of `ordering`
+    are computed once, unless given: rotating the ordering by r rotates the
+    blocks by r, and reversing it sends B_i to B_{(2-i) mod n}.
     """
     ordering = tuple(ordering)
     n = len(ordering)
-    blocks = alternating_blocks(ordering)
+    if blocks is None:
+        blocks = alternating_blocks(ordering)
     rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
     best_blocks, best_ordering = min(
         (b[r:] + b[:r], seq[r:] + seq[:r])
@@ -144,53 +153,42 @@ def canonical_certificate(ordering: CyclicOrdering) -> MaxOddCycle:
     return MaxOddCycle(ordering=best_ordering, blocks=best_blocks)
 
 
-def _is_partition(blocks: tuple[Face, ...], m: int) -> bool:
-    if any(not b for b in blocks):
-        return False
-    union: set[int] = set()
-    total = 0
+def _is_partition(blocks: Sequence[int], m: int) -> bool:
+    """True iff the bitmasks `blocks` are nonempty and partition [m]."""
+    union = total = 0
     for b in blocks:
-        union.update(b)
-        total += len(b)
-    return total == m and union == set(range(1, m + 1))
+        if not b:
+            return False
+        union |= b
+        total += b.bit_count()
+    return total == m and union == (1 << m) - 1
 
 
 def validate_certificate(cert: Certificate, m: int) -> None:
     """Re-check a certificate from scratch; raises InvariantError-style ValueError."""
-    full = tuple(range(1, m + 1))
+    full = (1 << m) - 1
     if isinstance(cert, SimplexBoundary):
-        if as_face(cert.member, m) != full:
+        if _row_mask(cert.member, m) != full:
             raise ValueError(f"simplex-boundary certificate must carry [1,{m}]")
         if m < 2:
             raise ValueError("simplex-boundary certificate needs m >= 2")
         return
     if isinstance(cert, TwoPartition):
-        a = as_face(cert.first, m)
-        b = as_face(cert.second, m)
-        if len(a) < 2 or len(b) < 2:
+        a = _row_mask(cert.first, m)
+        b = _row_mask(cert.second, m)
+        if a.bit_count() < 2 or b.bit_count() < 2:
             raise ValueError("two-partition blocks must have size >= 2")
-        if set(a) & set(b) or set(a) | set(b) != set(full):
+        if a & b or a | b != full:
             raise ValueError("two-partition blocks must partition [m]")
         return
     if isinstance(cert, MaxOddCycle):
-        n = len(cert.ordering)
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"maximum odd cycle needs odd length >= 3, got {n}")
-        members = [as_face(a, m) for a in cert.ordering]
-        if len(set(members)) != n:
-            raise ValueError("cyclic ordering repeats a member")
-        for i in range(n):
-            if set(members[i]) & set(members[(i + 1) % n]):
-                raise ValueError(
-                    f"successive members {members[i]} and {members[(i + 1) % n]} intersect"
-                )
-        blocks = alternating_blocks(tuple(members))
-        if blocks != cert.blocks:
+        members, blocks = _cycle_members(cert.blocks, m)
+        if (
+            tuple(_face(b) for b in blocks) != cert.blocks
+            or len(cert.ordering) != len(members)
+            or any(_row_mask(a, m) != x for a, x in zip(cert.ordering, members))
+        ):
             raise ValueError("stored blocks disagree with the alternating intersections")
-        if not _is_partition(blocks, m):
-            raise ValueError("alternating blocks do not partition [m]")
-        if n == 3 and any(len(b) < 2 for b in blocks):
-            raise ValueError("3-cycle blocks must have size >= 2")
         return
     raise TypeError(f"unknown certificate type {type(cert)!r}")
 
@@ -202,14 +200,15 @@ def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
     the disjointness graph must be the n-cycle itself: every member has
     exactly two disjoint partners, and the walk from one member to the
     next visits all n of them.  That fixes the ordering up to rotation and
-    reflection, so no search is needed.
+    reflection, so no search is needed.  The walk makes successive members
+    disjoint, so once the blocks partition [m] the certificate is valid.
     """
-    members = f.members
-    n = len(members)
+    masks = f._masks
+    n = len(masks)
     if n < 3 or n % 2 == 0:
         return NotSphereReason.NO_CYCLIC_ORDERING
-    sets = [set(a) for a in members]
-    adj = [[j for j in range(n) if j != i and not (sets[i] & sets[j])] for i in range(n)]
+    # no member is empty, so none counts as disjoint from itself
+    adj = [[j for j, b in enumerate(masks) if not a & b] for a in masks]
     if any(len(nb) != 2 for nb in adj):
         return NotSphereReason.NO_CYCLIC_ORDERING
     path = [0, adj[0][0]]
@@ -219,10 +218,10 @@ def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
         if nxt == 0:
             return NotSphereReason.NO_CYCLIC_ORDERING  # closed a shorter cycle
         path.append(nxt)
-    ordering = tuple(members[i] for i in path)
-    if not _is_partition(alternating_blocks(ordering), f.m):
+    blocks = _alternating_masks([masks[i] for i in path])
+    if not _is_partition(blocks, f.m):
         return NotSphereReason.BLOCKS_NOT_PARTITION
-    return canonical_certificate(ordering)
+    return canonical_certificate(tuple(f.members[i] for i in path), tuple(_face(b) for b in blocks))
 
 
 def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
@@ -232,25 +231,48 @@ def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
 
 
 def certificate_from_slots(slots: Sequence[Face], m: int) -> MaxOddCycle:
-    """The validated canonical certificate whose block B_{-2j} is `slots[j]`.
+    """The validated canonical certificate whose block B_{-2j} is `slots[j]`."""
+    return _cycle_from_slots(slots, m)[1]
 
-    Member A_i is the union of the k blocks B_i, B_{i-2}, ..., B_{i-2k+2}.
-    """
+
+def _cycle_from_slots(slots: Sequence[Face], m: int) -> tuple[list[int], MaxOddCycle]:
+    """The member bitmasks and the certificate of `certificate_from_slots`."""
     n = len(slots)
-    k = (n - 1) // 2
-    blocks: list[Face] = [()] * n
+    blocks: list = [()] * n
     for j, slot in enumerate(slots):
-        blocks[(-2 * j) % n] = tuple(sorted(slot))
-    ordering = tuple(
-        tuple(sorted(v for j in range(k) for v in blocks[(i - 2 * j) % n]))
-        for i in range(n)
-    )
-    cert = canonical_certificate(ordering)
-    validate_certificate(cert, m)
-    return cert
+        blocks[(-2 * j) % n] = slot
+    members, masks = _cycle_members(blocks, m)
+    return members, canonical_certificate(tuple(_face(a) for a in members), tuple(_face(b) for b in masks))
 
 
-def recognize(c: SimplicialComplex) -> Verdict:
+def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], list[int]]:
+    """Member and block bitmasks of the maximum odd cycle with blocks B_0, ..., B_{n-1}.
+
+    A_i is the union of B_i, B_{i-2}, ..., B_{i-2k+2}.  Raises ValueError
+    unless n is odd and >= 3 and the blocks partition [m] (into sets of
+    size >= 2 if n = 3).  The rest of `validate_certificate` then holds by
+    construction, and the members form a valid non-face family: A_i and
+    A_{i+1} are unions of disjoint sets of blocks, the members are distinct
+    unions of k blocks, and the alternating intersection from A_i is B_i.
+    """
+    n = len(blocks)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"maximum odd cycle needs odd length >= 3, got {n}")
+    masks = [_row_mask(b, m) for b in blocks]
+    if not _is_partition(masks, m):
+        raise ValueError("alternating blocks do not partition [m]")
+    if n == 3 and any(b.bit_count() < 2 for b in masks):
+        raise ValueError("3-cycle blocks must have size >= 2")
+    members = []
+    for i in range(n):
+        acc = 0
+        for j in range((n - 1) // 2):
+            acc |= masks[(i - 2 * j) % n]
+        members.append(acc)
+    return members, masks
+
+
+def recognize(c: SimplicialComplex, cap: int | None = None) -> Verdict:
     """Decide sphereness of a complex on at most d+4 vertices.
 
     Verdicts carry a certificate whose shape fixes the dimension:
@@ -261,34 +283,35 @@ def recognize(c: SimplicialComplex) -> Verdict:
     the disjointness graph of the members is not a single n-cycle (even
     when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
     means it is one but the alternating blocks fail to partition [m].
+    `cap` bounds the dualization that finds the minimal non-faces (see
+    `minimal_nonfaces`).
     """
     m, d = c.m, c.dimension
     if m - d >= 5:
         return OutOfScope(m, d)
     if m == d + 1:
         return NotSphere(NotSphereReason.FULL_SIMPLEX)
-    fam = minimal_nonfaces(c)
-    members = fam.members
-    full = tuple(range(1, m + 1))
-    if members == (full,):
+    fam = minimal_nonfaces(c, cap)
+    masks = fam._masks
+    full = (1 << m) - 1
+    if masks == (full,):
         if d != m - 2:
             raise InternalInconsistency(f"simplex-boundary family but dim {d} != {m - 2}")
-        return Sphere(m - 2, SimplexBoundary(full))
-    if len(members) == 2:
-        a, b = members
-        if not (set(a) & set(b)) and set(a) | set(b) == set(full):
+        return Sphere(m - 2, SimplexBoundary(fam.members[0]))
+    if len(masks) == 2:
+        a, b = masks
+        if not a & b and a | b == full:
             if d != m - 3:
                 raise InternalInconsistency(f"two-partition family but dim {d} != {m - 3}")
-            return Sphere(m - 3, TwoPartition(a, b))
+            return Sphere(m - 3, TwoPartition(*fam.members))
         return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
-    if len(members) < 3:
+    if len(masks) < 3:
         return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
-    if len(members) % 2 == 0:
+    if len(masks) % 2 == 0:
         return NotSphere(NotSphereReason.NON_ODD_FAMILY_SIZE)
     cert = _max_odd_cycle(fam)
     if isinstance(cert, NotSphereReason):
         return NotSphere(cert)
     if d != m - 4:
         raise InternalInconsistency(f"maximum odd cycle found but dim {d} != {m - 4}")
-    validate_certificate(cert, m)
     return Sphere(m - 4, cert)

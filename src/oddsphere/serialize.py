@@ -70,13 +70,11 @@ def _require(doc, key, kind, what):
     return value
 
 
-def _int_lists(value, what) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in value:
-        if not isinstance(row, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in row):
-            raise DocumentError(f"{what} must be arrays of integers")
-        out.append(tuple(row))
-    return tuple(out)
+def _rows(value, what) -> list:
+    # The constructors check the labels, each once.
+    if not all(isinstance(row, list) for row in value):
+        raise DocumentError(f"{what} must be arrays of integers")
+    return value
 
 
 def complex_to_doc(c: SimplicialComplex) -> dict:
@@ -85,7 +83,7 @@ def complex_to_doc(c: SimplicialComplex) -> dict:
 
 def complex_from_doc(doc) -> SimplicialComplex:
     m = _require(doc, "m", int, "complex")
-    facets = _int_lists(_require(doc, "facets", list, "complex"), "complex.facets")
+    facets = _rows(_require(doc, "facets", list, "complex"), "complex.facets")
     try:
         return SimplicialComplex(m, facets)
     except ValueError as exc:
@@ -98,7 +96,7 @@ def family_to_doc(f: NonFaceFamily) -> dict:
 
 def family_from_doc(doc) -> NonFaceFamily:
     m = _require(doc, "m", int, "non-face")
-    members = _int_lists(_require(doc, "nonfaces", list, "non-face"), "nonfaces")
+    members = _rows(_require(doc, "nonfaces", list, "non-face"), "nonfaces")
     try:
         return NonFaceFamily(m, members)
     except ValueError as exc:

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oddsphere import cli, serialize
 from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_bracelets, instantiate
@@ -404,6 +406,41 @@ def test_exponential_dualization_is_refused_up_front(command, doc, monkeypatch, 
     assert elapsed < 2.0
 
 
+def disjoint_pairs_doc(pairs):
+    """Non-faces {2i-1, 2i}: the complex has 2^pairs facets, one vertex per pair left out."""
+    return {"m": 2 * pairs, "nonfaces": [[2 * i - 1, 2 * i] for i in range(1, pairs + 1)]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["check"], disjoint_pairs_doc(20)),
+        (["check"], disjoint_pairs_doc(32)),
+        (["verify"], disjoint_pairs_doc(20)),
+        (["complex"], disjoint_pairs_doc(20)),
+        (["check"], {"m": 64, "facets": pair_complement_facets(64, 32)}),
+        (["check"], {"m": 35, "facets": pair_complement_facets(35, 17) + [list(range(2, 35))]}),
+        (["nonfaces"], {"m": 64, "facets": pair_complement_facets(64, 32)}),
+    ],
+    ids=[
+        "20-pairs-check",
+        "32-pairs-check",
+        "20-pairs-verify",
+        "20-pairs-complex",
+        "32-pairs-complex-check",
+        "17-pairs-and-a-step-check",
+        "32-pairs-complex-nonfaces",
+    ],
+)
+def test_uncapped_dualization_is_refused(argv, doc, monkeypatch, capsys):
+    rc, out, err, elapsed = run_main_timed(argv, doc, monkeypatch, capsys)
+    assert rc == cli.EX_INPUT
+    assert out == ""
+    assert err.startswith("error: too many ")
+    assert err.endswith(f"the dualization that finds them outgrows the limit of {cli.MAX_NERVE_FACES} sets\n")
+    assert elapsed < 2.0
+
+
 def test_homology_walks_the_faces_when_the_nerve_is_over_its_limit(monkeypatch, capsys):
     # Cone, with apex 22, over the join of the 8-pair cross-polytope and 5
     # points: 8 + 10 minimal non-faces, so the nerve is the full simplex on
@@ -466,3 +503,52 @@ def test_verify_below_the_face_limit(monkeypatch, capsys):
     rc, out, _, _ = run_main_timed(["verify"], serialize.family_to_doc(fam), monkeypatch, capsys)
     assert rc == 0
     assert json.loads(out)["ok"] is True
+
+
+# -- fuzzed documents: every subcommand answers or refuses, and never raises ----
+
+LABELS = st.integers(-3, 9) | st.sampled_from([True, False, 10**30, -(10**30), 1.5, None, "1", [1, 2]])
+ROWS = st.lists(st.lists(LABELS, max_size=5) | LABELS, max_size=6)
+RATIONALS = st.integers(-4, 4) | st.sampled_from(["1/2", "-3/4", "1e9", "1/0", "x", "0.5", True, None, 0.5, [1]])
+SCALARS = st.sampled_from([None, True, False, 0, -1, 1, 4, 65, 10**30, -(10**30), 2.5, "4", "", [], {}])
+
+
+def _clean_document(m, sets, as_facets):
+    """A valid complex or non-face document on [m] made from the sets."""
+    if as_facets:
+        rows = [a for a in sets if not any(a < b for b in sets)]
+        rows += [{v} for v in range(1, m + 1) if not any(v in a for a in rows)]
+        return {"m": m, "facets": [sorted(a) for a in rows]}
+    rows = [a for a in sets if len(a) >= 2 and not any(b < a for b in sets if len(b) >= 2)]
+    return {"m": m, "nonfaces": [sorted(a) for a in rows]}
+
+
+CLEAN_DOCUMENTS = st.integers(2, 7).flatmap(lambda m: st.builds(
+    _clean_document, st.just(m), st.lists(st.frozensets(st.integers(1, m), min_size=1), max_size=7), st.booleans()
+)) | st.integers(1, 3).flatmap(lambda d: st.fixed_dictionaries({
+    "dim": st.just(d),
+    "points": st.lists(st.lists(st.integers(-3, 3) | st.just("1/2"), min_size=d, max_size=d), max_size=7),
+}))
+DOCUMENTS = CLEAN_DOCUMENTS | st.fixed_dictionaries(
+    {},
+    optional={
+        "m": st.integers(-2, 9) | SCALARS,
+        "facets": ROWS | SCALARS,
+        "nonfaces": ROWS | SCALARS,
+        "dim": st.integers(-1, 4) | SCALARS,
+        "points": st.lists(st.lists(RATIONALS, max_size=4) | RATIONALS, max_size=6) | SCALARS,
+        "extra": SCALARS,
+    },
+) | SCALARS | st.lists(SCALARS, max_size=3)
+COMMANDS = [["check"], ["nonfaces"], ["complex"], ["realize"], ["realize", "--verify"], ["hull"], ["homology"],
+            ["verify"]]
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=DOCUMENTS, catalog_m=st.integers(-3, 7) | st.sampled_from([15, 10**30, -(10**30)]))
+def test_fuzzed_documents_are_answered_or_refused(doc, catalog_m, monkeypatch, capsys):
+    runs = [(argv, doc) for argv in COMMANDS] + [(["catalog", "--m", str(catalog_m)], None)]
+    for argv, stdin_doc in runs:
+        rc, _, err, _ = run_main_timed(argv, stdin_doc, monkeypatch, capsys)
+        assert rc in (0, 1, 2, 64), (argv, stdin_doc, rc, err)
+        assert "Traceback" not in err

@@ -8,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddsphere import complexes
+from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
     _check_antichain,
+    _mask,
     _minimal_transversals,
     complex_from_nonfaces,
     euler_characteristic,
     f_vector,
     minimal_nonfaces,
 )
-from oddsphere.oracle import betti_mod2
+from oddsphere.gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
+from oddsphere.oracle import betti_mod2, boundary_complex
 from oddsphere.recognizer import recognize
 from tests_shared import (
     is_face,
@@ -27,6 +30,8 @@ from tests_shared import (
     permuted,
     permuted_family,
     reference_check_antichain,
+    reference_complex_fields,
+    reference_family_fields,
     reference_minimal_transversals,
     simplicial_complexes,
 )
@@ -310,10 +315,78 @@ def _antichain_error(check, faces):
 @given(face_lists())
 def test_property_check_antichain_matches_reference(drawn):
     faces, nested = drawn
-    error = _antichain_error(_check_antichain, faces)
+    error = _antichain_error(lambda fs, what: _check_antichain([_mask(f) for f in fs], what), faces)
     assert error == _antichain_error(reference_check_antichain, faces)
     if nested:
         assert error is not None
+
+
+@st.composite
+def label_rows(draw):
+    """(m, rows): facets or non-faces on [m], or raw sets, perhaps with one defect.
+
+    A defect is a bool, 0, a negative label, a label above m, a repeated
+    label, or a row nested in another; the rows may also be none at all.
+    """
+    m = draw(st.integers(1, 7))
+    sets = draw(st.lists(st.frozensets(st.integers(1, m), min_size=1), max_size=6))
+    shape = draw(st.sampled_from(["facets", "nonfaces", "raw"]))
+    if shape == "facets":
+        sets = [a for a in sets if not any(a < b for b in sets)]
+        sets += [frozenset({v}) for v in range(1, m + 1) if not any(v in a for a in sets)]
+    elif shape == "nonfaces":
+        sets = [a for a in sets if len(a) >= 2 and not any(b < a for b in sets if len(b) >= 2)]
+    rows = [draw(st.permutations(sorted(a))) for a in sets]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        defect = draw(st.sampled_from([True, False, 0, -3, m + 1, 10**30, "repeat", "nested"]))
+        if defect == "nested":
+            rows.append(row[: draw(st.integers(0, len(row) - 1))])
+        else:
+            row.insert(draw(st.integers(0, len(row))), row[0] if defect == "repeat" else defect)
+    return m, rows
+
+
+def assert_rebuilds_equal(value):
+    """A library-built value equals its validated rebuild, stored masks included."""
+    view = value.facets if isinstance(value, SimplicialComplex) else value.members
+    rebuilt = type(value)(value.m, view)
+    assert rebuilt == value
+    assert rebuilt._masks == value._masks == tuple(_mask(a) for a in view)
+
+
+@settings(deadline=None, max_examples=300)
+@given(label_rows())
+def test_property_one_pass_label_check_matches_reference(drawn):
+    m, rows = drawn
+    for cls, reference in ((SimplicialComplex, reference_complex_fields), (NonFaceFamily, reference_family_fields)):
+        try:
+            expected = reference(m, rows)
+        except InvariantError:
+            with pytest.raises(InvariantError):
+                cls(m, rows)
+            continue
+        value = cls(m, rows)
+        assert (value.m, value.facets if cls is SimplicialComplex else value.members) == expected
+        assert_rebuilds_equal(value)
+
+
+@settings(deadline=None)
+@given(nonface_families(), simplicial_complexes())
+def test_property_trusted_builds_equal_validated_rebuilds(f, c):
+    assert_rebuilds_equal(complex_from_nonfaces(f))
+    assert_rebuilds_equal(minimal_nonfaces(c))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(5, 10).flatmap(lambda m: st.sampled_from(enumerate_bracelets(m))))
+def test_property_trusted_builds_of_bracelets_equal_validated_rebuilds(bracelet):
+    fam, cert = instantiate(bracelet)
+    assert_rebuilds_equal(fam)
+    g = realize_gale_vectors(cert)
+    assert_rebuilds_equal(boundary_complex(reconstruct_points(g)))
+    recovered, _ = recover_nonfaces(g)
+    assert_rebuilds_equal(recovered)
 
 
 # -- invariant violations ---------------------------------------------------

@@ -13,8 +13,8 @@ from oddsphere.complexes import (
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
+    _check_m,
     _mask,
-    as_face,
     euler_characteristic,
     f_vector,
 )
@@ -116,6 +116,46 @@ def reference_minimal_transversals(masks: Iterable[int]) -> set[int]:
                     rest ^= bit
         transversals = _antichain_minima(nxt)
     return transversals
+
+
+def as_face(vertices: Iterable[int], m: int | None = None) -> Face:
+    """Normalize an iterable of vertex labels into a sorted, duplicate-free face.
+
+    A sort and an `isinstance` test per vertex: the reference for the
+    one-pass check on masks that the constructors make (`complexes._row_mask`).
+    """
+    vs = tuple(sorted(vertices))
+    for v in vs:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise InvariantError(f"vertex labels must be integers >= 1, got {v!r}")
+    if len(set(vs)) != len(vs):
+        raise InvariantError(f"duplicate vertex in face {vs}")
+    if m is not None and vs and vs[-1] > m:
+        raise InvariantError(f"face {vs} exceeds vertex count m={m}")
+    return vs
+
+
+def reference_complex_fields(m: int, rows) -> tuple[int, tuple[Face, ...]]:
+    """(m, facets) as `SimplicialComplex` validated them through `as_face`; raises where it raised."""
+    _check_m(m)
+    facets = tuple(sorted({as_face(f, m) for f in rows}))
+    if not facets:
+        raise InvariantError("a complex needs at least one facet")
+    reference_check_antichain(facets, "facets")
+    if {v for f in facets for v in f} != set(range(1, m + 1)):
+        raise InvariantError(f"facets must cover every vertex of [1, {m}] (every singleton is a face)")
+    return m, facets
+
+
+def reference_family_fields(m: int, rows) -> tuple[int, tuple[Face, ...]]:
+    """(m, members) as `NonFaceFamily` validated them through `as_face`; raises where it raised."""
+    _check_m(m)
+    members = tuple(sorted({as_face(f, m) for f in rows}))
+    for f in members:
+        if len(f) < 2:
+            raise InvariantError(f"non-face {f} has size < 2; singletons are always faces")
+    reference_check_antichain(members, "non-face family members")
+    return m, members
 
 
 def reference_check_antichain(faces: Sequence[Face], what: str) -> None:
