@@ -6,6 +6,8 @@ and independently verifies every positive answer by exact-rational polytope
 realization through Gale duality.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     Bracelet,
     CatalogReport,
@@ -66,52 +68,8 @@ from .recognizer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bracelet",
-    "CatalogReport",
-    "Certificate",
-    "DiagramDirection",
-    "Face",
-    "GaleConfiguration",
-    "InteriorPoint",
-    "InvariantError",
-    "MaxOddCycle",
-    "NonFaceFamily",
-    "NonSimplicial",
-    "NotAffinelySpanning",
-    "NotFullDimensional",
-    "NotSphere",
-    "NotSphereReason",
-    "OutOfScope",
-    "PointConfiguration",
-    "SimplexBoundary",
-    "SimplicialComplex",
-    "Sphere",
-    "SphereClass",
-    "TwoPartition",
-    "Verdict",
-    "alternating_blocks",
-    "betti_mod2",
-    "boundary_complex",
-    "canonical_bracelet",
-    "catalog",
-    "complex_from_nonfaces",
-    "dependence_from_direction",
-    "direction_from_dependence",
-    "enumerate_bracelets",
-    "euler_characteristic",
-    "f_vector",
-    "find_max_odd_cycle",
-    "gale_transform",
-    "hull_facets",
-    "instantiate",
-    "is_pseudomanifold",
-    "minimal_nonfaces",
-    "realize_gale_vectors",
-    "recognize",
-    "reconstruct_points",
-    "recover_nonfaces",
-    "relint_origin_test",
-    "sphere_betti_profile",
-    "validate_certificate",
-]
+# Every name imported above, in sorted order; submodules stay out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

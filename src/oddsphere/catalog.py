@@ -28,7 +28,7 @@ from .complexes import (
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import MaxOddCycle, Sphere, _cycle_from_slots, recognize
+from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
 
 Bracelet = tuple[int, ...]
 
@@ -41,15 +41,7 @@ class CatalogVerificationError(RuntimeError):
 
 def canonical_bracelet(sizes: tuple[int, ...]) -> Bracelet:
     """Lexicographic minimum of a cyclic size sequence over rotation and reflection."""
-    seqs = [tuple(sizes), tuple(reversed(sizes))]
-    best = None
-    for seq in seqs:
-        for r in range(len(seq)):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    return min(seq[r:] + seq[:r] for seq in (tuple(sizes), tuple(reversed(sizes))) for r in range(len(seq)))
 
 
 def _compositions(total: int, parts: int, minimum: int):
@@ -89,7 +81,7 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
         raise ValueError(f"{b} is not a valid bracelet")
     m = sum(b)
     slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
-    members, cert = _cycle_from_slots(slots, m)
+    members, cert = certificate_from_slots(slots, m)
     return _from_masks(NonFaceFamily, m, members), cert
 
 

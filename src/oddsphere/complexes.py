@@ -47,14 +47,13 @@ def _row_mask(row: Iterable[int], m: int) -> int:
     """The bitmask of a row of labels, checked in one pass: distinct ints (not bools) in [1, m]."""
     mask = 0
     for v in row:
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise InvariantError(f"vertex labels must be integers >= 1, got {v!r}")
         if v > m:
             raise InvariantError(f"face {tuple(row)} exceeds vertex count m={m}")
-        bit = 1 << (v - 1)
-        if mask & bit:
+        if mask >> (v - 1) & 1:
             raise InvariantError(f"duplicate vertex in face {tuple(row)}")
-        mask |= bit
+        mask |= 1 << (v - 1)
     return mask
 
 
@@ -95,26 +94,26 @@ def _check_antichain(masks: Sequence[int], what: str) -> None:
                 )
 
 
-def _checked_rows(rows: Iterable[Iterable[int]], m: int) -> list[tuple[Face, int]]:
-    """(sorted face, mask) for each distinct row, its labels checked once (see `_row_mask`)."""
-    by_mask = {_row_mask(row, m): row for row in map(tuple, rows)}
-    return [(tuple(sorted(row)), a) for a, row in by_mask.items()]
-
-
-def _store(obj, pairs: Iterable[tuple[Face, int]]) -> tuple[int, ...]:
-    """Set the view of `obj` to the sorted faces of the (face, mask) `pairs`, and `_masks` beside it.
+def _set_view(obj, masks: Iterable[int], faces: Iterable[Face] | None = None) -> tuple[int, ...]:
+    """Set the view of `obj` to the sorted faces of the distinct `masks`, and `_masks` beside it.
 
     `_masks` lives in the instance __dict__, outside the dataclass fields,
     so equality, hashing and repr see only the view.
     """
-    pairs = sorted(pairs)
+    pairs = sorted(zip(map(_face, masks) if faces is None else faces, masks))
     object.__setattr__(obj, obj._VIEW, tuple(f for f, _ in pairs))
-    masks = tuple(a for _, a in pairs)
-    object.__setattr__(obj, "_masks", masks)
-    return masks
+    object.__setattr__(obj, "_masks", tuple(a for _, a in pairs))
+    return obj._masks
 
 
-def _from_masks(cls, m: int, masks: Sequence[int], faces: Iterable[Face] | None = None):
+def _checked_view(obj) -> tuple[int, ...]:
+    """Check m and each row of the view once (see `_row_mask`), then set it, duplicates dropped."""
+    _check_m(obj.m)
+    rows = {_row_mask(row, obj.m): row for row in map(tuple, getattr(obj, obj._VIEW))}
+    return _set_view(obj, rows, (tuple(sorted(row)) for row in rows.values()))
+
+
+def _from_masks(cls, m: int, masks: Iterable[int], faces: Iterable[Face] | None = None):
     """A `cls` on [m] from distinct masks (and their faces), checking only m.
 
     For values the library derives, whose construction proves the rest.
@@ -122,7 +121,7 @@ def _from_masks(cls, m: int, masks: Sequence[int], faces: Iterable[Face] | None 
     _check_m(m)
     obj = object.__new__(cls)
     object.__setattr__(obj, "m", m)
-    _store(obj, zip(map(_face, masks) if faces is None else faces, masks))
+    _set_view(obj, masks, faces)
     return obj
 
 
@@ -136,8 +135,7 @@ class SimplicialComplex:
     _VIEW = "facets"
 
     def __post_init__(self):
-        _check_m(self.m)
-        masks = _store(self, _checked_rows(self.facets, self.m))
+        masks = _checked_view(self)
         if not masks:
             raise InvariantError("a complex needs at least one facet")
         _check_antichain(masks, "facets")
@@ -164,25 +162,29 @@ class NonFaceFamily:
     _VIEW = "members"
 
     def __post_init__(self):
-        _check_m(self.m)
-        masks = _store(self, _checked_rows(self.members, self.m))
+        masks = _checked_view(self)
         for f, a in zip(self.members, masks):
             if a.bit_count() < 2:
                 raise InvariantError(f"non-face {f} has size < 2; singletons are always faces")
         _check_antichain(masks, "non-face family members")
 
 
-# The work a dualization capped at `cap` members may spend, per member of
-# the cap.  Per member of the budget `enumerate_chains` gives it, the
-# dualization of a bracelet sphere with 8 <= m <= 14 takes at most 4.4
-# units (25 below m = 8); at the nerve limit 2^17, the 63-vertex (7,)*9
-# sphere takes 2.8 and the cone over 13 disjoint pairs (8,192 facets)
-# 15.3.  A unit took about 80 ns (2-vCPU x86-64 VM, Python 3.11), so a
-# dualization capped at 2^17 stops within about 0.4 s.
-TRANSVERSAL_WORK_PER_MEMBER = 32
+# The work (see `_minimal_transversals`) a dualization capped at `cap` sets
+# may spend, in units per set of the cap.  `enumerate_chains` only weighs
+# the nerve against the faces, so its dualizations get NERVE_WORK_PER_SET:
+# per set of its budget, a bracelet sphere with 8 <= m <= 14 takes at most
+# 4.4 units (25 below m = 8) and the cone over 13 disjoint pairs (8,192
+# facets) 15.3.  Every other capped dualization must answer the spheres in
+# scope and gets WORK_PER_SET: at the CLI cap 2^17, on 640 randomly
+# relabeled bracelet spheres with 60 <= m <= 64, the minimal non-faces took
+# at most 36 units per set and the facets 91.  A unit took up to 80 ns
+# (2-vCPU x86-64 VM, Python 3.11), so at 2^17 the two stop within about
+# 0.34 s and 2.7 s.
+NERVE_WORK_PER_SET = 32
+WORK_PER_SET = 256
 
 
-def _minimal_transversals(masks: Iterable[int], cap: int | None = None) -> list[int] | None:
+def _minimal_transversals(masks: Iterable[int], cap: int | None = None, per_set: int = 0) -> list[int] | None:
     """The inclusion-minimal sets meeting every mask (Berge's sequential dualization).
 
     Masks are absorbed one at a time into an antichain of partial
@@ -197,12 +199,12 @@ def _minimal_transversals(masks: Iterable[int], cap: int | None = None) -> list[
     transversal.
 
     Returns None as soon as the antichain has more than `cap` members, or
-    the work passes TRANSVERSAL_WORK_PER_MEMBER * cap units: one per
-    antichain member scanned and one per minimality test that a candidate
-    could need (`inside` in full).
+    the work passes `per_set` * `cap` units: one per antichain member
+    scanned and one per minimality test that a candidate could need
+    (`inside` in full).
     """
     transversals = [0]
-    work_left = None if cap is None else cap * TRANSVERSAL_WORK_PER_MEMBER
+    work_left = None if cap is None else cap * per_set
     for am in masks:
         missing = [t for t in transversals if not t & am]
         if not missing:
@@ -230,8 +232,8 @@ def _minimal_transversals(masks: Iterable[int], cap: int | None = None) -> list[
     return transversals
 
 
-def _transversals(masks: Sequence[int], cap: int | None, what: str) -> list[int]:
-    found = _minimal_transversals(masks, cap)
+def _transversals(masks: Sequence[int], cap: int | None, per_set: int, what: str) -> list[int]:
+    found = _minimal_transversals(masks, cap, per_set)
     if found is None:
         raise EnumerationLimitError(
             f"too many {what}: the dualization that finds them outgrows the limit of {cap} sets"
@@ -239,22 +241,25 @@ def _transversals(masks: Sequence[int], cap: int | None, what: str) -> list[int]
     return found
 
 
-def minimal_nonfaces(c: SimplicialComplex, cap: int | None = None) -> NonFaceFamily:
+def minimal_nonfaces(
+    c: SimplicialComplex, cap: int | None = None, per_set: int = WORK_PER_SET
+) -> NonFaceFamily:
     """The inclusion-minimal subsets of [m] that are not faces of `c`.
 
     A set is a non-face exactly when it meets the complement of every
     facet, so the minimal non-faces are the minimal transversals of the
     facet complements: an antichain whose members have size >= 2, since the
     facets cover [m].  Raises EnumerationLimitError, and keeps nothing, when
-    the dualization outgrows `cap` (see `_minimal_transversals`).  Otherwise
-    the family is kept in the complex's __dict__, outside the dataclass
-    fields, so the recognizer, the homology and the f-vector of one complex
-    object share one dualization.
+    the dualization outgrows `cap` sets or `per_set` * `cap` units of work
+    (see `_minimal_transversals`).  Otherwise the family is kept in the
+    complex's __dict__, outside the dataclass fields, so the recognizer,
+    the homology and the f-vector of one complex object share one
+    dualization.
     """
     fam = c.__dict__.get("_nonface_cache")
     if fam is None:
         full = (1 << c.m) - 1
-        found = _transversals([full ^ a for a in c._masks], cap, "minimal non-faces")
+        found = _transversals([full ^ a for a in c._masks], cap, per_set, "minimal non-faces")
         fam = _from_masks(NonFaceFamily, c.m, found)
         object.__setattr__(c, "_nonface_cache", fam)
     return fam
@@ -266,10 +271,12 @@ def complex_from_nonfaces(f: NonFaceFamily, cap: int | None = None) -> Simplicia
     Facets are complements of the minimal transversals of the family, an
     antichain that covers [m], since members of size >= 2 leave every
     singleton a face.  Raises EnumerationLimitError when the dualization
-    outgrows `cap` (see `_minimal_transversals`).
+    outgrows `cap` sets or WORK_PER_SET * `cap` units of work (see
+    `_minimal_transversals`).
     """
     full = (1 << f.m) - 1
-    return _from_masks(SimplicialComplex, f.m, [full ^ t for t in _transversals(f._masks, cap, "facets")])
+    found = _transversals(f._masks, cap, WORK_PER_SET, "facets")
+    return _from_masks(SimplicialComplex, f.m, [full ^ t for t in found])
 
 
 def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:
@@ -367,10 +374,10 @@ def enumerate_chains(
     limit is not taken either: the facet subsets over `max_subsets`, or the
     nerve faces over `max_nerve_faces`.  The dualization that finds the
     minimal non-faces is capped by the same budget, since each non-face is
-    a nerve face: it stops once its antichain, or its work, outgrows the
-    cap (see `_minimal_transversals`).  Berge's partial antichains can
-    outgrow the final one, so such a nerve is then passed over.  Raises
-    EnumerationLimitError when neither enumeration is taken.
+    a nerve face: it stops once its antichain outgrows the cap, or its
+    work NERVE_WORK_PER_SET units per set of the cap.  Berge's partial
+    antichains can outgrow the final one, so such a nerve is then passed
+    over.  Raises EnumerationLimitError when neither enumeration is taken.
     """
     subsets = _face_subset_bound(c)
     faces_fit = max_subsets is None or subsets <= max_subsets
@@ -378,7 +385,7 @@ def enumerate_chains(
     if max_nerve_faces is not None:
         budget = max_nerve_faces if budget is None else min(budget, max_nerve_faces)
     try:
-        nerve = _nerve(minimal_nonfaces(c, budget)._masks, c.m, budget)
+        nerve = _nerve(minimal_nonfaces(c, budget, NERVE_WORK_PER_SET)._masks, c.m, budget)
     except EnumerationLimitError:
         nerve = None
     if nerve is not None:

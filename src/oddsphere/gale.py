@@ -32,7 +32,7 @@ from .linalg import (
     vec_scale,
 )
 from .oracle import PointConfiguration
-from .recognizer import InternalInconsistency, MaxOddCycle, _cycle_from_slots, validate_certificate
+from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots, validate_certificate
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -66,12 +66,9 @@ class GaleConfiguration:
         if len(dims) != 1:
             raise InvalidConfiguration(f"vectors of mixed dimensions {sorted(dims)}")
         e = dims.pop()
-        for coord in range(e):
-            # sum over the common denominator, in ints, not by adding Fractions
-            column = [v[coord] for v in vs]
-            scale = math.lcm(*(x.denominator for x in column))
-            if sum(x.numerator * (scale // x.denominator) for x in column):
-                raise InvalidConfiguration("vectors must sum to zero exactly")
+        # each column summed over its common denominator, in ints, not by adding Fractions
+        if any(sum(_integer_row(v[coord] for v in vs)) for coord in range(e)):
+            raise InvalidConfiguration("vectors must sum to zero exactly")
         if matrix_rank([list(v) for v in vs]) != e:
             raise InvalidConfiguration(f"vectors must linearly span Q^{e}")
 
@@ -100,11 +97,7 @@ def _angular_cmp(a: Sequence, b: Sequence) -> int:
     if ha != hb:
         return ha - hb
     c = cross2(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    return (c < 0) - (c > 0)
 
 
 def sort_counterclockwise(directions: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -248,9 +241,8 @@ def relint_origin_test(vectors: Iterable[Sequence]) -> bool:
     vs = [vec(v) for v in vectors]
     if not vs:
         return False
-    for v in vs:
-        if len(v) != 2:
-            raise ValueError("relint_origin_test expects planar vectors")
+    if any(len(v) != 2 for v in vs):
+        raise ValueError("relint_origin_test expects planar vectors")
     nonzero = [v for v in vs if not is_zero_vec(v)]
     if not nonzero:
         return True
@@ -279,5 +271,5 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] 
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    members, cert = _cycle_from_slots(classes, g.n)
+    members, cert = certificate_from_slots(classes, g.n)
     return _from_masks(NonFaceFamily, g.n, members), cert

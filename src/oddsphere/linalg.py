@@ -94,7 +94,9 @@ def _fraction_free_rref(
 def rref(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     red, pivots, det, _ = _fraction_free_rref([_integer_row(row) for row in matrix])
-    return [[Fraction(x, det) for x in row] for row in red], pivots
+    # The reduced rows are det times the rref; its 0s and 1s share one Fraction each.
+    zero, one = Fraction(0), Fraction(1)
+    return [[Fraction(x, det) if x and x != det else one if x else zero for x in row] for row in red], pivots
 
 
 def matrix_rank(matrix: Sequence[Sequence]) -> int:
@@ -110,15 +112,14 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[Vec]:
     if not matrix:
         return []
     cols = len(matrix[0])
-    red, pivots, det, _ = _fraction_free_rref([_integer_row(row) for row in matrix])
+    red, pivots = rref(matrix)
     free = [c for c in range(cols) if c not in pivots]
-    zero, one = Fraction(0), Fraction(1)
     basis: list[Vec] = []
     for fc in free:
-        v = [zero] * cols
-        v[fc] = one
-        for row, pc in zip(red, pivots):
-            v[pc] = Fraction(-row[fc], det)  # the reduced rows are det times the rref
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return basis
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .complexes import Chains, Face, SimplicialComplex, _from_masks, enumerate_chains
+from .complexes import Chains, Face, SimplicialComplex, _from_masks, _mask, enumerate_chains
 from .linalg import Vec, _fraction_free_rref, _integer_row, vec
 
 
@@ -94,11 +94,6 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
       swaps.  One normal serves all n - D orientations of its subset, which
       beats a large minor per orientation.
     """
-    return _hull(pc)[0]
-
-
-def _hull(pc: PointConfiguration) -> tuple[tuple[Face, ...], tuple[int, ...]]:
-    """`hull_facets`, and the facets' bitmasks aligned with them (D-subsets come in lexicographic order)."""
     n, d = pc.n, pc.dim
     homogeneous = [_integer_row(p + (1,)) for p in pc.points]
     reduction = _fraction_free_rref([list(col) for col in zip(*homogeneous)])
@@ -108,7 +103,6 @@ def _hull(pc: PointConfiguration) -> tuple[tuple[Face, ...], tuple[int, ...]]:
     bits = [1 << i for i in range(n)]
     chi: dict[int, int] = {}
     facets: list[Face] = []
-    masks: list[int] = []
     for combo in itertools.combinations(range(n), d):
         members = 0
         for i in combo:
@@ -156,8 +150,7 @@ def _hull(pc: PointConfiguration) -> tuple[tuple[Face, ...], tuple[int, ...]]:
                 f"{tuple(sorted(set(labels) | set(coplanar)))}"
             )
         facets.append(labels)
-        masks.append(members)
-    return tuple(facets), tuple(masks)
+    return tuple(sorted(facets))
 
 
 def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
@@ -259,15 +252,12 @@ def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
     a vertex exactly when it lies on some facet.  Those facets are distinct
     D-sets, an antichain, so the complex is not re-checked.
     """
-    facets, masks = _hull(pc)
-    covered = 0
-    for a in masks:
-        covered |= a
-    missing = ~covered & ((1 << pc.n) - 1)
-    if missing:
-        label = (missing & -missing).bit_length()
-        raise InteriorPoint(f"point {label} is not a vertex of the hull")
-    return _from_masks(SimplicialComplex, pc.n, masks, facets)
+    facets = hull_facets(pc)
+    on_facets = {label for f in facets for label in f}
+    for label in range(1, pc.n + 1):
+        if label not in on_facets:
+            raise InteriorPoint(f"point {label} is not a vertex of the hull")
+    return _from_masks(SimplicialComplex, pc.n, [_mask(f) for f in facets], facets)
 
 
 def betti_mod2(c: SimplicialComplex, chains: Chains | None = None) -> tuple[int, ...]:

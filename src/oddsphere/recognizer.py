@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -121,29 +123,21 @@ def alternating_blocks(ordering: CyclicOrdering) -> tuple[Face, ...]:
 def _alternating_masks(members: Sequence[int]) -> list[int]:
     """`alternating_blocks` on bitmasks, for an odd number n >= 3 of members."""
     n = len(members)
-    k = (n - 1) // 2
-    blocks = []
-    for i in range(n):
-        acc = members[i]
-        for j in range(1, k):
-            acc &= members[(i + 2 * j) % n]
-        blocks.append(acc)
-    return blocks
+    return [reduce(and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
 
 
-def canonical_certificate(ordering: CyclicOrdering, blocks: tuple[Face, ...] | None = None) -> MaxOddCycle:
+def canonical_certificate(ordering: CyclicOrdering) -> MaxOddCycle:
     """The dihedral representative whose block sequence is lexicographically least.
 
     Rotating or reversing a valid ordering keeps it valid; this picks one
     representative per orbit, and it reproduces the block labelling used
-    in the worked pentagon example (B_i = {i+1}).  The blocks of `ordering`
-    are computed once, unless given: rotating the ordering by r rotates the
-    blocks by r, and reversing it sends B_i to B_{(2-i) mod n}.
+    in the worked pentagon example (B_i = {i+1}).  The blocks are computed
+    once: rotating the ordering by r rotates the blocks by r, and reversing
+    it sends B_i to B_{(2-i) mod n}.
     """
     ordering = tuple(ordering)
     n = len(ordering)
-    if blocks is None:
-        blocks = alternating_blocks(ordering)
+    blocks = alternating_blocks(ordering)
     rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
     best_blocks, best_ordering = min(
         (b[r:] + b[:r], seq[r:] + seq[:r])
@@ -218,10 +212,9 @@ def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
         if nxt == 0:
             return NotSphereReason.NO_CYCLIC_ORDERING  # closed a shorter cycle
         path.append(nxt)
-    blocks = _alternating_masks([masks[i] for i in path])
-    if not _is_partition(blocks, f.m):
+    if not _is_partition(_alternating_masks([masks[i] for i in path]), f.m):
         return NotSphereReason.BLOCKS_NOT_PARTITION
-    return canonical_certificate(tuple(f.members[i] for i in path), tuple(_face(b) for b in blocks))
+    return canonical_certificate(tuple(f.members[i] for i in path))
 
 
 def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
@@ -230,19 +223,18 @@ def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
     return cert if isinstance(cert, MaxOddCycle) else None
 
 
-def certificate_from_slots(slots: Sequence[Face], m: int) -> MaxOddCycle:
-    """The validated canonical certificate whose block B_{-2j} is `slots[j]`."""
-    return _cycle_from_slots(slots, m)[1]
+def certificate_from_slots(slots: Sequence[Iterable[int]], m: int) -> tuple[list[int], MaxOddCycle]:
+    """The member bitmasks and the validated canonical certificate whose block B_{-2j} is `slots[j]`.
 
-
-def _cycle_from_slots(slots: Sequence[Face], m: int) -> tuple[list[int], MaxOddCycle]:
-    """The member bitmasks and the certificate of `certificate_from_slots`."""
+    The members, in cycle order, form a valid non-face family (see
+    `_cycle_members`), which callers build from them without re-checking.
+    """
     n = len(slots)
     blocks: list = [()] * n
     for j, slot in enumerate(slots):
         blocks[(-2 * j) % n] = slot
-    members, masks = _cycle_members(blocks, m)
-    return members, canonical_certificate(tuple(_face(a) for a in members), tuple(_face(b) for b in masks))
+    members = _cycle_members(blocks, m)[0]
+    return members, canonical_certificate(tuple(map(_face, members)))
 
 
 def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], list[int]]:
@@ -263,12 +255,7 @@ def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], 
         raise ValueError("alternating blocks do not partition [m]")
     if n == 3 and any(b.bit_count() < 2 for b in masks):
         raise ValueError("3-cycle blocks must have size >= 2")
-    members = []
-    for i in range(n):
-        acc = 0
-        for j in range((n - 1) // 2):
-            acc |= masks[(i - 2 * j) % n]
-        members.append(acc)
+    members = [reduce(or_, (masks[(i - 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
     return members, masks
 
 

@@ -48,9 +48,7 @@ def fraction_from_str(s) -> Fraction:
     if isinstance(s, str) and ("e" in s or "E" in s):
         raise DocumentError(f"bad rational {s!r}: exponents are not accepted")
     try:
-        if isinstance(s, str):
-            return Fraction(s)
-        if isinstance(s, int) and not isinstance(s, bool):
+        if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
             return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {s!r}: {exc}") from exc
@@ -104,10 +102,7 @@ def family_from_doc(doc) -> NonFaceFamily:
 
 
 def points_to_doc(pc: PointConfiguration) -> dict:
-    return {
-        "dim": pc.dim,
-        "points": [[fraction_to_str(x) for x in p] for p in pc.points],
-    }
+    return {"dim": pc.dim, "points": [[fraction_to_str(x) for x in p] for p in pc.points]}
 
 
 def points_from_doc(doc) -> PointConfiguration:
@@ -130,11 +125,8 @@ def certificate_to_doc(cert) -> dict:
     if isinstance(cert, TwoPartition):
         return {"kind": "two_partition", "ordering": [list(cert.first), list(cert.second)]}
     if isinstance(cert, MaxOddCycle):
-        return {
-            "kind": "max_odd_cycle",
-            "ordering": [list(a) for a in cert.ordering],
-            "blocks": [list(b) for b in cert.blocks],
-        }
+        ordering, blocks = [list(a) for a in cert.ordering], [list(b) for b in cert.blocks]
+        return {"kind": "max_odd_cycle", "ordering": ordering, "blocks": blocks}
     raise TypeError(f"unknown certificate {cert!r}")
 
 
@@ -144,11 +136,8 @@ def verdict_to_doc(v: Verdict) -> dict:
     if isinstance(v, NotSphere):
         return {"verdict": "not_sphere", "reason": v.reason.value}
     if isinstance(v, OutOfScope):
-        return {
-            "verdict": "out_of_scope",
-            "d": v.d,
-            "reason": f"complex has m={v.m} vertices and dimension d={v.d}; m - d >= 5",
-        }
+        reason = f"complex has m={v.m} vertices and dimension d={v.d}; m - d >= 5"
+        return {"verdict": "out_of_scope", "d": v.d, "reason": reason}
     raise TypeError(f"unknown verdict {v!r}")
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -439,6 +440,36 @@ def test_uncapped_dualization_is_refused(argv, doc, monkeypatch, capsys):
     assert err.startswith("error: too many ")
     assert err.endswith(f"the dualization that finds them outgrows the limit of {cli.MAX_NERVE_FACES} sets\n")
     assert elapsed < 2.0
+
+
+def relabeled_nonface_doc(bracelet, seed):
+    """The non-face document of a bracelet sphere, its labels permuted by `random.Random(seed)`."""
+    fam, _ = instantiate(bracelet)
+    perm = list(range(1, fam.m + 1))
+    random.Random(seed).shuffle(perm)
+    return {"m": fam.m, "nonfaces": [[perm[v - 1] for v in a] for a in fam.members]}
+
+
+# The largest spheres in scope, with m = 63 and 64 and nearly one vertex per
+# slot, under relabelings whose dualizations are among the costliest
+# sampled: up to 89 units of work per set of the cap from non-faces to
+# facets, and 37 from facets to non-faces (see complexes.WORK_PER_SET).
+@pytest.mark.parametrize(
+    "bracelet, seed", [((1,) * 63, 8), ((2,) + (1,) * 62, 9), ((2,) + (1,) * 62, 11)], ids=["63-8", "64-9", "64-11"]
+)
+def test_largest_spheres_in_scope_are_answered(bracelet, seed, monkeypatch, capsys):
+    nonface_doc = relabeled_nonface_doc(bracelet, seed)
+    m = nonface_doc["m"]
+    rc, out, err, _ = run_main_timed(["complex"], nonface_doc, monkeypatch, capsys)
+    assert (rc, err) == (0, "")
+    complex_doc = json.loads(out)
+    for doc in (nonface_doc, complex_doc):
+        rc, out, err, _ = run_main_timed(["check"], doc, monkeypatch, capsys)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["d"] == m - 4
+    rc, out, err, _ = run_main_timed(["nonfaces"], complex_doc, monkeypatch, capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == serialize.family_to_doc(NonFaceFamily(m, nonface_doc["nonfaces"]))
 
 
 def test_homology_walks_the_faces_when_the_nerve_is_over_its_limit(monkeypatch, capsys):

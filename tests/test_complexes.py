@@ -148,9 +148,9 @@ def test_f_vector_and_euler():
 def test_one_dualization_per_complex(monkeypatch):
     calls = []
 
-    def counted(masks, cap=None):
+    def counted(masks, cap=None, per_set=0):
         calls.append(1)
-        return _minimal_transversals(masks, cap)
+        return _minimal_transversals(masks, cap, per_set)
 
     monkeypatch.setattr(complexes, "_minimal_transversals", counted)
     octa = SimplicialComplex(6, OCTAHEDRON_FACETS)

@@ -95,7 +95,7 @@ def test_slots_round_trip_on_every_bracelet():
     for m in range(4, 13):
         for b in enumerate_bracelets(m):
             _, cert = instantiate(b)
-            assert certificate_from_slots(cert.slots, m) == cert
+            assert certificate_from_slots(cert.slots, m)[1] == cert
             assert tuple(len(s) for s in cert.slots) == b
 
 
@@ -144,7 +144,7 @@ def test_realize_one_vertex_per_slot_for_every_k():
         # a 3-cycle needs blocks of size >= 2, so k = 1 doubles every slot
         slots = [(j + 1,) for j in range(n)] if k > 1 else [(1, 2), (3, 4), (5, 6)]
         m = sum(len(s) for s in slots)
-        g = realize_gale_vectors(certificate_from_slots(slots, m))
+        g = realize_gale_vectors(certificate_from_slots(slots, m)[1])
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
         if m > MAX_VERTICES:
             continue  # no NonFaceFamily to read back
@@ -385,7 +385,7 @@ def test_recover_rejects_singleton_class_when_k_is_one():
 
 # k = 2: five slots, vertices 1 and 2 share slot 0; the slots' honest
 # directions in counterclockwise order
-SHARED_SLOT = certificate_from_slots([(1, 2), (3,), (4,), (5,), (6,)], 6)
+SHARED_SLOT = certificate_from_slots([(1, 2), (3,), (4,), (5,), (6,)], 6)[1]
 CCW = [(1, -2), (1, 0), (1, 2), (-1, 1), (-1, -1)]
 
 
