@@ -1,19 +1,10 @@
 """Command-line front end: JSON in, JSON out, one subcommand per workflow.
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
-2 (out of scope); malformed input or an invariant violation is 64 for every
-subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
+2 (out of scope); a usage error, malformed input, an invariant violation or
+input past a work limit of `complexes` is 64 for every subcommand; an
+internal inconsistency (a bug, not bad input) is 70 with an
 `internal error:` message; other operational failures exit 1.
-
-`homology` and `verify` compute homology from one of two enumerations, the
-faces of the complex or the nerve of its minimal non-faces, chosen by
-`complexes.enumerate_chains`.  Before the recognizer or the reduction
-runs, a complex is refused with exit 64 when neither enumeration is within
-its limit: MAX_FACE_SUBSETS on the facets' sum of 2^|F|, or MAX_NERVE_FACES
-on the faces of the nerve, counted by a walk that stops past the limit.
-The dualization that finds the non-faces is capped by the nerve limit too,
-and so is every dualization `check`, `complex`, `nonfaces` and `verify`
-start: past MAX_NERVE_FACES sets, or its work bound, it exits 64.
 """
 
 from __future__ import annotations
@@ -31,16 +22,6 @@ from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, f
 
 EX_INPUT = 64
 EX_SOFTWARE = 70
-
-# Limits on the enumeration behind `betti_mod2`, measured on a 2-vCPU x86-64
-# VM with Python 3.11.  Face enumeration visits the sum over facets of 2^|F|
-# subsets: on the (2,)*8+(1,) bracelet sphere (3,276,800) it took about
-# 1.3 s and 48 MB, and on (4,)*5 (41.9 million) 28 s and 1.2 GB.  The worst
-# nerve per face is a full simplex, the nerve of a cone: on the cone over
-# the (1,)*17 bracelet sphere (2^17 nerve faces) the nerve walk and its
-# reduction took 1.4 s, and over (1,)*19 (2^19) 10 s.
-MAX_FACE_SUBSETS = 1 << 22
-MAX_NERVE_FACES = 1 << 17
 
 
 class InputError(Exception):
@@ -73,7 +54,7 @@ def _complex_from_any(doc):
     if isinstance(doc, dict) and "facets" in doc:
         return serialize.complex_from_doc(doc)
     if isinstance(doc, dict) and "nonfaces" in doc:
-        return complex_from_nonfaces(serialize.family_from_doc(doc), MAX_NERVE_FACES)
+        return complex_from_nonfaces(serialize.family_from_doc(doc))
     raise serialize.DocumentError("expected a document with 'facets' or 'nonfaces'")
 
 
@@ -90,7 +71,7 @@ def _print_certificate(cert) -> None:
 
 def _cmd_check(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
-    verdict = recognize(comp, MAX_NERVE_FACES)
+    verdict = recognize(comp)
     _write_doc(serialize.verdict_to_doc(verdict), args.output)
     if isinstance(verdict, Sphere):
         if args.verbose:
@@ -103,13 +84,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_nonfaces(args) -> int:
     comp = serialize.complex_from_doc(_read_doc(args.input))
-    _write_doc(serialize.family_to_doc(minimal_nonfaces(comp, MAX_NERVE_FACES)), args.output)
+    _write_doc(serialize.family_to_doc(minimal_nonfaces(comp)), args.output)
     return 0
 
 
 def _cmd_complex(args) -> int:
     fam = serialize.family_from_doc(_read_doc(args.input))
-    _write_doc(serialize.complex_to_doc(complex_from_nonfaces(fam, MAX_NERVE_FACES)), args.output)
+    _write_doc(serialize.complex_to_doc(complex_from_nonfaces(fam)), args.output)
     return 0
 
 
@@ -143,7 +124,7 @@ def _cmd_hull(args) -> int:
 
 def _cmd_homology(args) -> int:
     comp = serialize.complex_from_doc(_read_doc(args.input))
-    chains = enumerate_chains(comp, MAX_FACE_SUBSETS, MAX_NERVE_FACES)
+    chains = enumerate_chains(comp)
     _write_doc(serialize.betti_to_doc(betti_mod2(comp, chains)), args.output)
     return 0
 
@@ -156,8 +137,8 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
-    chains = enumerate_chains(comp, MAX_FACE_SUBSETS, MAX_NERVE_FACES)
-    verdict = recognize(comp, MAX_NERVE_FACES)
+    chains = enumerate_chains(comp)
+    verdict = recognize(comp)
     stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
     if isinstance(verdict, Sphere):
         cert = verdict.certificate
@@ -209,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EX_INPUT if exc.code else 0
     try:
         return args.handler(args)
     except (InputError, serialize.DocumentError, ValueError) as exc:

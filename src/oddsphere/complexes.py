@@ -15,6 +15,11 @@ constructors check each row in one pass.  Values the library derives are
 built by `_from_masks`, which checks only what their construction does
 not prove.
 
+The dualizations and face enumerations can grow exponentially; each stops
+at the limits defined here (MAX_NERVE_FACES, WORK_PER_SET,
+NERVE_WORK_PER_SET, MAX_FACE_SUBSETS) and raises EnumerationLimitError, so
+the library and the command line refuse the same inputs.
+
 All values are immutable and all operations are pure functions, so
 everything in this module is safe to share between threads.  A complex
 keeps its minimal non-faces once computed; two threads that race to
@@ -30,8 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 Face = tuple[int, ...]
 
 # Not a word size (Python ints have none): the largest m the tests and timings
-# cover, the 63-vertex (7,)*9 bracelet sphere.  ROADMAP item 7 asks whether
-# the CLI's work limits could replace it.
+# cover, the 63-vertex (7,)*9 bracelet sphere.
 MAX_VERTICES = 64
 
 
@@ -169,22 +173,35 @@ class NonFaceFamily:
         _check_antichain(masks, "non-face family members")
 
 
+# Limits on the enumerations behind homology and f-vectors, measured on a
+# 2-vCPU x86-64 VM with Python 3.11.  Face enumeration visits the sum over
+# facets of 2^|F| subsets: on the (2,)*8+(1,) bracelet sphere (3,276,800) it
+# took about 1.3 s and 48 MB, and on (4,)*5 (41.9 million) 28 s and 1.2 GB.
+# The worst nerve per face is a full simplex, the nerve of a cone: on the
+# cone over the (1,)*17 bracelet sphere (2^17 nerve faces) the nerve walk
+# and its reduction took 1.4 s, and over (1,)*19 (2^19) 10 s.  Every
+# dualization stops at MAX_NERVE_FACES sets too.
+MAX_FACE_SUBSETS = 1 << 22
+MAX_NERVE_FACES = 1 << 17
+
 # The work (see `_minimal_transversals`) a dualization capped at `cap` sets
 # may spend, in units per set of the cap.  `enumerate_chains` only weighs
 # the nerve against the faces, so its dualizations get NERVE_WORK_PER_SET:
 # per set of its budget, a bracelet sphere with 8 <= m <= 14 takes at most
 # 4.4 units (25 below m = 8) and the cone over 13 disjoint pairs (8,192
-# facets) 15.3.  Every other capped dualization must answer the spheres in
-# scope and gets WORK_PER_SET: at the CLI cap 2^17, on 640 randomly
+# facets) 15.3.  Every other dualization must answer the spheres in scope
+# and gets WORK_PER_SET: at the cap MAX_NERVE_FACES, on 640 randomly
 # relabeled bracelet spheres with 60 <= m <= 64, the minimal non-faces took
 # at most 36 units per set and the facets 91.  A unit took up to 80 ns
-# (2-vCPU x86-64 VM, Python 3.11), so at 2^17 the two stop within about
-# 0.34 s and 2.7 s.
+# (2-vCPU x86-64 VM, Python 3.11), so the two stop within about 0.34 s and
+# 2.7 s.
 NERVE_WORK_PER_SET = 32
 WORK_PER_SET = 256
 
 
-def _minimal_transversals(masks: Iterable[int], cap: int | None = None, per_set: int = 0) -> list[int] | None:
+def _minimal_transversals(
+    masks: Iterable[int], cap: int, per_set: int = WORK_PER_SET, what: str = "minimal non-faces"
+) -> list[int]:
     """The inclusion-minimal sets meeting every mask (Berge's sequential dualization).
 
     Masks are absorbed one at a time into an antichain of partial
@@ -198,13 +215,13 @@ def _minimal_transversals(masks: Iterable[int], cap: int | None = None, per_set:
     `b` not in `t2` forces `t2 <= t`, so `t2 == t`. An empty mask leaves no
     transversal.
 
-    Returns None as soon as the antichain has more than `cap` members, or
-    the work passes `per_set` * `cap` units: one per antichain member
-    scanned and one per minimality test that a candidate could need
-    (`inside` in full).
+    Raises EnumerationLimitError, naming the sets sought as `what`, as
+    soon as the antichain has more than `cap` members, or the work passes
+    `per_set` * `cap` units: one per antichain member scanned and one per
+    minimality test that a candidate could need (`inside` in full).
     """
     transversals = [0]
-    work_left = None if cap is None else cap * per_set
+    work_left = cap * per_set
     for am in masks:
         missing = [t for t in transversals if not t & am]
         if not missing:
@@ -216,10 +233,9 @@ def _minimal_transversals(masks: Iterable[int], cap: int | None = None, per_set:
             bit = rest & -rest
             rest ^= bit
             inside = [h ^ bit for h in kept if h & bit]
-            if work_left is not None:
-                work_left -= len(kept) + len(missing) * len(inside)
-                if work_left < 0:
-                    return None
+            work_left -= len(kept) + len(missing) * len(inside)
+            if work_left < 0:
+                break
             for t in missing:
                 for r in inside:
                     if r & t == r:
@@ -227,55 +243,50 @@ def _minimal_transversals(masks: Iterable[int], cap: int | None = None, per_set:
                 else:
                     grown.append(t | bit)
         transversals = kept + grown
-        if cap is not None and len(transversals) > cap:
-            return None
+        if work_left < 0 or len(transversals) > cap:
+            raise EnumerationLimitError(
+                f"too many {what}: the dualization that finds them outgrows the limit of {cap} sets"
+            )
     return transversals
 
 
-def _transversals(masks: Sequence[int], cap: int | None, per_set: int, what: str) -> list[int]:
-    found = _minimal_transversals(masks, cap, per_set)
-    if found is None:
-        raise EnumerationLimitError(
-            f"too many {what}: the dualization that finds them outgrows the limit of {cap} sets"
-        )
-    return found
+def _nonfaces(c: SimplicialComplex, cap: int, per_set: int) -> NonFaceFamily:
+    """`minimal_nonfaces(c)` with the dualization capped at `cap` sets and `per_set` * `cap` units."""
+    fam = c.__dict__.get("_nonface_cache")
+    if fam is None:
+        full = (1 << c.m) - 1
+        fam = _from_masks(NonFaceFamily, c.m, _minimal_transversals([full ^ a for a in c._masks], cap, per_set))
+        object.__setattr__(c, "_nonface_cache", fam)
+    return fam
 
 
-def minimal_nonfaces(
-    c: SimplicialComplex, cap: int | None = None, per_set: int = WORK_PER_SET
-) -> NonFaceFamily:
+def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
     """The inclusion-minimal subsets of [m] that are not faces of `c`.
 
     A set is a non-face exactly when it meets the complement of every
     facet, so the minimal non-faces are the minimal transversals of the
     facet complements: an antichain whose members have size >= 2, since the
     facets cover [m].  Raises EnumerationLimitError, and keeps nothing, when
-    the dualization outgrows `cap` sets or `per_set` * `cap` units of work
-    (see `_minimal_transversals`).  Otherwise the family is kept in the
-    complex's __dict__, outside the dataclass fields, so the recognizer,
-    the homology and the f-vector of one complex object share one
-    dualization.
+    the dualization outgrows MAX_NERVE_FACES sets or WORK_PER_SET units of
+    work per set (see `_minimal_transversals`).  Otherwise the family is
+    kept in the complex's __dict__, outside the dataclass fields, so the
+    recognizer, the homology and the f-vector of one complex object share
+    one dualization.
     """
-    fam = c.__dict__.get("_nonface_cache")
-    if fam is None:
-        full = (1 << c.m) - 1
-        found = _transversals([full ^ a for a in c._masks], cap, per_set, "minimal non-faces")
-        fam = _from_masks(NonFaceFamily, c.m, found)
-        object.__setattr__(c, "_nonface_cache", fam)
-    return fam
+    return _nonfaces(c, MAX_NERVE_FACES, WORK_PER_SET)
 
 
-def complex_from_nonfaces(f: NonFaceFamily, cap: int | None = None) -> SimplicialComplex:
+def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
     """The complex whose faces are exactly the sets containing no member of `f`.
 
     Facets are complements of the minimal transversals of the family, an
     antichain that covers [m], since members of size >= 2 leave every
     singleton a face.  Raises EnumerationLimitError when the dualization
-    outgrows `cap` sets or WORK_PER_SET * `cap` units of work (see
-    `_minimal_transversals`).
+    outgrows MAX_NERVE_FACES sets or WORK_PER_SET units of work per set
+    (see `_minimal_transversals`).
     """
     full = (1 << f.m) - 1
-    found = _transversals(f._masks, cap, WORK_PER_SET, "facets")
+    found = _minimal_transversals(f._masks, MAX_NERVE_FACES, WORK_PER_SET, "facets")
     return _from_masks(SimplicialComplex, f.m, [full ^ t for t in found])
 
 
@@ -363,16 +374,14 @@ class Chains(NamedTuple):
 NERVE_FACE_COST = 8
 
 
-def enumerate_chains(
-    c: SimplicialComplex, max_subsets: int | None = None, max_nerve_faces: int | None = None
-) -> Chains:
+def enumerate_chains(c: SimplicialComplex) -> Chains:
     """The faces of `c`, or of the nerve of its minimal non-faces, whichever is cheaper.
 
     Face enumeration visits `_face_subset_bound(c)` subsets; the nerve is
     taken when it has at most 1/NERVE_FACE_COST as many faces, which the
     walk counts, stopping past that budget.  An enumeration over its
-    limit is not taken either: the facet subsets over `max_subsets`, or the
-    nerve faces over `max_nerve_faces`.  The dualization that finds the
+    limit is not taken either: the facet subsets over MAX_FACE_SUBSETS, or
+    the nerve faces over MAX_NERVE_FACES.  The dualization that finds the
     minimal non-faces is capped by the same budget, since each non-face is
     a nerve face: it stops once its antichain outgrows the cap, or its
     work NERVE_WORK_PER_SET units per set of the cap.  Berge's partial
@@ -380,12 +389,10 @@ def enumerate_chains(
     over.  Raises EnumerationLimitError when neither enumeration is taken.
     """
     subsets = _face_subset_bound(c)
-    faces_fit = max_subsets is None or subsets <= max_subsets
-    budget = subsets // NERVE_FACE_COST if faces_fit else None
-    if max_nerve_faces is not None:
-        budget = max_nerve_faces if budget is None else min(budget, max_nerve_faces)
+    faces_fit = subsets <= MAX_FACE_SUBSETS
+    budget = min(subsets // NERVE_FACE_COST, MAX_NERVE_FACES) if faces_fit else MAX_NERVE_FACES
     try:
-        nerve = _nerve(minimal_nonfaces(c, budget, NERVE_WORK_PER_SET)._masks, c.m, budget)
+        nerve = _nerve(_nonfaces(c, budget, NERVE_WORK_PER_SET)._masks, c.m, budget)
     except EnumerationLimitError:
         nerve = None
     if nerve is not None:
@@ -394,8 +401,8 @@ def enumerate_chains(
         return Chains(_face_masks_by_size(c), None)
     raise EnumerationLimitError(
         f"too many faces to enumerate: the sum over facets of 2^|F| is {subsets} "
-        f"(limit {max_subsets}), and the nerve of the minimal non-faces, or the "
-        f"dualization that finds them, outgrows the limit of {max_nerve_faces} nerve faces"
+        f"(limit {MAX_FACE_SUBSETS}), and the nerve of the minimal non-faces, or the "
+        f"dualization that finds them, outgrows the limit of {MAX_NERVE_FACES} nerve faces"
     )
 
 

@@ -259,7 +259,7 @@ def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], 
     return members, masks
 
 
-def recognize(c: SimplicialComplex, cap: int | None = None) -> Verdict:
+def recognize(c: SimplicialComplex) -> Verdict:
     """Decide sphereness of a complex on at most d+4 vertices.
 
     Verdicts carry a certificate whose shape fixes the dimension:
@@ -270,15 +270,15 @@ def recognize(c: SimplicialComplex, cap: int | None = None) -> Verdict:
     the disjointness graph of the members is not a single n-cycle (even
     when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
     means it is one but the alternating blocks fail to partition [m].
-    `cap` bounds the dualization that finds the minimal non-faces (see
-    `minimal_nonfaces`).
+    Raises EnumerationLimitError when the dualization that finds the
+    minimal non-faces outgrows its limit (see `minimal_nonfaces`).
     """
     m, d = c.m, c.dimension
     if m - d >= 5:
         return OutOfScope(m, d)
     if m == d + 1:
         return NotSphere(NotSphereReason.FULL_SIMPLEX)
-    fam = minimal_nonfaces(c, cap)
+    fam = minimal_nonfaces(c)
     masks = fam._masks
     full = (1 << m) - 1
     if masks == (full,):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddsphere import cli, serialize
+from oddsphere import cli, complexes, serialize
 from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_bracelets, instantiate
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
@@ -258,12 +258,26 @@ def test_verbose_certificate_follows_redirected_stderr(command, monkeypatch):
     assert any(line.startswith("blocks: ") for line in lines)
 
 
+@pytest.mark.parametrize("argv", [["catalog", "--m", "x"], ["check", "--bogus"], []], ids=["bad-int", "flag", "none"])
+def test_usage_errors_exit_64(argv, capsys):
+    assert cli.main(argv) == cli.EX_INPUT
+    _, err = capsys.readouterr()
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["check", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: oddsphere check")
+
+
 # -- golden output -------------------------------------------------------------
 
-# sha256 of `cli_transcript()` as printed before the exact-arithmetic helpers
-# let `Fraction` and `int` values pass through unconverted; any change to a
-# byte of stdout or stderr, or to an exit code, changes it.
-CLI_OUTPUT_DIGEST = "d1e634e746b731d6fd3f453571a6b818e79398fb94a7adebab21854b5c472f36"
+# sha256 of `cli_transcript()` as printed before the work limits moved from
+# the CLI into `complexes`; its `catalog`, `realize`, `hull` and `verify` runs
+# were pinned before the exact-arithmetic helpers let `Fraction` and `int`
+# values pass through unconverted.  Any change to a byte of stdout or stderr,
+# or to an exit code, changes it.
+CLI_OUTPUT_DIGEST = "eed5964ae1ba1d7f2eea3d8c01a09d7e2748622bd1d69b04f4ee94e6b53b9d02"
 
 
 def cli_transcript() -> str:
@@ -271,7 +285,9 @@ def cli_transcript() -> str:
 
     The runs are `catalog --m 4..10` and, for every bracelet with m <= 9,
     `realize --verify --verbose` on its non-face document, `hull` on the
-    printed points and `verify --verbose` on the same document.
+    printed points, `verify --verbose`, `check --verbose` and `complex` on
+    the same document, and `check`, `nonfaces` and `homology` on the
+    complex document `complex` printed.
     """
     digest = hashlib.sha256()
 
@@ -294,6 +310,10 @@ def cli_transcript() -> str:
             points = record(["realize", "--verify", "--verbose"], doc)
             record(["hull"], points)
             record(["verify", "--verbose"], doc)
+            record(["check", "--verbose"], doc)
+            facets = record(["complex"], doc)
+            for argv in (["check"], ["nonfaces"], ["homology"]):
+                record(argv, facets)
     return digest.hexdigest()
 
 
@@ -438,7 +458,7 @@ def test_uncapped_dualization_is_refused(argv, doc, monkeypatch, capsys):
     assert rc == cli.EX_INPUT
     assert out == ""
     assert err.startswith("error: too many ")
-    assert err.endswith(f"the dualization that finds them outgrows the limit of {cli.MAX_NERVE_FACES} sets\n")
+    assert err.endswith(f"the dualization that finds them outgrows the limit of {complexes.MAX_NERVE_FACES} sets\n")
     assert elapsed < 2.0
 
 
@@ -576,9 +596,10 @@ COMMANDS = [["check"], ["nonfaces"], ["complex"], ["realize"], ["realize", "--ve
 
 
 @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=DOCUMENTS, catalog_m=st.integers(-3, 7) | st.sampled_from([15, 10**30, -(10**30)]))
+@given(doc=DOCUMENTS, catalog_m=st.integers(-3, 7) | st.sampled_from([15, 10**30, -(10**30), "x", "2.5"]))
 def test_fuzzed_documents_are_answered_or_refused(doc, catalog_m, monkeypatch, capsys):
-    runs = [(argv, doc) for argv in COMMANDS] + [(["catalog", "--m", str(catalog_m)], None)]
+    runs = [(argv, doc) for argv in COMMANDS]
+    runs += [(["catalog", "--m", str(catalog_m)], None), (["check", "--bogus"], doc)]
     for argv, stdin_doc in runs:
         rc, _, err, _ = run_main_timed(argv, stdin_doc, monkeypatch, capsys)
         assert rc in (0, 1, 2, 64), (argv, stdin_doc, rc, err)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oddsphere import complexes
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
+    EnumerationLimitError,
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
@@ -275,14 +277,40 @@ def mask_lists(draw, budget: int = 256):
 
 def test_minimal_transversals_stop_past_the_cap():
     pairs = [3 << 2 * i for i in range(10)]  # 2^10 minimal transversals, one bit per pair
-    assert _minimal_transversals(pairs, (1 << 10) - 1) is None
+    with pytest.raises(EnumerationLimitError):
+        _minimal_transversals(pairs, (1 << 10) - 1)
     assert len(_minimal_transversals(pairs, 1 << 10)) == 1 << 10
+
+
+def pair_complement_complex(pairs):
+    """The facets [m] - {2i-1, 2i}: the minimal non-faces pick one vertex per pair, 2^pairs of them."""
+    m = 2 * pairs
+    return SimplicialComplex(m, tuple(tuple(v for v in range(1, m + 1) if (v + 1) // 2 != i)
+                                      for i in range(1, pairs + 1)))
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (complex_from_nonfaces, NonFaceFamily(40, tuple((2 * i - 1, 2 * i) for i in range(1, 21)))),
+        (minimal_nonfaces, pair_complement_complex(32)),
+        (recognize, pair_complement_complex(32)),
+        (betti_mod2, pair_complement_complex(32)),
+    ],
+    ids=["20-pairs-complex_from_nonfaces", "32-pairs-minimal_nonfaces", "32-pairs-recognize", "32-pairs-betti_mod2"],
+)
+def test_library_refuses_like_the_cli(call, value):
+    # The limits live in `complexes`, so a library call refuses what the CLI does.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError):
+        call(value)
+    assert time.perf_counter() - start < 2.0
 
 
 @settings(deadline=None)
 @given(mask_lists())
 def test_property_minimal_transversals_match_reference(masks):
-    transversals = _minimal_transversals(masks)
+    transversals = _minimal_transversals(masks, complexes.MAX_NERVE_FACES)
     assert len(set(transversals)) == len(transversals)
     assert set(transversals) == reference_minimal_transversals(masks)
 
