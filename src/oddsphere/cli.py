@@ -38,6 +38,8 @@ def _read_doc(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("malformed JSON: nested too deeply") from exc
 
 
 def _write_doc(doc, path: str) -> None:

@@ -3,14 +3,16 @@
 The oracles answer geometric and topological questions from first principles
 so the other modules can be checked against them.  The homology reads the
 minimal non-faces, which `complexes` derives again from the facets, but
-nothing here reads a Gale diagram.  Facet enumeration tests every D-subset
-of the points by the signs of exact integer determinants: each point becomes
-one integer homogeneous column, the matrix of these columns is reduced once,
-and each orientation is computed once and shared by the D+1 subsets it
-contains.  At small codimension n - D - 1, which every realized sphere has
-(n = D+3), an orientation is the sign of a minor of the one reduction; at
-large codimension it comes from an integer normal eliminated per subset,
-since a normal serves all the orientations of its subset.
+nothing here takes a Gale diagram as input.  Facet enumeration reduces
+the matrix of the points' integer homogeneous columns once.  At
+codimension c = n - D - 1 <= 3, which every realized sphere has
+(n = D+3), the facets are read off the kernel of that matrix, a Gale
+transform recomputed from the coordinates alone: a D-subset is a facet
+iff the c+1 kernel rows outside it have a strictly positive linear
+dependence (Gale duality), and bitmasks of cofactor signs decide that for
+many subsets at once.  At larger codimension each D-subset is tested by
+the signs of exact integer determinants, computed from an integer normal
+eliminated per subset and shared by the D+1 subsets each one belongs to.
 Homology is linear algebra over GF(2) on int bitsets, on the faces of the
 complex or on the nerve of its minimal non-faces, whichever
 `complexes.enumerate_chains` finds cheaper.
@@ -68,38 +70,37 @@ class PointConfiguration:
 def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     """Facets of the convex hull as sorted label tuples.
 
-    Each D-subset S spanning a hyperplane is tested exactly: it is a facet
-    iff every other point lies strictly on one side.  A supporting
-    hyperplane through more than D points makes the hull non-simplicial,
-    which is reported rather than guessed around.
+    A D-subset S spanning a hyperplane is a facet iff every other point
+    lies strictly on one side.  A supporting hyperplane through more than D
+    points makes the hull non-simplicial, which is reported, for the
+    lexicographically least such S, rather than guessed around.
 
     Point x becomes the integer row h = (L*x, L), with L > 0 the lcm of its
-    denominators.  The side of p relative to S is the orientation chi(T)
-    of T = S + {p}, the sign of the determinant of T's rows in label order,
-    times (-1)^#{s in S : s > p}; S is a facet iff these signs agree and
-    none is zero (the oriented-matroid facet criterion).  Orientations are
-    memoized by the bitmask of T, since D+1 subsets share each one.
+    denominators, and the (D+1) x n matrix M whose columns are these rows
+    is reduced once; its rank decides `NotFullDimensional`.  The rest
+    depends on the codimension c = n - D - 1:
 
-    The (D+1) x n matrix M whose columns are the rows h is reduced once;
-    its rank decides `NotFullDimensional`.  What a memo miss computes
-    depends only on the codimension c = n - D - 1:
-
-    - c <= MINOR_MAX_CODIM: chi(T) is the sign of a minor of the reduced
-      matrix of size at most min(c, D+1), times a global sign (see
-      `_reduced_orientation`).
-    - larger c: fraction-free elimination of S's rows gives an integer
-      normal (a, b), <a, x> + b = 0 on the hyperplane, once per subset, and
-      chi(T) = sign(<normal, h_p>) * (-1)^(D + free + swaps + #{s in S : s > p}),
-      with `free` the non-pivot column and `swaps` the elimination's row
-      swaps.  One normal serves all n - D orientations of its subset, which
-      beats a large minor per orientation.
+    - c <= MINOR_MAX_CODIM: the facets are read off the kernel of M (see
+      `_kernel_facets`), with bitmask operations over the c-subsets of the
+      points instead of a scan over the D-subsets.
+    - larger c: each D-subset is scanned.  The side of p relative to S is
+      the orientation chi(T) of T = S + {p}, the sign of the determinant of
+      T's rows in label order, times (-1)^#{s in S : s > p}; S is a facet
+      iff these signs agree and none is zero (the oriented-matroid facet
+      criterion).  Orientations are memoized by the bitmask of T, since D+1
+      subsets share each one.  A memo miss eliminates S's rows,
+      fraction-free, to an integer normal (a, b), <a, x> + b = 0 on the
+      hyperplane, once per subset, and chi(T) = sign(<normal, h_p>) *
+      (-1)^(D + free + swaps + #{s in S : s > p}), with `free` the
+      non-pivot column and `swaps` the elimination's row swaps.
     """
     n, d = pc.n, pc.dim
     homogeneous = [_integer_row(p + (1,)) for p in pc.points]
-    reduction = _fraction_free_rref([list(col) for col in zip(*homogeneous)])
-    if len(reduction[1]) < d + 1:
+    red, pivots, det, _ = _fraction_free_rref([list(col) for col in zip(*homogeneous)])
+    if len(pivots) < d + 1:
         raise NotFullDimensional(f"points span less than Q^{d}")
-    reduced = _reduced_orientation(*reduction) if n - d - 1 <= MINOR_MAX_CODIM else None
+    if n - d - 1 <= MINOR_MAX_CODIM:
+        return tuple(sorted(_kernel_facets(homogeneous, red, pivots, det)))
     bits = [1 << i for i in range(n)]
     chi: dict[int, int] = {}
     facets: list[Face] = []
@@ -108,8 +109,7 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
         for i in combo:
             members |= bits[i]
         normal: list[int] | None = None
-        pos = neg = False
-        coplanar: list[int] = []
+        pos = neg = coplanar = False
         reorder = -1 if d % 2 else 1  # (-1)^#{s in S : s > p}
         for p in range(n):
             if members & bits[p]:
@@ -119,12 +119,9 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
             side = chi.get(key)
             if side is not None:
                 side *= reorder
-            elif reduced is not None:
-                side = chi[key] = reduced(sorted((*combo, p)))
-                side *= reorder
             else:
                 if normal is None:
-                    normal, det, flip = _subset_normal(homogeneous, combo)
+                    normal, _, flip = _subset_normal(homogeneous, combo)
                     if normal is None:
                         break  # affinely dependent subset
                 s = sum(map(mul, normal, homogeneous[p]))
@@ -135,22 +132,127 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
             elif side < 0:
                 neg = True
             else:
-                coplanar.append(p + 1)
+                coplanar = True
             if pos and neg:
                 break  # cuts through the hull: coplanar points do not matter
         if pos == neg:
             continue  # cuts through the hull, or S is affinely dependent
-        labels = tuple(i + 1 for i in combo)
         if coplanar:
-            if normal is None:
-                normal, det, _ = _subset_normal(homogeneous, combo)
-            shown = tuple(Fraction(a, det) for a in normal)  # free-column entry 1
-            raise NonSimplicial(
-                f"supporting hyperplane {shown} contains points "
-                f"{tuple(sorted(set(labels) | set(coplanar)))}"
-            )
-        facets.append(labels)
+            raise _non_simplicial(homogeneous, combo)
+        facets.append(tuple(i + 1 for i in combo))
     return tuple(sorted(facets))
+
+
+# Largest codimension n - D - 1 at which `hull_facets` reads the facets off
+# the kernel of the point matrix; above it the cofactors have no closed form
+# here, and the sign masks grow as C(n, c-1).  Time of the kernel path over
+# that of the per-subset path, best of 5 over 20 random configurations
+# (BENCH_kernel_hull.json), for D = 1, 2, 4, 6, 8:  c = 2: 1.11, 0.62, 0.23,
+# 0.11, 0.05;  c = 3: 1.81, 0.91, 0.22, 0.09, 0.05;  c = 0, 1: 0.16-0.93.
+# D = 1 hulls take under 0.1 ms on either path.
+MINOR_MAX_CODIM = 3
+
+
+def _kernel_facets(
+    homogeneous: list[list[int]], red: list[list[int]], pivots: list[int], det: int
+) -> list[Face]:
+    """The facets, unsorted, from the full-rank reduction of M, for c <= 3.
+
+    Gale duality (Grünbaum, *Convex Polytopes*, 5.4): give point i the row
+    g_i of an n x c matrix whose columns span ker M.  For a D-subset S with
+    complement C = c_0 < ... < c_c, the values of S's hyperplane functional
+    at the points lie in the row space of M, the orthogonal complement of
+    ker M, and vanish on S; so on C they are a linear dependence of the
+    g_j, and S is independent iff the g over C have rank c, which makes
+    that dependence unique up to scale: lambda_j = (-1)^j det(g over C - c_j)
+    (Cramer).  The sides of the points of C are then +-lambda, so S is a
+    facet iff every lambda_j is nonzero and all have one sign, S is
+    dependent iff every lambda_j is zero, and otherwise, when the nonzero
+    ones agree, S supports a hyperplane through more than D points.
+
+    The rows come from the reduction: the pivot column of row r gets
+    -red[r][free columns] and the j-th free column det * e_j.  For each
+    (c-1)-subset V, the cofactor vector w_V with <w_V, x> = det(g_V, x)
+    gives two bitmasks, the z > max V with <w_V, g_z> > 0 and those with
+    <w_V, g_z> < 0.  Write C = U + {z} with U a c-subset and z > max U.
+    Times the common sign (-1)^(c-1), lambda_c is -det(g_U), the bit of
+    max U in the masks of U - max U, and the other lambda_j are
+    (-1)^k <w_V, g_z>, V the k-th (c-1)-subset of U in lex order.  So ORing
+    c masks tells, for every z at once, whether some lambda is positive,
+    negative or zero.
+    """
+    n = len(homogeneous)
+    labels = tuple(range(1, n + 1))
+    c = n - len(pivots)
+    if c == 0:
+        return list(itertools.combinations(labels, n - 1))  # a simplex
+    taken = set(pivots)
+    free = [j for j in range(n) if j not in taken]
+    g: list[list[int]] = [[]] * n
+    for j, col in enumerate(free):
+        g[col] = [det if k == j else 0 for k in range(c)]
+    for row, col in zip(red, pivots):
+        g[col] = [-row[f] for f in free]
+    signs: dict[tuple[int, ...], tuple[int, int]] = {}
+    for v in itertools.combinations(range(n), c - 1):
+        w = _cofactor([g[i] for i in v])
+        pos = neg = 0
+        for z in range(v[-1] + 1 if v else 0, n):
+            s = sum(map(mul, w, g[z]))
+            if s > 0:
+                pos |= 1 << z
+            elif s < 0:
+                neg |= 1 << z
+        signs[v] = pos, neg
+    full = (1 << n) - 1
+    facets: list[Face] = []
+    offenders: list[Face] = []
+    for head_set in itertools.combinations(range(n), c - 1):
+        # U = head_set + {b}: its first (c-1)-subset in lex order is head_set,
+        # and the k-th after that drops head_set's (c-1-k)-th member and adds b.
+        pos_h, neg_h = signs[head_set]
+        zero_h = ~(pos_h | neg_h)
+        drops = [head_set[:i] + head_set[i + 1:] for i in reversed(range(c - 1))]
+        head: Face = ()  # the labels outside head_set below its maximum
+        prev = -1
+        for i in head_set:
+            head += labels[prev + 1:i]
+            prev = i
+        for b in range(prev + 1, n):
+            last = 1 << b
+            some_pos = -1 if neg_h & last else pos_h
+            some_neg = -1 if pos_h & last else neg_h
+            some_zero = zero_h if (pos_h | neg_h) & last else -1
+            for k, v in enumerate(drops, 1):
+                pos, neg = signs[v + (b,)]
+                if k & 1:
+                    pos, neg = neg, pos
+                some_pos |= pos
+                some_neg |= neg
+                some_zero |= ~(pos | neg)
+            one_sign = (some_pos ^ some_neg) & full & -(last << 1)  # over z > b
+            if not one_sign:
+                continue
+            below = head + labels[prev + 1:b]
+            for found, into in ((one_sign & ~some_zero, facets), (one_sign & some_zero, offenders)):
+                while found:
+                    z = (found & -found).bit_length() - 1
+                    into.append(below + labels[b + 1:z] + labels[z + 1:])
+                    found &= found - 1
+    if offenders:
+        raise _non_simplicial(homogeneous, tuple(i - 1 for i in min(offenders)))
+    return facets
+
+
+def _cofactor(rows: list[list[int]]) -> tuple[int, ...]:
+    """w with <w, x> = det(rows, x), for k rows of length k + 1 <= 3."""
+    if not rows:
+        return (1,)
+    if len(rows) == 1:
+        (a,) = rows
+        return (-a[1], a[0])
+    a, b = rows
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
@@ -172,76 +274,12 @@ def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
     return normal, det, -1 if (d + free + swaps) % 2 else 1
 
 
-# Largest codimension n - D - 1 at which `hull_facets` reads orientations
-# off the global reduction.  Best-of-5 single-hull time of the minor path
-# over that of the per-subset path on random points (BENCH_chirotope_hull.json):
-# c = 2, 3: 0.13-0.84 for D = 2..8, 1.0 for D = 1;  c = 4: 0.20-0.71 for
-# D = 3..8 but 1.06 for D = 2;  c = 6: 1.15-1.23 for D = 2, 3.
-MINOR_MAX_CODIM = 3
-
-
-def _reduced_orientation(red: list[list[int]], pivots: list[int], det: int, swaps: int):
-    """chi(T) for sorted lists T of D+1 columns, from the full-rank reduction of M.
-
-    With R the reduced matrix, M = M_P * R / det on the pivot columns P, and
-    each pivot column of R is det times a unit column.  Expanding det R_T
-    along the pivot columns in T (rows I, positions J within T) leaves the
-    minor of R on the rows outside I and the columns of T outside P, so
-
-        chi(T) = (-1)^swaps * sign(det)^(D+|T & P|) * (-1)^(sum I + sum J) * sign(minor),
-
-    and D + |T & P| has the parity of k + 1, k = |T - P| <= c being the
-    minor's size.
-    """
-    pivot_row = [-1] * len(red[0])
-    for r, col in enumerate(pivots):
-        pivot_row[col] = r
-    all_rows = (1 << len(red)) - 1
-    base = -1 if swaps else 1
-    negative = det < 0
-
-    def orientation(t: list[int]) -> int:
-        sign = base
-        used = 0
-        free: list[int] = []
-        for pos, j in enumerate(t):
-            r = pivot_row[j]
-            if r < 0:
-                free.append(j)
-            else:
-                used |= 1 << r
-                if (r + pos) & 1:
-                    sign = -sign
-        if negative and not len(free) % 2:
-            sign = -sign
-        rest = all_rows ^ used
-        block = []
-        while rest:
-            low = rest & -rest
-            row = red[low.bit_length() - 1]
-            block.append([row[j] for j in free])
-            rest ^= low
-        return sign * _determinant_sign(block)
-
-    return orientation
-
-
-def _determinant_sign(block: list[list[int]]) -> int:
-    """Sign of the determinant of a small square integer matrix (1 if empty)."""
-    k = len(block)
-    if k == 0:
-        return 1
-    if k == 1:
-        x = block[0][0]
-    elif k == 2:
-        x = block[0][0] * block[1][1] - block[0][1] * block[1][0]
-    else:
-        _, pivots, x, swaps = _fraction_free_rref(block)
-        if len(pivots) < k:
-            return 0
-        if swaps:
-            x = -x
-    return (x > 0) - (x < 0)
+def _non_simplicial(homogeneous: list[list[int]], combo: tuple[int, ...]) -> NonSimplicial:
+    """The error for the independent subset `combo`, whose hyperplane supports more points."""
+    normal, det, _ = _subset_normal(homogeneous, combo)
+    shown = tuple(Fraction(a, det) for a in normal)  # free-column entry 1
+    on = tuple(p + 1 for p, h in enumerate(homogeneous) if not sum(map(mul, normal, h)))
+    return NonSimplicial(f"supporting hyperplane {shown} contains points {on}")
 
 
 def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:

@@ -270,6 +270,21 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: oddsphere check")
 
 
+DEEP_DOCUMENTS = {
+    "top-level": "[" * 100000 + "]" * 100000,
+    "in-nonfaces": '{"m": 5, "nonfaces": ' + "[" * 5000 + "]" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_DOCUMENTS.values(), ids=DEEP_DOCUMENTS)
+@pytest.mark.parametrize("command", ["check", "nonfaces", "complex", "realize", "hull", "homology", "verify"])
+def test_deeply_nested_documents_exit_64(command, text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main([command]) == cli.EX_INPUT
+    _, err = capsys.readouterr()
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- golden output -------------------------------------------------------------
 
 # sha256 of `cli_transcript()` as printed before the work limits moved from

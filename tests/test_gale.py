@@ -410,7 +410,7 @@ def test_verified_classes_accepts_only_the_diagrams_classes(vectors, accepted):
     assert _verified_classes(SHARED_SLOT, vectors) is accepted
 
 
-ROUND_TRIP_BRACELETS = [b for m in range(5, 10) for b in enumerate_bracelets(m)]
+ROUND_TRIP_BRACELETS = [b for m in range(5, 13) for b in enumerate_bracelets(m)]
 
 
 @settings(deadline=None, max_examples=50)

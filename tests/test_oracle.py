@@ -110,9 +110,9 @@ def test_property_hull_facets_matches_fraction_reference(pc, crowded):
 
 @st.composite
 def low_codimension_configurations(draw):
-    """n = D+2..D+4 points in Q^1..Q^8 on the coarse grid: realized spheres have n = D+3."""
+    """n = D+1..D+4 points in Q^1..Q^8 on the coarse grid: realized spheres have n = D+3."""
     dim = draw(st.integers(1, 8))
-    n = draw(st.integers(dim + 2, dim + 4))
+    n = draw(st.integers(dim + 1, dim + 4))
     coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
     point = st.tuples(*[coord] * dim)
     return PointConfiguration(tuple(draw(st.lists(point, min_size=n, max_size=n))))
@@ -128,6 +128,18 @@ def test_property_both_miss_paths_match_fraction_reference(pc):
     other_side = codim - 1 if codim <= oracle.MINOR_MAX_CODIM else codim
     with patch.object(oracle, "MINOR_MAX_CODIM", other_side):
         assert hull_outcome(hull_facets, pc) == expected
+
+
+@pytest.mark.parametrize("cut", [3, 2], ids=["kernel", "per-subset"])
+def test_hull_facets_names_the_least_non_simplicial_support(cut):
+    # Two edges through three points each, at codimension 3.  The kernel
+    # path meets the top edge's supports first, as its first c-subset is
+    # {1, 2, 3}, but the least support is {1, 2}, on the bottom edge.
+    pc = PointConfiguration(((0, 0), (2, 0), (1, 0), (0, 2), (2, 2), (1, 2)))
+    with patch.object(oracle, "MINOR_MAX_CODIM", cut):
+        with pytest.raises(NonSimplicial, match=r"contains points \(1, 2, 3\)$"):
+            hull_facets(pc)
+        assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
 
 
 def test_is_vertex_simplex_and_centroid():
