@@ -81,8 +81,8 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
         raise ValueError(f"{b} is not a valid bracelet")
     m = sum(b)
     slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
-    members, cert = certificate_from_slots(slots, m)
-    return _from_masks(NonFaceFamily, m, members), cert
+    members, faces, cert = certificate_from_slots(slots, m)
+    return _from_masks(NonFaceFamily, m, members, faces), cert
 
 
 @dataclass(frozen=True)

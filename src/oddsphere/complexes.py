@@ -47,16 +47,21 @@ class EnumerationLimitError(ValueError):
     """A capped dualization or face enumeration outgrew its limit."""
 
 
+def _clip(text: str) -> str:
+    """`text` cut to about 60 characters, so that a value echoed in an error stays short."""
+    return text if len(text) <= 63 else text[:60] + "..."
+
+
 def _row_mask(row: Iterable[int], m: int) -> int:
     """The bitmask of a row of labels, checked in one pass: distinct ints (not bools) in [1, m]."""
     mask = 0
     for v in row:
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise InvariantError(f"vertex labels must be integers >= 1, got {v!r}")
+            raise InvariantError(f"vertex labels must be integers >= 1, got {_clip(repr(v))}")
         if v > m:
-            raise InvariantError(f"face {tuple(row)} exceeds vertex count m={m}")
+            raise InvariantError(f"face {_clip(repr(tuple(row)))} exceeds vertex count m={m}")
         if mask >> (v - 1) & 1:
-            raise InvariantError(f"duplicate vertex in face {tuple(row)}")
+            raise InvariantError(f"duplicate vertex in face {_clip(repr(tuple(row)))}")
         mask |= 1 << (v - 1)
     return mask
 

@@ -53,7 +53,7 @@ class ZeroInput(ValueError):
 
 @dataclass(frozen=True)
 class GaleConfiguration:
-    """Vectors y_1..y_n of a common dimension e with zero sum, spanning Q^e."""
+    """Vectors y_1..y_n in Q^e with zero sum, spanning Q^e; checked unless `realize_gale_vectors` built them."""
 
     vectors: tuple[Vec, ...]
 
@@ -147,17 +147,17 @@ def _verified_classes(cert: MaxOddCycle, vectors: list[Vec]) -> bool:
 def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
     """Planar Gale vectors: (w_s / |block s|) u_s for each vertex of block `cert.slots[s]`.
 
-    The directions u_s, in counterclockwise order, are (1, 2i-k) for
-    i = 0..k with weight k, then (-1, k-1-2j) for j = 0..k-1 with weight
-    k+1, so sum_s w_s u_s = 0 and the vectors sum to zero by construction.
-    The antipodes of the second group have the parity opposite to the
-    first, so no two directions are antipodal.  Any directions in strict
-    counterclockwise order with every k+1 consecutive ones inside an open
-    half-plane encode the same face lattice as the regular polygon
-    (Gruenbaum, Convex Polytopes, 6.3); the exact check below confirms it.
+    Only certificates the library did not build are validated.  The u_s, in
+    counterclockwise order, are (1, 2i-k) for i = 0..k with weight k, then
+    (-1, k-1-2j) for j = 0..k-1 with weight k+1: no two are antipodal (the
+    antipodes of the second group have the other parity), and the vectors
+    sum to sum_s w_s u_s = 0, checked in ints.  Such directions encode the
+    regular polygon's face lattice (Gruenbaum, Convex Polytopes, 6.3);
+    `_verified_classes` confirms it and, with >= 3 classes, the span.
     """
     m = sum(len(b) for b in cert.blocks)
-    validate_certificate(cert, m)
+    if "_masks" not in vars(cert):
+        validate_certificate(cert, m)
     k = cert.k
     directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
     weights = [k] * (k + 1) + [k + 1] * k
@@ -166,9 +166,12 @@ def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
         y = vec_scale(Fraction(weights[s], len(block)), directions[s])
         for v in block:
             vectors[v - 1] = y
-    if not _verified_classes(cert, vectors):
-        raise InternalInconsistency(f"integer directions for k = {k} fail the diagram check")
-    return GaleConfiguration(tuple(vectors))
+    zero_sum = not any(sum(w * u[c] for w, u in zip(weights, directions)) for c in (0, 1))
+    if not (zero_sum and _verified_classes(cert, vectors)):
+        raise InternalInconsistency(f"integer directions for k = {k} fail the zero sum or the diagram check")
+    g = object.__new__(GaleConfiguration)
+    object.__setattr__(g, "vectors", tuple(vectors))
+    return g
 
 
 def gale_transform(points: PointConfiguration) -> GaleConfiguration:
@@ -194,11 +197,8 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     d = n - e - 1
     if d < 1:
         raise InvalidConfiguration(f"reconstruction needs n - e - 1 >= 1, got {d}")
-    if e == 0:
-        kern = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    else:
-        rows = [[v[coord] for v in g.vectors] for coord in range(e)]
-        kern = kernel_basis(rows)
+    # at e = 0 a zero row stands for the empty matrix, whose kernel is Q^n
+    kern = kernel_basis([[v[coord] for v in g.vectors] for coord in range(e)] or [[0] * n])
     # Each basis vector is 1 at its own free column and 0 at the other free
     # columns, and the all-ones vector lies in the kernel (zero sum), so it is
     # the sum of the whole basis: dropping the last vector leaves a complement.
@@ -271,5 +271,5 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] 
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    members, cert = certificate_from_slots(classes, g.n)
-    return _from_masks(NonFaceFamily, g.n, members), cert
+    members, faces, cert = certificate_from_slots(classes, g.n)
+    return _from_masks(NonFaceFamily, g.n, members, faces), cert

@@ -107,19 +107,20 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[Vec]:
     """Basis of {x : M x = 0}, one vector per free column, in column order.
 
     Each basis vector has entry 1 at its free column and 0 at the other
-    free columns, which makes the basis canonical for a fixed input.
+    free columns, which makes the basis canonical for a fixed input; it is
+    read off `det` times the rref, sharing one `Fraction` for each 0 and 1.
     """
     if not matrix:
         return []
     cols = len(matrix[0])
-    red, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
+    red, pivots, det, _ = _fraction_free_rref([_integer_row(row) for row in matrix])
+    zero, one = Fraction(0), Fraction(1)
     basis: list[Vec] = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        v = [zero] * cols
+        v[fc] = one
+        for row, pc in zip(red, pivots):
+            v[pc] = Fraction(-row[fc], det) if row[fc] else zero
         basis.append(tuple(v))
     return basis
 

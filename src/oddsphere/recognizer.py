@@ -126,25 +126,25 @@ def _alternating_masks(members: Sequence[int]) -> list[int]:
     return [reduce(and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
 
 
-def canonical_certificate(ordering: CyclicOrdering) -> MaxOddCycle:
-    """The dihedral representative whose block sequence is lexicographically least.
+def _certificate(ordering: CyclicOrdering, blocks: Sequence[int]) -> MaxOddCycle:
+    """The canonical certificate of a cycle just proved valid, marked by its block masks.
 
-    Rotating or reversing a valid ordering keeps it valid; this picks one
-    representative per orbit, and it reproduces the block labelling used
-    in the worked pentagon example (B_i = {i+1}).  The blocks are computed
-    once: rotating the ordering by r rotates the blocks by r, and reversing
-    it sends B_i to B_{(2-i) mod n}.
+    It is the rotation or reflection with the least blocks (B_i = {i+1} on
+    the worked pentagon): a rotation by r rotates the blocks by r, reversal
+    sends B_i to B_{(2-i) mod n}.  The masks go in `_masks`, outside the
+    dataclass fields as in `complexes`; only this builder sets them.
     """
-    ordering = tuple(ordering)
     n = len(ordering)
-    blocks = alternating_blocks(ordering)
-    rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
-    best_blocks, best_ordering = min(
+    pairs = tuple((_face(b), b) for b in blocks)
+    rev_pairs = tuple(pairs[(2 - i) % n] for i in range(n))
+    best_pairs, best_ordering = min(
         (b[r:] + b[:r], seq[r:] + seq[:r])
-        for b, seq in ((blocks, ordering), (rev_blocks, ordering[::-1]))
+        for b, seq in ((pairs, ordering), (rev_pairs, ordering[::-1]))
         for r in range(n)
     )
-    return MaxOddCycle(ordering=best_ordering, blocks=best_blocks)
+    cert = MaxOddCycle(ordering=best_ordering, blocks=tuple(f for f, _ in best_pairs))
+    object.__setattr__(cert, "_masks", tuple(b for _, b in best_pairs))
+    return cert
 
 
 def _is_partition(blocks: Sequence[int], m: int) -> bool:
@@ -212,9 +212,10 @@ def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
         if nxt == 0:
             return NotSphereReason.NO_CYCLIC_ORDERING  # closed a shorter cycle
         path.append(nxt)
-    if not _is_partition(_alternating_masks([masks[i] for i in path]), f.m):
+    blocks = _alternating_masks([masks[i] for i in path])
+    if not _is_partition(blocks, f.m):
         return NotSphereReason.BLOCKS_NOT_PARTITION
-    return canonical_certificate(tuple(f.members[i] for i in path))
+    return _certificate(tuple(f.members[i] for i in path), blocks)
 
 
 def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
@@ -223,18 +224,21 @@ def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
     return cert if isinstance(cert, MaxOddCycle) else None
 
 
-def certificate_from_slots(slots: Sequence[Iterable[int]], m: int) -> tuple[list[int], MaxOddCycle]:
-    """The member bitmasks and the validated canonical certificate whose block B_{-2j} is `slots[j]`.
+def certificate_from_slots(
+    slots: Sequence[Iterable[int]], m: int
+) -> tuple[list[int], CyclicOrdering, MaxOddCycle]:
+    """The member masks and faces, and the marked canonical certificate, whose block B_{-2j} is `slots[j]`.
 
-    The members, in cycle order, form a valid non-face family (see
-    `_cycle_members`), which callers build from them without re-checking.
+    Checking the slots (`_cycle_members`) proves the rest, so callers build
+    the members' non-face family from their masks and faces unchecked.
     """
     n = len(slots)
     blocks: list = [()] * n
     for j, slot in enumerate(slots):
         blocks[(-2 * j) % n] = slot
-    members = _cycle_members(blocks, m)[0]
-    return members, canonical_certificate(tuple(map(_face, members)))
+    members, masks = _cycle_members(blocks, m)
+    faces = tuple(map(_face, members))
+    return members, faces, _certificate(faces, masks)
 
 
 def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], list[int]]:

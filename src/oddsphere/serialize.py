@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .catalog import CatalogReport
-from .complexes import NonFaceFamily, SimplicialComplex
+from .complexes import NonFaceFamily, SimplicialComplex, _clip
 from .oracle import PointConfiguration
 from .recognizer import (
     MaxOddCycle,
@@ -46,13 +46,13 @@ def fraction_from_str(s) -> Fraction:
     size of the document.
     """
     if isinstance(s, str) and ("e" in s or "E" in s):
-        raise DocumentError(f"bad rational {s!r}: exponents are not accepted")
+        raise DocumentError(f"bad rational {_clip(repr(s))}: exponents are not accepted")
     try:
         if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
             return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational {s!r}: {exc}") from exc
-    raise DocumentError(f"rationals must be 'p/q' strings, got {s!r}")
+        raise DocumentError(f"bad rational {_clip(repr(s))}: {_clip(str(exc))}") from exc
+    raise DocumentError(f"rationals must be 'p/q' strings, got {_clip(repr(s))}")
 
 
 def _require(doc, key, kind, what):

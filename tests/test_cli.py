@@ -285,6 +285,29 @@ def test_deeply_nested_documents_exit_64(command, text, monkeypatch, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+DEEP = "[" * 900 + "]" * 900  # nested below the JSON parser's limit
+LONG_VALUE_DOCUMENTS = {
+    "deep-array-in-nonfaces": ("check", '{"m": 5, "nonfaces": ' + DEEP + "}"),
+    "face-over-m": ("check", json.dumps({"m": 5, "nonfaces": [list(range(1, 3000))]})),
+    "repeated-vertex": ("check", json.dumps({"m": 5, "facets": [[1] * 3000]})),
+    "deep-array-in-points": ("hull", '{"dim": 1, "points": [' + DEEP + "]}"),
+    "long-string-in-points": ("hull", json.dumps({"dim": 1, "points": [["x" * 5000]]})),
+    "long-exponent": ("hull", json.dumps({"dim": 1, "points": [["1e" + "0" * 5000]]})),
+    "long-zero-denominator": ("hull", json.dumps({"dim": 1, "points": [["1" * 3000 + "/0"]]})),
+}
+
+
+@pytest.mark.parametrize("command, text", LONG_VALUE_DOCUMENTS.values(), ids=LONG_VALUE_DOCUMENTS)
+def test_refusals_echo_a_shortened_value(command, text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main([command]) == cli.EX_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one line of at most 200 characters, and its newline
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201, err[:300]
+    assert "..." in err
+
+
 # -- golden output -------------------------------------------------------------
 
 # sha256 of `cli_transcript()` as printed before the work limits moved from

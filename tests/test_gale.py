@@ -1,5 +1,6 @@
 """Gale transforms, diagrams, the integer realization, and the readback."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests_shared import (
+    assert_marked_valid,
     coface_test,
     is_face,
     is_vertex,
@@ -95,7 +97,7 @@ def test_slots_round_trip_on_every_bracelet():
     for m in range(4, 13):
         for b in enumerate_bracelets(m):
             _, cert = instantiate(b)
-            assert certificate_from_slots(cert.slots, m)[1] == cert
+            assert certificate_from_slots(cert.slots, m)[-1] == cert
             assert tuple(len(s) for s in cert.slots) == b
 
 
@@ -144,7 +146,7 @@ def test_realize_one_vertex_per_slot_for_every_k():
         # a 3-cycle needs blocks of size >= 2, so k = 1 doubles every slot
         slots = [(j + 1,) for j in range(n)] if k > 1 else [(1, 2), (3, 4), (5, 6)]
         m = sum(len(s) for s in slots)
-        g = realize_gale_vectors(certificate_from_slots(slots, m)[1])
+        g = realize_gale_vectors(certificate_from_slots(slots, m)[-1])
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
         if m > MAX_VERTICES:
             continue  # no NonFaceFamily to read back
@@ -192,6 +194,26 @@ def test_realized_coordinates_stay_small():
 def test_realize_rejects_malformed_certificates(cert, reason):
     with pytest.raises(ValueError, match=reason):
         realize_gale_vectors(cert)
+
+
+def test_realize_validates_a_library_certificate_once_it_is_replaced():
+    _, cert = instantiate((2, 1, 1, 1, 1))
+    realize_gale_vectors(cert)
+    # `replace` builds through the public constructor, so the copy carries no
+    # mark and is checked in full: rotated blocks disagree with the ordering
+    turned = dataclasses.replace(cert, blocks=cert.blocks[1:] + cert.blocks[:1])
+    with pytest.raises(ValueError, match="disagree"):
+        realize_gale_vectors(turned)
+
+
+def test_readback_certificates_are_valid_and_canonical():
+    for m in range(4, 13):
+        for b in enumerate_bracelets(m):
+            _, cert = instantiate(b)
+            recovered = recover_nonfaces(realize_gale_vectors(cert))
+            assert recovered is not None
+            assert_marked_valid(recovered[1], m)
+            assert recovered[1] == cert
 
 
 # -- transform and reconstruction ----------------------------------------------
@@ -385,7 +407,7 @@ def test_recover_rejects_singleton_class_when_k_is_one():
 
 # k = 2: five slots, vertices 1 and 2 share slot 0; the slots' honest
 # directions in counterclockwise order
-SHARED_SLOT = certificate_from_slots([(1, 2), (3,), (4,), (5,), (6,)], 6)[1]
+SHARED_SLOT = certificate_from_slots([(1, 2), (3,), (4,), (5,), (6,)], 6)[-1]
 CCW = [(1, -2), (1, 0), (1, 2), (-1, 1), (-1, -1)]
 
 

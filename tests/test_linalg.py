@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from tests_shared import (
     reference_vec_scale,
 )
 
+from oddsphere import linalg
 from oddsphere.gale import primitive_direction
 from oddsphere.linalg import (
     cross2,
@@ -155,6 +157,31 @@ def test_kernel_basis_annihilates():
         for v in kern:
             for row in m:
                 assert dot(tuple(row), v) == 0
+
+
+def reference_kernel_basis(matrix):
+    """The kernel basis read off `reference_rref`: 1 at the free column, -rref entries at the pivots."""
+    if not matrix:
+        return []
+    red, pivots = reference_rref(matrix)
+    basis = []
+    for fc in (c for c in range(len(matrix[0])) if c not in pivots):
+        v = [Fraction(0)] * len(matrix[0])
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_property_kernel_basis_matches_fraction_reference_without_rref(matrix):
+    # the basis is read off the fraction-free reduction, not a `Fraction` rref
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("kernel_basis called rref")):
+        basis = kernel_basis(matrix)
+    assert basis == reference_kernel_basis(matrix)
+    assert all(type(x) is Fraction for v in basis for x in v)
 
 
 def test_solve_consistent_and_inconsistent():

@@ -1,5 +1,6 @@
 """Recognizer: the three characterizations and their certificates."""
 
+import dataclasses
 import itertools
 import random
 
@@ -26,12 +27,18 @@ from oddsphere.recognizer import (
     TooShort,
     TwoPartition,
     alternating_blocks,
-    canonical_certificate,
     find_max_odd_cycle,
     recognize,
     validate_certificate,
 )
-from tests_shared import brute_force_canonical_certificate, nonface_families, permuted, permuted_family
+from tests_shared import (
+    assert_marked_valid,
+    brute_force_canonical_certificate,
+    canonical_certificate,
+    nonface_families,
+    permuted,
+    permuted_family,
+)
 
 PENTAGON_F = ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5))
 
@@ -339,3 +346,70 @@ def odd_orderings(draw):
 @given(odd_orderings())
 def test_property_canonical_certificate_matches_per_variant_blocks(ordering):
     assert canonical_certificate(ordering) == brute_force_canonical_certificate(ordering)
+
+
+# -- certificates the library builds, and relabelling ---------------------------
+
+@st.composite
+def relabelled_families(draw, max_m=9):
+    """A random non-face family, or a bracelet's family relabelled by a random permutation."""
+    if draw(st.booleans()):
+        return draw(nonface_families(max_m=max_m))
+    f, _ = instantiate(draw(st.sampled_from(SMALL_BRACELETS)))
+    image = draw(st.permutations(range(1, f.m + 1)))
+    return permuted_family(f, {v: image[v - 1] for v in range(1, f.m + 1)})
+
+
+@settings(deadline=None)
+@given(relabelled_families())
+def test_property_recognized_certificates_are_valid_and_canonical(f):
+    verdict = recognize(complex_from_nonfaces(f))
+    if isinstance(verdict, Sphere):
+        validate_certificate(verdict.certificate, f.m)
+        if isinstance(verdict.certificate, MaxOddCycle):
+            assert_marked_valid(verdict.certificate, f.m)
+            assert find_max_odd_cycle(f) == verdict.certificate
+
+
+def test_instantiated_certificates_are_valid_and_canonical():
+    for m in range(4, 13):
+        for b in enumerate_bracelets(m):
+            assert_marked_valid(instantiate(b)[1], m)
+
+
+def test_caller_built_certificates_carry_no_mark():
+    cert = find_max_odd_cycle(NonFaceFamily(5, PENTAGON_F))
+    assert "_masks" in vars(cert)
+    assert "_masks" not in vars(MaxOddCycle(cert.ordering, cert.blocks))
+    assert "_masks" not in vars(dataclasses.replace(cert))
+
+
+def relabelled_certificate(cert, perm):
+    """The canonical form of `cert` with every label v moved to perm[v]."""
+    def move(a):
+        return tuple(sorted(perm[v] for v in a))
+
+    if isinstance(cert, MaxOddCycle):
+        return canonical_certificate(tuple(map(move, cert.ordering)))
+    if isinstance(cert, TwoPartition):
+        return TwoPartition(*sorted((move(cert.first), move(cert.second))))
+    return SimplexBoundary(move(cert.member))
+
+
+@settings(deadline=None)
+@given(relabelled_families(max_m=8).flatmap(
+    lambda f: st.tuples(st.just(f), st.permutations(range(1, f.m + 1)))
+))
+def test_property_recognize_is_unchanged_under_relabelling(case):
+    f, image = case
+    perm = {v: image[v - 1] for v in range(1, f.m + 1)}
+    c = complex_from_nonfaces(f)
+    before, after = recognize(c), recognize(permuted(c, perm))
+    assert type(after) is type(before)
+    if isinstance(before, NotSphere):
+        assert after.reason is before.reason
+    if isinstance(before, OutOfScope):
+        assert after == before
+    if isinstance(before, Sphere):
+        assert after.d == before.d
+        assert after.certificate == relabelled_certificate(before.certificate, perm)

@@ -14,6 +14,7 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _check_m,
+    _face,
     _mask,
     euler_characteristic,
     f_vector,
@@ -29,7 +30,7 @@ from oddsphere.oracle import (
     is_pseudomanifold,
     sphere_betti_profile,
 )
-from oddsphere.recognizer import MaxOddCycle, alternating_blocks
+from oddsphere.recognizer import MaxOddCycle, alternating_blocks, validate_certificate
 
 
 def random_family(rng: random.Random, m: int) -> NonFaceFamily:
@@ -280,6 +281,33 @@ def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
             )
         facets.append(tuple(combo))
     return tuple(sorted(facets))
+
+
+def canonical_certificate(ordering) -> MaxOddCycle:
+    """The dihedral representative whose block sequence is lexicographically least.
+
+    The reference for the certificates the library builds from bitmasks
+    (`recognizer._certificate`): it takes any ordering as tuples and
+    computes its blocks once; rotating the ordering by r rotates the blocks
+    by r, and reversing it sends B_i to B_{(2-i) mod n}.
+    """
+    ordering = tuple(ordering)
+    n = len(ordering)
+    blocks = alternating_blocks(ordering)
+    rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
+    best_blocks, best_ordering = min(
+        (b[r:] + b[:r], seq[r:] + seq[:r])
+        for b, seq in ((blocks, ordering), (rev_blocks, ordering[::-1]))
+        for r in range(n)
+    )
+    return MaxOddCycle(ordering=best_ordering, blocks=best_blocks)
+
+
+def assert_marked_valid(cert: MaxOddCycle, m: int) -> None:
+    """`cert` carries the block masks that spare it re-validation, and they tell the truth."""
+    assert tuple(_face(b) for b in vars(cert)["_masks"]) == cert.blocks
+    validate_certificate(cert, m)
+    assert cert == canonical_certificate(cert.ordering)
 
 
 def brute_force_canonical_certificate(ordering) -> MaxOddCycle:
