@@ -126,8 +126,7 @@ def _cmd_hull(args) -> int:
 
 def _cmd_homology(args) -> int:
     comp = serialize.complex_from_doc(_read_doc(args.input))
-    chains = enumerate_chains(comp)
-    _write_doc(serialize.betti_to_doc(betti_mod2(comp, chains)), args.output)
+    _write_doc(serialize.betti_to_doc(betti_mod2(comp)), args.output)
     return 0
 
 

@@ -29,6 +29,7 @@ compute them store equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -116,10 +117,31 @@ def _set_view(obj, masks: Iterable[int], faces: Iterable[Face] | None = None) ->
 
 
 def _checked_view(obj) -> tuple[int, ...]:
-    """Check m and each row of the view once (see `_row_mask`), then set it, duplicates dropped."""
-    _check_m(obj.m)
-    rows = {_row_mask(row, obj.m): row for row in map(tuple, getattr(obj, obj._VIEW))}
-    return _set_view(obj, rows, (tuple(sorted(row)) for row in rows.values()))
+    """Check m and the labels of the view once, then set it, duplicates dropped.
+
+    One pass over all labels checks that their type is exactly int (so no
+    bool passes), and a row's mask is the sum of the bits of its labels,
+    looked up in a table that holds only [1, m].  A sum has fewer bits than
+    the row has labels exactly when a label repeats (a carry), so equal
+    totals over all rows rule out repeats.  If any of that fails,
+    `_row_mask` checks the rows one by one, so a refusal names the first
+    bad label as it does.
+    """
+    m = obj.m
+    _check_m(m)
+    rows = list(map(tuple, getattr(obj, obj._VIEW)))
+    labels = list(chain.from_iterable(rows))
+    masks = None
+    if set(map(type, labels)) <= {int}:
+        bit = {v: 1 << (v - 1) for v in range(1, m + 1)}.__getitem__
+        try:
+            masks = [sum(map(bit, row)) for row in rows]
+        except KeyError:  # a label outside [1, m]
+            pass
+    if masks is None or sum(map(int.bit_count, masks)) != len(labels):
+        masks = [_row_mask(row, m) for row in rows]
+    by_mask = dict(zip(masks, rows))
+    return _set_view(obj, by_mask, map(tuple, map(sorted, by_mask.values())))
 
 
 def _from_masks(cls, m: int, masks: Iterable[int], faces: Iterable[Face] | None = None):
@@ -255,9 +277,14 @@ def _minimal_transversals(
     return transversals
 
 
+def _known_nonfaces(c: SimplicialComplex) -> NonFaceFamily | None:
+    """The minimal non-faces `c` keeps from an earlier `minimal_nonfaces`, or None."""
+    return c.__dict__.get("_nonface_cache")
+
+
 def _nonfaces(c: SimplicialComplex, cap: int, per_set: int) -> NonFaceFamily:
     """`minimal_nonfaces(c)` with the dualization capped at `cap` sets and `per_set` * `cap` units."""
-    fam = c.__dict__.get("_nonface_cache")
+    fam = _known_nonfaces(c)
     if fam is None:
         full = (1 << c.m) - 1
         fam = _from_masks(NonFaceFamily, c.m, _minimal_transversals([full ^ a for a in c._masks], cap, per_set))

@@ -169,21 +169,31 @@ def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
     zero_sum = not any(sum(w * u[c] for w, u in zip(weights, directions)) for c in (0, 1))
     if not (zero_sum and _verified_classes(cert, vectors)):
         raise InternalInconsistency(f"integer directions for k = {k} fail the zero sum or the diagram check")
+    return _proved_configuration(tuple(vectors))
+
+
+def _proved_configuration(vectors: tuple[Vec, ...]) -> GaleConfiguration:
+    """A configuration of `vectors` whose construction proved the constructor's checks, made without them."""
     g = object.__new__(GaleConfiguration)
-    object.__setattr__(g, "vectors", tuple(vectors))
+    object.__setattr__(g, "vectors", vectors)
     return g
 
 
 def gale_transform(points: PointConfiguration) -> GaleConfiguration:
-    """Rows of a kernel basis of the homogenized coordinate matrix."""
+    """Rows of a kernel basis of the homogenized coordinate matrix.
+
+    The configuration is built without the constructor's checks, which the
+    construction proves: the basis vectors are independent, so the rows
+    span, and each lies in the kernel of the all-ones row, so the rows sum
+    to zero.
+    """
     n, d = points.n, points.dim
     rows = [[p[r] for p in points.points] for r in range(d)]
     rows.append([Fraction(1)] * n)
     kern = kernel_basis(rows)
     if n - len(kern) < d + 1:
         raise NotAffinelySpanning(f"points do not affinely span Q^{d}")
-    vectors = tuple(tuple(b[i] for b in kern) for i in range(n))
-    return GaleConfiguration(vectors)
+    return _proved_configuration(tuple(tuple(b[i] for b in kern) for i in range(n)))
 
 
 def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 from .complexes import Chains, Face, SimplicialComplex, _from_masks, _mask, enumerate_chains
 from .linalg import Vec, _fraction_free_rref, _integer_row, vec
@@ -305,11 +306,13 @@ def betti_mod2(c: SimplicialComplex, chains: Chains | None = None) -> tuple[int,
     this oracle contributes.  `chains` is `complexes.enumerate_chains(c)`,
     computed here when not given: the faces of `c`, or the nerve N of the
     minimal non-faces, read by Alexander duality as b_i(c) = b_{m-i-3}(N)
-    (see `complexes._nerve`).  No minimal non-face means the full simplex,
-    which is acyclic.
+    (see `complexes._nerve`).  A vertex in every facet is in no minimal
+    non-face, so the complex is a cone over it, and acyclic: the full
+    simplex among them.  That is answered before any enumeration, since
+    the nerve of a cone is a full simplex, the worst case per face.
     """
     d = c.dimension
-    if d == c.m - 1:
+    if reduce(and_, c._masks):
         return (0,) * (d + 2)
     if chains is None:
         chains = enumerate_chains(c)

@@ -1,4 +1,4 @@
-"""Sphere recognition from minimal non-faces, with checkable certificates.
+"""Sphere recognition from facets or minimal non-faces, with checkable certificates.
 
 A complex on m vertices of dimension d is a sphere exactly when its
 minimal non-face family has one of three shapes:
@@ -10,6 +10,18 @@ minimal non-face family has one of three shapes:
   whose alternating (n-1)/2-fold intersections partition [m].
 
 Vertex counts beyond d+4 are out of scope (no characterization exists).
+
+`recognize` reads a sphere off one of two routes.  A complex that does
+not yet keep its minimal non-faces, and whose facet complements all have
+m - d - 1 vertices, is first read off its facets (`_sphere_from_facets`):
+the blocks and their cyclic order come from the complements, which must
+then be exactly the sets taking one vertex from each block of a central
+set of slots.  That costs time linear in the facets and dualizes nothing.
+Any other complex, and any complex that route does not prove a sphere,
+goes through its minimal non-faces (`complexes.minimal_nonfaces`, Berge's
+dualization), which every negative verdict and its reason come from.  A
+complex that already keeps its non-faces, as in `verify` and the catalog,
+which enumerate them first, is read off them directly.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from .complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _face,
+    _known_nonfaces,
     _mask,
     _row_mask,
     minimal_nonfaces,
@@ -202,20 +215,29 @@ def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
     if n < 3 or n % 2 == 0:
         return NotSphereReason.NO_CYCLIC_ORDERING
     # no member is empty, so none counts as disjoint from itself
-    adj = [[j for j, b in enumerate(masks) if not a & b] for a in masks]
-    if any(len(nb) != 2 for nb in adj):
+    path = _cycle_order([[j for j, b in enumerate(masks) if not a & b] for a in masks])
+    if path is None:
         return NotSphereReason.NO_CYCLIC_ORDERING
+    blocks = _alternating_masks([masks[i] for i in path])
+    if not _is_partition(blocks, f.m):
+        return NotSphereReason.BLOCKS_NOT_PARTITION
+    return _certificate(tuple(f.members[i] for i in path), blocks)
+
+
+def _cycle_order(adj: Sequence[Sequence[int]]) -> list[int] | None:
+    """The nodes 0, 1, ... of the graph with adjacency lists `adj` in the order of a
+    cycle through all of them, or None unless the graph is that one cycle."""
+    n = len(adj)
+    if any(len(nb) != 2 for nb in adj):
+        return None
     path = [0, adj[0][0]]
     while len(path) < n:
         prev, cur = path[-2], path[-1]
         nxt = adj[cur][1] if adj[cur][0] == prev else adj[cur][0]
         if nxt == 0:
-            return NotSphereReason.NO_CYCLIC_ORDERING  # closed a shorter cycle
+            return None  # closed a shorter cycle
         path.append(nxt)
-    blocks = _alternating_masks([masks[i] for i in path])
-    if not _is_partition(blocks, f.m):
-        return NotSphereReason.BLOCKS_NOT_PARTITION
-    return _certificate(tuple(f.members[i] for i in path), blocks)
+    return path
 
 
 def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
@@ -263,6 +285,93 @@ def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], 
     return members, masks
 
 
+def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:
+    """The sphere `c` is, read off its facet complements, or None if that fails.
+
+    In a sphere with m <= d+4 every facet complement has s = m - d - 1 <= 3
+    vertices, one from each block of a central set of slots (Gale
+    duality; Grunbaum, *Convex Polytopes*, 5.4 and 6.3): the single block
+    [m] at s = 1, both blocks at s = 2, and at s = 3 the blocks at the
+    corners of a triangle of the (2k+1)-gon that contains its centre.  The
+    block of v is then [m] minus the other vertices of the complements
+    through v, and slots at cyclic distance j <= k share exactly j central
+    triangles, so the adjacent slots are the pairs that share one.  This
+    reads the blocks and their cyclic order off the complements, then
+    checks that the complements are exactly the sets taking one vertex
+    from each block of a central set: the block triples they span are all
+    central, there are as many as central triangles, and the complements
+    number the sum over those of the product of the block sizes.  Two
+    vertices of one complement never share a block, by construction, so a
+    complement takes one vertex from each block of its triple among the
+    vertices whose own block that is; the count can reach that sum only
+    if those vertices fill every block, which proves that the blocks
+    partition [m].  A block of one vertex cannot occur with two blocks or
+    three: that vertex would lie in every complement, so in no facet.  Any
+    failed check returns None, leaving the verdict to the dualization.
+    """
+    m = c.m
+    full = (1 << m) - 1
+    near = [0] * m  # near[v]: the union of the complements through vertex v + 1
+    complements = []  # the vertex indices (label - 1) of each facet complement
+    for a in c._masks:
+        x = full ^ a
+        if x.bit_count() != s:
+            return None
+        indices = []
+        rest = x
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            near[v] |= x
+            indices.append(v)
+            rest ^= low
+        complements.append(indices)
+    block_of = [full ^ x | 1 << v for v, x in enumerate(near)]
+    blocks = list(dict.fromkeys(block_of))
+    n = len(blocks)
+    count = len(complements)
+    if s == 1:
+        return Sphere(m - 2, SimplexBoundary(_face(full))) if n == 1 and count == m else None
+    if s == 2:
+        if n != 2 or count != blocks[0].bit_count() * blocks[1].bit_count():
+            return None
+        return Sphere(m - 3, TwoPartition(*sorted(map(_face, blocks))))
+    if n < 3 or n % 2 == 0:
+        return None
+    slot = {b: i for i, b in enumerate(blocks)}
+    slot_of = [slot[b] for b in block_of]
+    corners = {}  # the slots of each block triple, by its bitmask over the slots
+    for u, v, w in complements:
+        i, j, l = slot_of[u], slot_of[v], slot_of[w]
+        corners[1 << i | 1 << j | 1 << l] = (i, j, l)
+    shared = [[0] * n for _ in range(n)]  # shared[i][j]: the triples holding slots i and j
+    for i, j, l in corners.values():
+        shared[i][j] += 1
+        shared[j][i] += 1
+        shared[i][l] += 1
+        shared[l][i] += 1
+        shared[j][l] += 1
+        shared[l][j] += 1
+    path = _cycle_order([[j for j, t in enumerate(row) if t == 1] for row in shared])
+    if path is None:
+        return None
+    k = (n - 1) // 2
+    position = [0] * n
+    for p, i in enumerate(path):
+        position[i] = p
+    sizes = [b.bit_count() for b in blocks]
+    product_sum = 0
+    for i, j, l in corners.values():
+        p, q, r = sorted((position[i], position[j], position[l]))
+        if q - p > k or r - q > k or n - r + p > k:
+            return None
+        product_sum += sizes[i] * sizes[j] * sizes[l]
+    if len(corners) != n * (n * n - 1) // 24 or product_sum != count:
+        return None
+    _, _, cert = certificate_from_slots([_face(blocks[i]) for i in path], m)
+    return Sphere(m - 4, cert)
+
+
 def recognize(c: SimplicialComplex) -> Verdict:
     """Decide sphereness of a complex on at most d+4 vertices.
 
@@ -274,14 +383,20 @@ def recognize(c: SimplicialComplex) -> Verdict:
     the disjointness graph of the members is not a single n-cycle (even
     when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
     means it is one but the alternating blocks fail to partition [m].
-    Raises EnumerationLimitError when the dualization that finds the
-    minimal non-faces outgrows its limit (see `minimal_nonfaces`).
+    A sphere read off its facets needs no dualization (see the module
+    docstring); otherwise this raises EnumerationLimitError when the
+    dualization that finds the minimal non-faces outgrows its limit (see
+    `minimal_nonfaces`).
     """
     m, d = c.m, c.dimension
     if m - d >= 5:
         return OutOfScope(m, d)
     if m == d + 1:
         return NotSphere(NotSphereReason.FULL_SIMPLEX)
+    if _known_nonfaces(c) is None:
+        sphere = _sphere_from_facets(c, m - d - 1)
+        if sphere is not None:
+            return sphere
     fam = minimal_nonfaces(c)
     masks = fam._masks
     full = (1 << m) - 1

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddsphere import cli, complexes, serialize
+from oddsphere import cli, complexes, oracle, serialize
 from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_bracelets, instantiate
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
 from oddsphere.recognizer import InternalInconsistency, recognize
+from tests_shared import nonface_families, simplicial_complexes
 
 PENTAGON_DOC = {"m": 5, "nonfaces": [[1, 4], [2, 5], [1, 3], [2, 4], [3, 5]]}
 SIX_CYCLE_DOC = {"m": 6, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}
@@ -54,6 +55,38 @@ def test_points_doc_roundtrip_is_bit_exact():
     doc = serialize.points_to_doc(pc)
     assert doc["points"][0] == ["1/3", "-7/2"]
     assert serialize.points_from_doc(json.loads(json.dumps(doc))) == pc
+
+
+def through_json(doc):
+    return json.loads(serialize.dumps(doc))
+
+
+@settings(deadline=None, max_examples=60)
+@given(simplicial_complexes(max_m=9))
+def test_property_complex_doc_round_trips(c):
+    doc = serialize.complex_to_doc(c)
+    back = serialize.complex_from_doc(through_json(doc))
+    assert back == c and serialize.complex_to_doc(back) == doc
+
+
+@settings(deadline=None, max_examples=60)
+@given(nonface_families(max_m=9))
+def test_property_family_doc_round_trips(f):
+    doc = serialize.family_to_doc(f)
+    back = serialize.family_from_doc(through_json(doc))
+    assert back == f and serialize.family_to_doc(back) == doc
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.fractions(max_denominator=10**12) | st.integers(-(10**40), 10**40), min_size=d, max_size=d),
+    min_size=1, max_size=8,
+)))
+def test_property_points_doc_round_trips_bit_exactly(rows):
+    pc = PointConfiguration(tuple(map(tuple, rows)))
+    doc = serialize.points_to_doc(pc)
+    back = serialize.points_from_doc(through_json(doc))
+    assert back == pc and serialize.dumps(serialize.points_to_doc(back)) == serialize.dumps(doc)
 
 
 def test_fraction_strings_lowest_terms():
@@ -424,9 +457,10 @@ def cone_over_odd_cycle_nonfaces(k):
     return NonFaceFamily(k + 1, fam.members)
 
 
-@pytest.mark.parametrize("command, as_complex", [("verify", False), ("verify", True), ("homology", True)])
+@pytest.mark.parametrize("command, as_complex", [("verify", False), ("verify", True)])
 def test_face_enumeration_is_refused_up_front(command, as_complex, monkeypatch, capsys):
-    # The apex is in no non-face, so the nerve is the full simplex on 19 vertices.
+    # The apex is in no non-face, so the nerve is the full simplex on 19
+    # vertices; `verify` enumerates before it recognizes, so it refuses.
     fam = cone_over_odd_cycle_nonfaces(19)  # m = 20: 285 facets of size 17
     doc = serialize.complex_to_doc(complex_from_nonfaces(fam)) if as_complex else serialize.family_to_doc(fam)
     rc, out, err, elapsed = run_main_timed([command], doc, monkeypatch, capsys)
@@ -437,6 +471,47 @@ def test_face_enumeration_is_refused_up_front(command, as_complex, monkeypatch, 
         "(limit 4194304), and the nerve of the minimal non-faces, or the dualization "
         "that finds them, outgrows the limit of 131072 nerve faces\n"
     )
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("k", [17, 19])
+def test_homology_answers_cones_at_once(k, monkeypatch, capsys):
+    # The apex is in every facet, so the complex is a cone and acyclic; over
+    # (1,)*19 both enumerations are past their limits, over (1,)*17 the
+    # nerve walk took over a second.
+    doc = serialize.complex_to_doc(complex_from_nonfaces(cone_over_odd_cycle_nonfaces(k)))
+    rc, out, err, elapsed = run_main_timed(["homology"], doc, monkeypatch, capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"reduced_betti": [0] * (k - 1)}
+    assert elapsed < 0.5
+
+
+def triple_complement_facets(m, k):
+    """The facets [m] - {3i-2, 3i-1, 3i}, i = 1..k, whose minimal non-faces pick one vertex per triple."""
+    return [[v for v in range(1, m + 1) if (v + 2) // 3 != i] for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("command", ["homology", "check"])
+def test_disjoint_triple_complements_are_refused(command, monkeypatch, capsys):
+    # No vertex is in every facet, so this is no cone; its 3^21 minimal
+    # non-faces are past the nerve and dualization limits, and its 21 facets
+    # of size 60 past the face limit.  The facet route of `recognize` finds
+    # no blocks (the only complement through a vertex is its own triple, so
+    # the sets read off overlap), so `check` dualizes and refuses as well.
+    doc = {"m": 63, "facets": triple_complement_facets(63, 21)}
+    rc, out, err, elapsed = run_main_timed([command], doc, monkeypatch, capsys)
+    assert rc == cli.EX_INPUT
+    assert out == ""
+    if command == "homology":
+        assert err == (
+            "error: too many faces to enumerate: the sum over facets of 2^|F| is 24211351596743786496 "
+            "(limit 4194304), and the nerve of the minimal non-faces, or the dualization "
+            "that finds them, outgrows the limit of 131072 nerve faces\n"
+        )
+    else:
+        assert err == (
+            "error: too many minimal non-faces: the dualization that finds them outgrows the limit of 131072 sets\n"
+        )
     assert elapsed < 2.0
 
 
@@ -531,24 +606,25 @@ def test_largest_spheres_in_scope_are_answered(bracelet, seed, monkeypatch, caps
 
 
 def test_homology_walks_the_faces_when_the_nerve_is_over_its_limit(monkeypatch, capsys):
-    # Cone, with apex 22, over the join of the 8-pair cross-polytope and 5
-    # points: 8 + 10 minimal non-faces, so the nerve is the full simplex on
-    # 18 vertices (2^18 faces, over the nerve limit), while the 1280 facets of
-    # size 10 bound 1,310,720 subsets, under the face limit.
+    # The join of the 8-pair cross-polytope and 5 points: 8 + 10 minimal
+    # non-faces, and only the sets holding all 8 pairs cover [21], so the
+    # nerve has more than 2^18 - 2^10 faces, over the nerve limit, while the
+    # 1280 facets of size 9 bound 655,360 subsets, under the face limit.
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(8)]
-    fam = NonFaceFamily(22, (*pairs, *itertools.combinations(range(17, 22), 2)))
+    fam = NonFaceFamily(21, (*pairs, *itertools.combinations(range(17, 22), 2)))
     doc = serialize.complex_to_doc(complex_from_nonfaces(fam))
     rc, out, _, _ = run_main_timed(["homology"], doc, monkeypatch, capsys)
     assert rc == 0
-    assert json.loads(out) == {"reduced_betti": [0] * 11}  # a cone is acyclic
+    # the join of a 7-sphere and 5 points: reduced b_8 = 4
+    assert json.loads(out) == {"reduced_betti": [0] * 9 + [4]}
 
 
-def test_nerve_limit_admits_the_full_simplex_on_seventeen_vertices(monkeypatch, capsys):
+def test_nerve_limit_admits_the_full_simplex_on_seventeen_vertices():
     fam = cone_over_odd_cycle_nonfaces(17)  # nerve: 2^17 faces, face bound 6684672 above 2^22
-    doc = serialize.complex_to_doc(complex_from_nonfaces(fam))
-    rc, out, _, _ = run_main_timed(["homology"], doc, monkeypatch, capsys)
-    assert rc == 0
-    assert json.loads(out) == {"reduced_betti": [0] * 16}  # a cone is acyclic
+    chains = complexes.enumerate_chains(complex_from_nonfaces(fam))
+    assert chains.nerve_tally is not None
+    assert sum(map(len, chains.groups)) == 1 << 17
+    assert not any(oracle._reduced_betti(chains.groups))  # the full simplex is acyclic
 
 
 @pytest.mark.parametrize("as_complex", [False, True])

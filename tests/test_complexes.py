@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddsphere import complexes
+from oddsphere import complexes, serialize
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     EnumerationLimitError,
@@ -18,6 +18,7 @@ from oddsphere.complexes import (
     _check_antichain,
     _mask,
     _minimal_transversals,
+    _row_mask,
     complex_from_nonfaces,
     euler_characteristic,
     f_vector,
@@ -397,6 +398,24 @@ def test_property_one_pass_label_check_matches_reference(drawn):
         value = cls(m, rows)
         assert (value.m, value.facets if cls is SimplicialComplex else value.members) == expected
         assert_rebuilds_equal(value)
+
+
+@pytest.mark.parametrize("kind", ["complex", "non-face"])
+@pytest.mark.parametrize("label", [True, 0, 7, 4, 1.5, "1"], ids=["bool", "zero", "above-m", "repeat", "float", "string"])
+def test_one_pass_label_check_refuses_like_row_mask(kind, label):
+    # The bad label sits in the second row, after a valid one; label 4 repeats
+    # the 4 already in that row.  The messages must be those of `_row_mask`.
+    rows = [[1, 2, 3], [3, 4, label, 5], [2, 5, 6]]
+    with pytest.raises(InvariantError) as expected:
+        for row in rows:
+            _row_mask(tuple(row), 6)
+    if kind == "complex":
+        doc, read, what = {"m": 6, "facets": rows}, serialize.complex_from_doc, "complex"
+    else:
+        doc, read, what = {"m": 6, "nonfaces": rows}, serialize.family_from_doc, "non-face family"
+    with pytest.raises(serialize.DocumentError) as refused:
+        read(doc)
+    assert str(refused.value) == f"invalid {what}: {expected.value}"
 
 
 @settings(deadline=None)

@@ -233,6 +233,21 @@ def test_gale_transform_simplex_is_empty():
     assert g.dim == 0 and g.n == 3
 
 
+def test_gale_transform_equals_the_checked_configuration():
+    # gale_transform skips the constructor's checks; on every polytope of
+    # catalog(9), and on random points, its output passes them and is equal.
+    polytopes = [reconstruct_points(realize_gale_vectors(instantiate(b)[1])) for b in enumerate_bracelets(9)]
+    assert len(polytopes) == 18
+    rng = random.Random(31339)
+    polytopes += [random_points(rng, rng.randint(4, 8), rng.choice((2, 3))) for _ in range(40)]
+    for pts in polytopes:
+        try:
+            g = gale_transform(pts)
+        except NotAffinelySpanning:
+            continue
+        assert g == GaleConfiguration(g.vectors)
+
+
 def test_gale_transform_rejects_flat_points():
     with pytest.raises(NotAffinelySpanning):
         gale_transform(PointConfiguration(((0, 0), (1, 1), (2, 2))))

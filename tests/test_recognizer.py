@@ -13,6 +13,7 @@ from oddsphere.complexes import (
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
+    _known_nonfaces,
     complex_from_nonfaces,
     minimal_nonfaces,
 )
@@ -413,3 +414,128 @@ def test_property_recognize_is_unchanged_under_relabelling(case):
     if isinstance(before, Sphere):
         assert after.d == before.d
         assert after.certificate == relabelled_certificate(before.certificate, perm)
+
+
+# -- the facet route against the dualization ------------------------------------
+
+RP2_FACETS = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6))
+
+
+def by_both_routes(c):
+    """(recognize by the facet route, recognize by the dualization, whether the facet route answered).
+
+    Each runs on a fresh copy of `c`; the second copy keeps its minimal
+    non-faces first, so `recognize` reads them instead of the facets.  The
+    facet route keeps no non-faces, so a copy without them answered there.
+    """
+    facet_copy, dualized = SimplicialComplex(c.m, c.facets), SimplicialComplex(c.m, c.facets)
+    minimal_nonfaces(dualized)
+    verdict = recognize(facet_copy)
+    return verdict, recognize(dualized), _known_nonfaces(facet_copy) is None
+
+
+@st.composite
+def relabelled_spheres(draw, max_m=16):
+    """A sphere with m <= d+4: a relabelled bracelet sphere, a two-partition sphere or a simplex boundary."""
+    kind = draw(st.sampled_from(["bracelet", "partition", "simplex"]))
+    if kind == "bracelet":
+        f, _ = instantiate(draw(st.integers(5, max_m).flatmap(lambda m: st.sampled_from(enumerate_bracelets(m)))))
+        m, members = f.m, f.members
+    elif kind == "partition":
+        m = draw(st.integers(4, 12))
+        first = tuple(range(1, draw(st.integers(2, m - 2)) + 1))
+        members = (first, tuple(range(len(first) + 1, m + 1)))
+    else:
+        m = draw(st.integers(2, 12))
+        members = (tuple(range(1, m + 1)),)
+    image = draw(st.permutations(range(1, m + 1)))
+    return complex_from_nonfaces(permuted_family(NonFaceFamily(m, members), {v: image[v - 1] for v in range(1, m + 1)}))
+
+
+@settings(deadline=None, max_examples=150)
+@given(relabelled_spheres())
+def test_property_facet_route_answers_every_sphere(c):
+    facet_verdict, dual_verdict, answered = by_both_routes(c)
+    assert answered
+    assert isinstance(facet_verdict, Sphere)
+    assert facet_verdict == dual_verdict
+    if isinstance(facet_verdict.certificate, MaxOddCycle):
+        assert_marked_valid(facet_verdict.certificate, c.m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(relabelled_spheres(max_m=12).flatmap(lambda c: st.tuples(st.just(c), st.booleans(), st.randoms())))
+def test_property_facet_route_agrees_on_a_sphere_with_a_facet_dropped_or_added(case):
+    c, drop, rng = case
+    facets = set(c.facets)
+    if drop:
+        facets.discard(rng.choice(c.facets))
+        assume(set().union(*facets) == set(range(1, c.m + 1)))
+    else:
+        facets.add(tuple(sorted(rng.sample(range(1, c.m + 1), c.dimension + 1))))
+        assume(len(facets) > len(c.facets))
+    facet_verdict, dual_verdict, answered = by_both_routes(SimplicialComplex(c.m, tuple(facets)))
+    assert facet_verdict == dual_verdict
+    assert not answered and not isinstance(facet_verdict, Sphere)
+
+
+@st.composite
+def triple_complement_complexes(draw):
+    """A complex on [m] whose facets are the complements of some 3-subsets."""
+    m = draw(st.integers(4, 9))
+    triples = draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, m + 1), 3))), min_size=1))
+    facets = tuple(tuple(v for v in range(1, m + 1) if v not in t) for t in triples)
+    assume(set().union(*map(set, facets)) == set(range(1, m + 1)))
+    return SimplicialComplex(m, facets)
+
+
+@settings(deadline=None, max_examples=300)
+@given(triple_complement_complexes())
+def test_property_facet_route_agrees_on_random_pure_complexes(c):
+    facet_verdict, dual_verdict, answered = by_both_routes(c)
+    assert facet_verdict == dual_verdict
+    assert answered == isinstance(facet_verdict, Sphere)
+
+
+@pytest.mark.parametrize("c", [
+    # the 21-vertex bracelet sphere (3,)*7 and the n = 3 sphere (2, 2, 2), relabelled
+    complex_from_nonfaces(permuted_family(instantiate((3,) * 7)[0], {v: (5 * v) % 21 + 1 for v in range(1, 22)})),
+    complex_from_nonfaces(permuted_family(instantiate((2, 2, 2))[0], {1: 4, 2: 1, 3: 6, 4: 2, 5: 3, 6: 5})),
+    # the octahedron boundary, the 4-cycle (a two-set partition at m = d+3) and the tetrahedron boundary
+    complex_from_nonfaces(NonFaceFamily(6, ((1, 2), (3, 4), (5, 6)))),
+    SimplicialComplex(4, ((1, 2), (2, 3), (3, 4), (1, 4))),
+    SimplicialComplex(4, tuple(itertools.combinations(range(1, 5), 3))),
+], ids=["21-vertex", "n3", "octahedron", "4-cycle", "tetrahedron"])
+def test_facet_route_examples(c):
+    facet_verdict, dual_verdict, answered = by_both_routes(c)
+    assert answered and isinstance(facet_verdict, Sphere)
+    assert facet_verdict == dual_verdict
+
+
+def test_facet_route_leaves_the_six_vertex_rp2_to_the_dualization():
+    # Pure with m = d+4 and a pseudomanifold, yet its 10 minimal non-faces are an even family.
+    facet_verdict, dual_verdict, answered = by_both_routes(SimplicialComplex(6, RP2_FACETS))
+    assert not answered
+    assert facet_verdict == dual_verdict == NotSphere(NotSphereReason.NON_ODD_FAMILY_SIZE)
+
+
+def test_facet_route_checks_that_every_triple_is_central():
+    # 14 complements on 7 singleton blocks whose slot graph is the 7-cycle
+    # 0-1-6-3-5-4-2 and whose count matches, but 4 triples are not central.
+    triples = ((1, 3, 5), (0, 1, 6), (0, 1, 5), (0, 4, 5), (0, 3, 5), (1, 5, 6), (3, 4, 6),
+               (3, 5, 6), (0, 2, 4), (1, 2, 5), (1, 4, 6), (2, 3, 4), (0, 1, 2), (2, 3, 6))
+    c = SimplicialComplex(7, tuple(tuple(v + 1 for v in range(7) if v not in t) for t in triples))
+    facet_verdict, dual_verdict, answered = by_both_routes(c)
+    assert not answered and facet_verdict == dual_verdict
+
+
+def test_facet_route_checks_the_number_of_triples():
+    # In the 9-gon the triangle with gaps (3, 3, 3) holds no pair at distance
+    # 1 or 2, so dropping its facet leaves the slot graph a 9-cycle.
+    sphere = complex_from_nonfaces(instantiate((1,) * 9)[0])
+    assert len(sphere.facets) == 30  # the central triangles of the 9-gon
+    for facet in sphere.facets:
+        c = SimplicialComplex(9, tuple(f for f in sphere.facets if f != facet))
+        facet_verdict, dual_verdict, answered = by_both_routes(c)
+        assert not answered and facet_verdict == dual_verdict
