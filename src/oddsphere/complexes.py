@@ -180,7 +180,7 @@ class SimplicialComplex:
 
     @property
     def dimension(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return max(map(int.bit_count, self._masks)) - 1
 
 
 @dataclass(frozen=True)

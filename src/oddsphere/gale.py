@@ -202,6 +202,8 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     The orthogonal complement of the configuration's column space contains
     the all-ones vector (zero sum); the canonical basis of that complement
     without its last vector is read off columnwise as point coordinates.
+    The points skip the constructor's checks, which this proves: the basis
+    holds only `Fraction`s, and each point has d >= 1 coordinates.
     """
     n, e = g.n, g.dim
     d = n - e - 1
@@ -212,8 +214,9 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     # Each basis vector is 1 at its own free column and 0 at the other free
     # columns, and the all-ones vector lies in the kernel (zero sum), so it is
     # the sum of the whole basis: dropping the last vector leaves a complement.
-    points = tuple(tuple(b[i] for b in kern[:-1]) for i in range(n))
-    return PointConfiguration(points)
+    pc = object.__new__(PointConfiguration)
+    object.__setattr__(pc, "points", tuple(tuple(b[i] for b in kern[:-1]) for i in range(n)))
+    return pc
 
 
 def dependence_from_direction(g: GaleConfiguration, alpha: Sequence) -> Vec:

@@ -64,7 +64,8 @@ def _fraction_free_rref(
     pivot row and replaces every other row i by (p*row_i - f*row_r) // prev,
     with p the new pivot, f = row_i[c] and prev the previous pivot; every
     entry is then a minor of the input, so the division is exact
-    (Sylvester's identity).  The input is not modified.
+    (Sylvester's identity); a row with f = 0 under p = prev would come out
+    unchanged, so it is skipped.  The input is not modified.
     """
     rows = list(matrix)
     pivots: list[int] = []
@@ -83,8 +84,8 @@ def _fraction_free_rref(
         pivot_row = rows[r]
         p = pivot_row[c]
         for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
+            f = row[c]
+            if i != r and (f or p != prev):  # else the step leaves the row as it is
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         pivots.append(c)
         prev = p

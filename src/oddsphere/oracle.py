@@ -4,11 +4,12 @@ The oracles answer geometric and topological questions from first principles
 so the other modules can be checked against them.  The homology reads the
 minimal non-faces, which `complexes` derives again from the facets, but
 nothing here takes a Gale diagram as input.  Facet enumeration reduces
-the matrix of the points' integer homogeneous columns once.  At
-codimension c = n - D - 1 <= 3, which every realized sphere has
-(n = D+3), the facets are read off the kernel of that matrix, a Gale
-transform recomputed from the coordinates alone: a D-subset is a facet
-iff the c+1 kernel rows outside it have a strictly positive linear
+the matrix of the points' integer homogeneous columns once, sparsest
+columns first, and keeps facets as bitmasks until they are sliced into
+label tuples.  At codimension c = n - D - 1 <= 3, which every realized
+sphere has (n = D+3), the facets are read off the kernel of that matrix,
+a Gale transform recomputed from the coordinates alone: a D-subset is a
+facet iff the c+1 kernel rows outside it have a strictly positive linear
 dependence (Gale duality), and bitmasks of cofactor signs decide that for
 many subsets at once.  At larger codimension each D-subset is tested by
 the signs of exact integer determinants, computed from an integer normal
@@ -21,13 +22,14 @@ complex or on the nerve of its minimal non-faces, whichever
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_, mul
+from operator import and_, mul, or_
 
-from .complexes import Chains, Face, SimplicialComplex, _from_masks, _mask, enumerate_chains
-from .linalg import Vec, _fraction_free_rref, _integer_row, vec
+from .complexes import Chains, Face, SimplicialComplex, _from_masks, enumerate_chains
+from .linalg import Vec, _fraction_free_rref, vec
 
 
 class NotFullDimensional(ValueError):
@@ -75,11 +77,34 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     lies strictly on one side.  A supporting hyperplane through more than D
     points makes the hull non-simplicial, which is reported, for the
     lexicographically least such S, rather than guessed around.
+    """
+    return tuple(sorted(_faces(_facet_masks(pc), pc.n)))
+
+
+def _faces(masks: list[int], n: int) -> list[Face]:
+    """Label tuples of facet masks on [n], sliced around the c+1 labels each misses."""
+    labels = tuple(range(1, n + 1))
+    faces = []
+    for mask in masks:
+        face, start, holes = (), 0, ~mask & (1 << n) - 1
+        while holes:
+            end = (holes & -holes).bit_length()
+            face += labels[start:end - 1]
+            start = end
+            holes &= holes - 1
+        faces.append(face + labels[start:])
+    return faces
+
+
+def _facet_masks(pc: PointConfiguration) -> list[int]:
+    """The facets of `hull_facets` as bitmasks, unsorted.
 
     Point x becomes the integer row h = (L*x, L), with L > 0 the lcm of its
-    denominators, and the (D+1) x n matrix M whose columns are these rows
-    is reduced once; its rank decides `NotFullDimensional`.  The rest
-    depends on the codimension c = n - D - 1:
+    denominators.  The (D+1) x n matrix M whose columns are these rows is
+    reduced once, its columns stably sorted most zeros first (Markowitz):
+    on a realized polytope, n - 3 unit vectors and the origin, every pivot
+    is then 1 and each step rewrites one row.  Its rank decides
+    `NotFullDimensional`.  The rest depends on the codimension c = n - D - 1:
 
     - c <= MINOR_MAX_CODIM: the facets are read off the kernel of M (see
       `_kernel_facets`), with bitmask operations over the c-subsets of the
@@ -96,15 +121,19 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
       non-pivot column and `swaps` the elimination's row swaps.
     """
     n, d = pc.n, pc.dim
-    homogeneous = [_integer_row(p + (1,)) for p in pc.points]
-    red, pivots, det, _ = _fraction_free_rref([list(col) for col in zip(*homogeneous)])
+    homogeneous = []
+    for p in pc.points:  # entries are Fractions (`PointConfiguration`)
+        scale = math.lcm(*(x.denominator for x in p))
+        homogeneous.append([x.numerator * (scale // x.denominator) for x in p] + [scale])
+    order = sorted(range(n), key=lambda j: -homogeneous[j].count(0))
+    red, pivots, det, _ = _fraction_free_rref([list(r) for r in zip(*(homogeneous[j] for j in order))])
     if len(pivots) < d + 1:
         raise NotFullDimensional(f"points span less than Q^{d}")
     if n - d - 1 <= MINOR_MAX_CODIM:
-        return tuple(sorted(_kernel_facets(homogeneous, red, pivots, det)))
+        return _kernel_facets(homogeneous, red, pivots, det, order)
     bits = [1 << i for i in range(n)]
     chi: dict[int, int] = {}
-    facets: list[Face] = []
+    facets: list[int] = []
     for combo in itertools.combinations(range(n), d):
         members = 0
         for i in combo:
@@ -140,60 +169,64 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
             continue  # cuts through the hull, or S is affinely dependent
         if coplanar:
             raise _non_simplicial(homogeneous, combo)
-        facets.append(tuple(i + 1 for i in combo))
-    return tuple(sorted(facets))
+        facets.append(members)
+    return facets
 
 
 # Largest codimension n - D - 1 at which `hull_facets` reads the facets off
 # the kernel of the point matrix; above it the cofactors have no closed form
 # here, and the sign masks grow as C(n, c-1).  Time of the kernel path over
 # that of the per-subset path, best of 5 over 20 random configurations
-# (BENCH_kernel_hull.json), for D = 1, 2, 4, 6, 8:  c = 2: 1.11, 0.62, 0.23,
-# 0.11, 0.05;  c = 3: 1.81, 0.91, 0.22, 0.09, 0.05;  c = 0, 1: 0.16-0.93.
-# D = 1 hulls take under 0.1 ms on either path.
+# (BENCH_sparse_hull.json), for D = 1, 2, 4, 6, 8:  c = 2: 1.15, 0.65, 0.25,
+# 0.12, 0.06;  c = 3: 2.68, 0.70, 0.28, 0.16, 0.04;  c = 0, 1: 0.17-0.91.
+# Only at D = 1 does the per-subset path win, and those hulls take under
+# 0.2 ms on either path, so the cut stays at 3.
 MINOR_MAX_CODIM = 3
 
 
 def _kernel_facets(
-    homogeneous: list[list[int]], red: list[list[int]], pivots: list[int], det: int
-) -> list[Face]:
-    """The facets, unsorted, from the full-rank reduction of M, for c <= 3.
+    homogeneous: list[list[int]], red: list[list[int]], pivots: list[int], det: int, order: list[int]
+) -> list[int]:
+    """The facet masks, unsorted, from the full-rank reduction of M, for c <= 3.
 
-    Gale duality (Grünbaum, *Convex Polytopes*, 5.4): give point i the row
-    g_i of an n x c matrix whose columns span ker M.  For a D-subset S with
-    complement C = c_0 < ... < c_c, the values of S's hyperplane functional
-    at the points lie in the row space of M, the orthogonal complement of
-    ker M, and vanish on S; so on C they are a linear dependence of the
-    g_j, and S is independent iff the g over C have rank c, which makes
-    that dependence unique up to scale: lambda_j = (-1)^j det(g over C - c_j)
+    Column k of the reduction is point order[k].  Gale duality (Grünbaum,
+    *Convex Polytopes*, 5.4): give point i the row g_i of an n x c matrix
+    whose columns span ker M.  For a D-subset S with complement
+    C = c_0 < ... < c_c, the values of S's hyperplane functional at the
+    points lie in the row space of M, the orthogonal complement of ker M,
+    and vanish on S; so on C they are a linear dependence of the g_j, and S
+    is independent iff the g over C have rank c, which makes that
+    dependence unique up to scale: lambda_j = (-1)^j det(g over C - c_j)
     (Cramer).  The sides of the points of C are then +-lambda, so S is a
     facet iff every lambda_j is nonzero and all have one sign, S is
     dependent iff every lambda_j is zero, and otherwise, when the nonzero
     ones agree, S supports a hyperplane through more than D points.
+    Another basis of ker M flips all these signs or none, so any column
+    order of the reduction will do.
 
-    The rows come from the reduction: the pivot column of row r gets
-    -red[r][free columns] and the j-th free column det * e_j.  For each
-    (c-1)-subset V, the cofactor vector w_V with <w_V, x> = det(g_V, x)
-    gives two bitmasks, the z > max V with <w_V, g_z> > 0 and those with
-    <w_V, g_z> < 0.  Write C = U + {z} with U a c-subset and z > max U.
-    Times the common sign (-1)^(c-1), lambda_c is -det(g_U), the bit of
-    max U in the masks of U - max U, and the other lambda_j are
-    (-1)^k <w_V, g_z>, V the k-th (c-1)-subset of U in lex order.  So ORing
-    c masks tells, for every z at once, whether some lambda is positive,
-    negative or zero.
+    The rows come from the reduction: the point of the pivot column of row
+    r gets -red[r][free columns] and that of the j-th free column det * e_j.
+    For each (c-1)-subset V, the cofactor vector w_V with
+    <w_V, x> = det(g_V, x) gives two bitmasks, the z > max V with
+    <w_V, g_z> > 0 and those with <w_V, g_z> < 0.  Write C = U + {z} with
+    U a c-subset and z > max U.  Times the common sign (-1)^(c-1), lambda_c
+    is -det(g_U), the bit of max U in the masks of U - max U, and the other
+    lambda_j are (-1)^k <w_V, g_z>, V the k-th (c-1)-subset of U in lex
+    order.  So ORing c masks tells, for every z at once, whether some
+    lambda is positive, negative or zero; S is the complement of U + {z}.
     """
     n = len(homogeneous)
-    labels = tuple(range(1, n + 1))
     c = n - len(pivots)
+    full = (1 << n) - 1
     if c == 0:
-        return list(itertools.combinations(labels, n - 1))  # a simplex
+        return [full ^ 1 << i for i in range(n)]  # a simplex
     taken = set(pivots)
     free = [j for j in range(n) if j not in taken]
     g: list[list[int]] = [[]] * n
     for j, col in enumerate(free):
-        g[col] = [det if k == j else 0 for k in range(c)]
+        g[order[col]] = [det if k == j else 0 for k in range(c)]
     for row, col in zip(red, pivots):
-        g[col] = [-row[f] for f in free]
+        g[order[col]] = [-row[f] for f in free]
     signs: dict[tuple[int, ...], tuple[int, int]] = {}
     for v in itertools.combinations(range(n), c - 1):
         w = _cofactor([g[i] for i in v])
@@ -205,21 +238,16 @@ def _kernel_facets(
             elif s < 0:
                 neg |= 1 << z
         signs[v] = pos, neg
-    full = (1 << n) - 1
-    facets: list[Face] = []
-    offenders: list[Face] = []
+    facets: list[int] = []
+    offenders: list[int] = []
     for head_set in itertools.combinations(range(n), c - 1):
         # U = head_set + {b}: its first (c-1)-subset in lex order is head_set,
         # and the k-th after that drops head_set's (c-1-k)-th member and adds b.
         pos_h, neg_h = signs[head_set]
         zero_h = ~(pos_h | neg_h)
         drops = [head_set[:i] + head_set[i + 1:] for i in reversed(range(c - 1))]
-        head: Face = ()  # the labels outside head_set below its maximum
-        prev = -1
-        for i in head_set:
-            head += labels[prev + 1:i]
-            prev = i
-        for b in range(prev + 1, n):
+        head = sum(1 << i for i in head_set)
+        for b in range(head_set[-1] + 1 if head_set else 0, n):
             last = 1 << b
             some_pos = -1 if neg_h & last else pos_h
             some_neg = -1 if pos_h & last else neg_h
@@ -234,14 +262,14 @@ def _kernel_facets(
             one_sign = (some_pos ^ some_neg) & full & -(last << 1)  # over z > b
             if not one_sign:
                 continue
-            below = head + labels[prev + 1:b]
+            outside = full ^ head ^ last
             for found, into in ((one_sign & ~some_zero, facets), (one_sign & some_zero, offenders)):
                 while found:
-                    z = (found & -found).bit_length() - 1
-                    into.append(below + labels[b + 1:z] + labels[z + 1:])
-                    found &= found - 1
+                    z = found & -found
+                    into.append(outside ^ z)
+                    found ^= z
     if offenders:
-        raise _non_simplicial(homogeneous, tuple(i - 1 for i in min(offenders)))
+        raise _non_simplicial(homogeneous, tuple(i - 1 for i in min(_faces(offenders, n))))
     return facets
 
 
@@ -289,14 +317,14 @@ def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
     Once `hull_facets` has ruled out supporting hyperplanes through more
     than D points, each facet holds exactly its D vertices, so a point is
     a vertex exactly when it lies on some facet.  Those facets are distinct
-    D-sets, an antichain, so the complex is not re-checked.
+    D-sets, an antichain, so the complex is built from their masks
+    unchecked.
     """
-    facets = hull_facets(pc)
-    on_facets = {label for f in facets for label in f}
-    for label in range(1, pc.n + 1):
-        if label not in on_facets:
-            raise InteriorPoint(f"point {label} is not a vertex of the hull")
-    return _from_masks(SimplicialComplex, pc.n, [_mask(f) for f in facets], facets)
+    masks = _facet_masks(pc)
+    missing = (1 << pc.n) - 1 & ~reduce(or_, masks, 0)
+    if missing:
+        raise InteriorPoint(f"point {(missing & -missing).bit_length()} is not a vertex of the hull")
+    return _from_masks(SimplicialComplex, pc.n, masks, _faces(masks, pc.n))
 
 
 def betti_mod2(c: SimplicialComplex, chains: Chains | None = None) -> tuple[int, ...]:

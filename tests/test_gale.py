@@ -248,6 +248,20 @@ def test_gale_transform_equals_the_checked_configuration():
         assert g == GaleConfiguration(g.vectors)
 
 
+def test_reconstruct_points_equals_the_checked_configuration():
+    # reconstruct_points skips the constructor's checks; on every polytope
+    # of catalog(9), and on random configurations, its output passes them.
+    configs = [realize_gale_vectors(instantiate(b)[1]) for b in enumerate_bracelets(9)]
+    rng = random.Random(31340)
+    for _ in range(60):
+        e = rng.randint(0, 3)
+        configs.append(random_gale_configuration(rng, rng.randint(e + 2, 9), e))
+    for g in configs:
+        pts = reconstruct_points(g)
+        assert pts == PointConfiguration(pts.points) and pts.dim == g.n - g.dim - 1
+        assert all(type(x) is Fraction for p in pts.points for x in p)
+
+
 def test_gale_transform_rejects_flat_points():
     with pytest.raises(NotAffinelySpanning):
         gale_transform(PointConfiguration(((0, 0), (1, 1), (2, 2))))

@@ -13,6 +13,7 @@ from tests_shared import (
     linear_feasible_nonneg,
     random_fraction,
     reference_cross2,
+    reference_fraction_free_rref,
     reference_fraction_to_str,
     reference_integer_row,
     reference_matrix_rank,
@@ -74,6 +75,38 @@ def test_property_rref_matches_fraction_reference(matrix):
     if len(pivots) == len(ints):  # full row rank: det is a signed minor of the input
         square = [[row[c] for c in pivots] for row in ints]
         assert (-1) ** swaps * det == leibniz_det(square)
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Integer matrices whose columns are zero, unit or dense, mixed.
+
+    Unit columns make runs of pivots equal to the previous one, where the
+    elimination leaves rows with a zero in the pivot column as they are;
+    dense columns make the other pivots.
+    """
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 7))
+    columns = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(["zero", "unit", "unit", "dense"]))
+        if kind == "dense" or not rows:
+            col = draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
+        else:
+            col = [0] * rows
+            if kind == "unit":
+                col[draw(st.integers(0, rows - 1))] = draw(st.sampled_from([1, 1, -1, 2]))
+        columns.append(col)
+    return [[col[r] for col in columns] for r in range(rows)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_integer_matrices())
+def test_property_fraction_free_rref_matches_the_full_rewrite(matrix):
+    # rows, pivots, det and swaps all agree with the loop that rewrites every row
+    before = [list(row) for row in matrix]
+    assert _fraction_free_rref(matrix) == reference_fraction_free_rref(matrix)
+    assert matrix == before
 
 
 # Exact entries pass through the helpers; everything else goes through

@@ -40,6 +40,7 @@ from oddsphere.complexes import (
     f_vector,
     minimal_nonfaces,
 )
+from oddsphere.gale import realize_gale_vectors, reconstruct_points
 from oddsphere.oracle import (
     InteriorPoint,
     NonSimplicial,
@@ -130,6 +131,65 @@ def test_property_both_miss_paths_match_fraction_reference(pc):
         assert hull_outcome(hull_facets, pc) == expected
 
 
+SPARSE_BRACELETS = [b for m in range(5, 13) for b in enumerate_bracelets(m)]
+
+
+def _relabelled_realization(case) -> PointConfiguration:
+    b, images = case
+    pts = reconstruct_points(realize_gale_vectors(instantiate(b)[1])).points
+    return PointConfiguration(tuple(pts[i] for i in images))
+
+
+@st.composite
+def sparse_configurations(draw):
+    """Configurations at codimension <= 3 with many zero coordinates.
+
+    Either a realized bracelet polytope (n - 3 unit vectors and the origin)
+    with its points in random label order, so that the sparse columns are
+    not first, optionally with the centroid of its vertices added; or the
+    origin and the unit vectors, one of them perhaps dropped, mixed with up
+    to 4 points with zero coordinates.
+    """
+    if draw(st.booleans()):
+        b = draw(st.sampled_from(SPARSE_BRACELETS))
+        pc = _relabelled_realization((b, draw(st.permutations(range(sum(b))))))
+        if draw(st.booleans()):
+            centroid = tuple(sum(coords) / pc.n for coords in zip(*pc.points))
+            pc = PointConfiguration(pc.points + (centroid,))
+        return pc
+    dim = draw(st.integers(1, 6))
+    simplex = [tuple(Fraction(int(i == k)) for i in range(dim)) for k in range(-1, dim)]
+    if draw(st.booleans()):
+        del simplex[draw(st.integers(0, dim))]  # the rest may be flat
+    coord = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)))
+    size = dim + 4 - len(simplex)
+    points = simplex + draw(st.lists(st.tuples(*[coord] * dim), min_size=size - 3, max_size=size))
+    return PointConfiguration(tuple(draw(st.permutations(points))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_configurations())
+def test_property_sparse_configurations_match_fraction_reference(pc):
+    """As the test above, on sparse points, and `boundary_complex` agrees with the facets."""
+    expected = hull_outcome(reference_hull_facets, pc)
+    codim = pc.n - pc.dim - 1
+    for cut in (oracle.MINOR_MAX_CODIM, codim - 1):
+        with patch.object(oracle, "MINOR_MAX_CODIM", cut):
+            assert hull_outcome(hull_facets, pc) == expected
+            try:
+                got = boundary_complex(pc)
+            except (NonSimplicial, NotFullDimensional) as exc:
+                assert (type(exc), str(exc)) == expected
+                continue
+            except InteriorPoint as exc:
+                on_facets = {label for f in expected for label in f}
+                first = min(set(range(1, pc.n + 1)) - on_facets)
+                assert str(exc) == f"point {first} is not a vertex of the hull"
+                continue
+            want = SimplicialComplex(pc.n, expected)
+            assert got == want and got._masks == want._masks
+
+
 @pytest.mark.parametrize("cut", [3, 2], ids=["kernel", "per-subset"])
 def test_hull_facets_names_the_least_non_simplicial_support(cut):
     # Two edges through three points each, at codimension 3.  The kernel
@@ -162,6 +222,12 @@ def test_boundary_complex_rejects_interior_point():
     pc = PointConfiguration(UNIT_SIMPLEX_3D.points + (centroid,))
     with pytest.raises(InteriorPoint):
         boundary_complex(pc)
+    # a relabelled realized polytope, and the centroid of its vertices
+    pc = _relabelled_realization(((3, 3, 3), (4, 0, 7, 2, 8, 1, 5, 3, 6)))
+    assert boundary_complex(pc).facets == hull_facets(pc) == reference_hull_facets(pc)
+    centroid = tuple(sum(coords) / pc.n for coords in zip(*pc.points))
+    with pytest.raises(InteriorPoint, match=r"^point 10 is not a vertex of the hull$"):
+        boundary_complex(PointConfiguration(pc.points + (centroid,)))
 
 
 def test_betti_profiles():

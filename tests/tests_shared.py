@@ -240,6 +240,35 @@ def reference_rref(matrix):
     return m, pivots
 
 
+def reference_fraction_free_rref(
+    matrix: Sequence[list[int]],
+) -> tuple[list[list[int]], list[int], int, int]:
+    """`linalg._fraction_free_rref` rewriting every other row at every step."""
+    rows = list(matrix)
+    pivots: list[int] = []
+    prev = 1
+    swaps = 0
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps ^= 1
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        prev = p
+    return rows, pivots, prev, swaps
+
+
 def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     """`oracle.hull_facets` with one `Fraction` kernel vector per D-subset.
 
