@@ -5,10 +5,11 @@ sequence of its block sizes, a bracelet: an odd-length cyclic sequence of
 positive integers summing to m (with every part >= 2 when the length is 3,
 since then the blocks themselves are the non-faces).  The catalog
 instantiates each bracelet and cross-checks every instance through the
-recognizer, the realization pipeline, and the oracle.  Distinct bracelets
-give non-isomorphic spheres (Perles, via Grunbaum, Convex Polytopes, 6.3),
-so each bracelet is one catalog entry; the tests check that correspondence
-with an independent isomorphism search.
+recognizer, the realization pipeline, and the oracle (`cross_check`, which
+`verify` runs too).  Distinct bracelets give non-isomorphic spheres
+(Perles, via Grunbaum, Convex Polytopes, 6.3), so each bracelet is one
+catalog entry; the tests check that correspondence with an independent
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .complexes import (
     complex_from_nonfaces,
     enumerate_chains,
     f_vector,
+    minimal_nonfaces,
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import MaxOddCycle, Sphere, certificate_from_slots, recognize
+from .recognizer import MaxOddCycle, Sphere, Verdict, certificate_from_slots, recognize
 
 Bracelet = tuple[int, ...]
 
@@ -77,7 +79,8 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
     consecutive blocks.
     """
     n = len(b)
-    if n < 3 or n % 2 == 0 or any(p < 1 for p in b) or (n == 3 and any(p < 2 for p in b)):
+    least = 2 if n == 3 else 1
+    if n < 3 or n % 2 == 0 or any(type(p) is not int or p < least for p in b):
         raise ValueError(f"{b} is not a valid bracelet")
     m = sum(b)
     slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
@@ -106,36 +109,42 @@ class CatalogReport:
     classes: tuple[SphereClass, ...]
 
 
-def _cross_check(
-    fam: NonFaceFamily, cert: MaxOddCycle, comp: SimplicialComplex, chains: Chains, fv: tuple[int, ...]
-) -> None:
-    d = fam.m - 4
-    if comp.dimension != d:
-        raise CatalogVerificationError(f"{fam.members}: dimension {comp.dimension} != {d}")
+def cross_check(comp: SimplicialComplex, chains: Chains) -> tuple[Verdict, dict[str, bool | str]]:
+    """Recognize `comp` and prove a positive verdict by every independent route.
+
+    `chains` is `enumerate_chains(comp)`, computed first, so `recognize`
+    and the Gale readback read the minimal non-faces that enumeration
+    derived again from the facets.  Returns the verdict and the stages
+    `verify` reports: `recognizer`, then for a sphere `realization`,
+    `hull_matches_complex` and `gale_readback` (each "skipped" for a
+    simplex boundary or two-partition sphere, which has no planar
+    diagram) and `homology_profile`.  A stage is True when it passed.
+    """
     verdict = recognize(comp)
-    if not (isinstance(verdict, Sphere) and verdict.d == d and isinstance(verdict.certificate, MaxOddCycle)):
-        raise CatalogVerificationError(f"{fam.members}: recognizer returned {verdict}")
-    g = realize_gale_vectors(cert)
-    realized = boundary_complex(reconstruct_points(g))
-    if realized != comp:
-        raise CatalogVerificationError(f"{fam.members}: realized hull differs from the complex")
-    recovered = recover_nonfaces(g)
-    if recovered is None or recovered[0] != fam:
-        raise CatalogVerificationError(f"{fam.members}: Gale readback failed to return the family")
-    if not is_pseudomanifold(comp):
-        raise CatalogVerificationError(f"{fam.members}: not a pseudomanifold")
-    if betti_mod2(comp, chains) != sphere_betti_profile(d):
-        raise CatalogVerificationError(f"{fam.members}: wrong homology profile")
-    if _euler_from_f_vector(fv) != 1 + (-1) ** d:
-        raise CatalogVerificationError(f"{fam.members}: wrong Euler characteristic")
+    stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
+    if not isinstance(verdict, Sphere):
+        return verdict, stages
+    if isinstance(verdict.certificate, MaxOddCycle):
+        g = realize_gale_vectors(verdict.certificate)
+        stages["realization"] = True
+        stages["hull_matches_complex"] = boundary_complex(reconstruct_points(g)) == comp
+        recovered = recover_nonfaces(g)
+        stages["gale_readback"] = recovered is not None and recovered[0] == minimal_nonfaces(comp)
+    else:
+        stages.update(realization="skipped", hull_matches_complex="skipped", gale_readback="skipped")
+    stages["homology_profile"] = betti_mod2(comp, chains) == sphere_betti_profile(verdict.d)
+    return verdict, stages
 
 
 def catalog(m: int) -> CatalogReport:
     """All spheres on m vertices of dimension m-4, one entry per bracelet.
 
-    Every instance is verified end to end (recognizer, realization, hull
-    equality, Gale readback, pseudomanifold, homology, Euler characteristic);
-    any failure raises, since it would mean an implementation bug.
+    Every instance goes through `cross_check`, and then through the checks
+    only a constructed entry allows: the verdict carries the instantiated
+    certificate, the minimal non-faces are the family, the complex is a
+    pseudomanifold and its Euler characteristic is a sphere's.  Any failure
+    raises CatalogVerificationError naming every failed stage, since it
+    would mean an implementation bug.
     """
     if not 4 <= m <= MAX_M:
         raise ValueError(f"catalog supports 4 <= m <= {MAX_M}")
@@ -145,6 +154,15 @@ def catalog(m: int) -> CatalogReport:
         comp = complex_from_nonfaces(fam)
         chains = enumerate_chains(comp)  # one enumeration serves the f-vector and the homology
         fv = f_vector(comp, chains)
-        _cross_check(fam, cert, comp, chains, fv)
+        verdict, stages = cross_check(comp, chains)
+        stages.update(
+            certificate=verdict == Sphere(m - 4, cert),
+            nonfaces=minimal_nonfaces(comp) == fam,
+            pseudomanifold=is_pseudomanifold(comp),
+            euler_characteristic=_euler_from_f_vector(fv) == 1 + (-1) ** (m - 4),
+        )
+        failed = [name for name, passed in stages.items() if passed is not True]
+        if failed:
+            raise CatalogVerificationError(f"{fam.members}: failed {', '.join(failed)}")
         classes.append(SphereClass(bracelet=b, family=fam, certificate=cert, complex=comp, f_vector=fv))
     return CatalogReport(m=m, classes=tuple(classes))

@@ -14,10 +14,10 @@ import json
 import sys
 
 from . import serialize
-from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog
+from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cross_check
 from .complexes import complex_from_nonfaces, enumerate_chains, minimal_nonfaces
-from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
-from .oracle import betti_mod2, boundary_complex, hull_facets, sphere_betti_profile
+from .gale import realize_gale_vectors, reconstruct_points
+from .oracle import betti_mod2, boundary_complex, hull_facets
 from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, find_max_odd_cycle, recognize
 
 EX_INPUT = 64
@@ -138,23 +138,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
-    chains = enumerate_chains(comp)
-    verdict = recognize(comp)
-    stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
-    if isinstance(verdict, Sphere):
-        cert = verdict.certificate
-        if isinstance(cert, MaxOddCycle):
-            if args.verbose:
-                _print_certificate(cert)
-            g = realize_gale_vectors(cert)
-            stages["realization"] = True
-            stages["hull_matches_complex"] = boundary_complex(reconstruct_points(g)) == comp
-            recovered = recover_nonfaces(g)
-            stages["gale_readback"] = recovered is not None and recovered[0] == minimal_nonfaces(comp)
-        else:
-            # simplex boundary / two-partition spheres have no planar diagram
-            stages.update(realization="skipped", hull_matches_complex="skipped", gale_readback="skipped")
-        stages["homology_profile"] = betti_mod2(comp, chains) == sphere_betti_profile(verdict.d)
+    verdict, stages = cross_check(comp, enumerate_chains(comp))
+    if args.verbose and isinstance(verdict, Sphere) and isinstance(verdict.certificate, MaxOddCycle):
+        _print_certificate(verdict.certificate)
     ok = all(v is not False for v in stages.values())
     _write_doc({"ok": ok, "stages": stages}, args.output)
     return 0 if ok else 1

@@ -67,13 +67,6 @@ def _row_mask(row: Iterable[int], m: int) -> int:
     return mask
 
 
-def _mask(face: Face) -> int:
-    bits = 0
-    for v in face:
-        bits |= 1 << (v - 1)
-    return bits
-
-
 def _face(mask: int) -> Face:
     out = []
     while mask:
@@ -87,7 +80,7 @@ def _check_m(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvariantError(f"vertex count m must be a positive integer, got {m!r}")
     if m > MAX_VERTICES:
-        raise InvariantError(f"vertex count m={m} exceeds the bitmask limit {MAX_VERTICES}")
+        raise InvariantError(f"vertex count m={m} exceeds {MAX_VERTICES}, the largest m the tests cover")
 
 
 def _check_antichain(masks: Sequence[int], what: str) -> None:

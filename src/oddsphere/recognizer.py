@@ -33,12 +33,12 @@ from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .complexes import (
+    MAX_VERTICES,
     Face,
     NonFaceFamily,
     SimplicialComplex,
     _face,
     _known_nonfaces,
-    _mask,
     _row_mask,
     minimal_nonfaces,
 )
@@ -123,14 +123,16 @@ Verdict = Sphere | NotSphere | OutOfScope
 def alternating_blocks(ordering: CyclicOrdering) -> tuple[Face, ...]:
     """B_i = A_i `intersect` A_{i+2} `intersect` ... `intersect` A_{i+n-3}, indices mod n.
 
-    For n = 3 the intersection has a single term, so B_i = A_i.
+    For n = 3 the intersection has a single term, so B_i = A_i.  Each
+    member's labels are checked as `complexes` checks a row: distinct ints
+    (not bools) in [1, MAX_VERTICES].
     """
     n = len(ordering)
     if n < 3:
         raise TooShort(f"cyclic ordering has length {n} < 3")
     if n % 2 == 0:
         raise EvenLength(f"cyclic ordering has even length {n}")
-    return tuple(_face(b) for b in _alternating_masks([_mask(a) for a in ordering]))
+    return tuple(_face(b) for b in _alternating_masks([_row_mask(a, MAX_VERTICES) for a in ordering]))
 
 
 def _alternating_masks(members: Sequence[int]) -> list[int]:

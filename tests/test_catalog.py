@@ -1,5 +1,6 @@
 """Bracelet enumeration, instantiation, isomorphism, and the catalog."""
 
+import importlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from tests_shared import are_isomorphic, burnside_bracelet_count, permuted
 
 from oddsphere.catalog import (
+    CatalogVerificationError,
     canonical_bracelet,
     catalog,
     enumerate_bracelets,
@@ -18,7 +20,10 @@ from oddsphere.complexes import (
     SimplicialComplex,
     complex_from_nonfaces,
 )
-from oddsphere.recognizer import find_max_odd_cycle, validate_certificate
+from oddsphere.recognizer import Sphere, find_max_odd_cycle, validate_certificate
+
+# `oddsphere.catalog` is also the name of the function the package exports
+catalog_module = importlib.import_module("oddsphere.catalog")
 
 
 def set_partitions(universe, blocks):
@@ -117,6 +122,12 @@ def test_instantiate_output_passes_search():
             validate_certificate(found, m)
 
 
+@pytest.mark.parametrize("bracelet", [(True, 2, 2, 1, 1), (2.0, 2, 2)])
+def test_instantiate_refuses_parts_that_are_not_ints(bracelet):
+    with pytest.raises(ValueError, match="is not a valid bracelet"):
+        instantiate(bracelet)
+
+
 def test_are_isomorphic_relabeled_octahedron():
     rng = random.Random(9)
     octa = complex_from_nonfaces(NonFaceFamily(6, ((1, 2), (3, 4), (5, 6))))
@@ -183,6 +194,14 @@ def test_catalog_thirteen_vertices_has_one_class_per_bracelet():
     report = catalog(13)
     assert [cls.bracelet for cls in report.classes] == enumerate_bracelets(13)
     assert len(report.classes) == 183
+
+
+def test_catalog_names_a_certificate_other_than_the_instantiated_one(monkeypatch):
+    octahedron = instantiate((2, 2, 2))[1]
+    monkeypatch.setattr(catalog_module, "recognize", lambda c: Sphere(c.m - 4, octahedron))
+    # (2, 2, 2) is the first class of catalog(6) and passes; (1, 1, 1, 1, 2) does not
+    with pytest.raises(CatalogVerificationError, match=r"failed .*\bcertificate\b"):
+        catalog(6)
 
 
 def test_catalog_rejects_out_of_range():

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -245,6 +246,37 @@ def test_verify_non_sphere_fails():
     proc = run_cli(["verify"], doc)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["ok"] is False
+
+
+SKIPPED_STAGES_STDOUT = (
+    '{"ok": true, "stages": {"gale_readback": "skipped", "homology_profile": true, '
+    '"hull_matches_complex": "skipped", "realization": "skipped", "recognizer": true}}\n'
+)
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 5, "nonfaces": [[1, 2, 3], [4, 5]]},
+    {"m": 4, "nonfaces": [[1, 2, 3, 4]]},
+], ids=["two-partition", "simplex-boundary"])
+def test_verify_skips_the_planar_stages_without_a_diagram(doc, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["verify", "--verbose"]) == 0
+    assert capsys.readouterr() == (SKIPPED_STAGES_STDOUT, "")
+
+
+def test_a_wrong_hull_fails_verify_and_the_catalog_at_that_stage(monkeypatch, capsys):
+    def simplex_boundary(points):
+        return complex_from_nonfaces(NonFaceFamily(points.n, (tuple(range(1, points.n + 1)),)))
+
+    # the function `oddsphere.catalog` shadows the module of that name
+    monkeypatch.setattr(importlib.import_module("oddsphere.catalog"), "boundary_complex", simplex_boundary)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
+    assert cli.main(["verify"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert [name for name, passed in doc["stages"].items() if passed is not True] == ["hull_matches_complex"]
+    with pytest.raises(CatalogVerificationError, match=r"failed hull_matches_complex$"):
+        catalog(6)
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

@@ -16,7 +16,6 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _check_antichain,
-    _mask,
     _minimal_transversals,
     _row_mask,
     complex_from_nonfaces,
@@ -28,6 +27,7 @@ from oddsphere.gale import realize_gale_vectors, reconstruct_points, recover_non
 from oddsphere.oracle import betti_mod2, boundary_complex
 from oddsphere.recognizer import recognize
 from tests_shared import (
+    face_mask,
     is_face,
     nonface_families,
     permuted,
@@ -344,7 +344,7 @@ def _antichain_error(check, faces):
 @given(face_lists())
 def test_property_check_antichain_matches_reference(drawn):
     faces, nested = drawn
-    error = _antichain_error(lambda fs, what: _check_antichain([_mask(f) for f in fs], what), faces)
+    error = _antichain_error(lambda fs, what: _check_antichain([face_mask(f) for f in fs], what), faces)
     assert error == _antichain_error(reference_check_antichain, faces)
     if nested:
         assert error is not None
@@ -381,7 +381,7 @@ def assert_rebuilds_equal(value):
     view = value.facets if isinstance(value, SimplicialComplex) else value.members
     rebuilt = type(value)(value.m, view)
     assert rebuilt == value
-    assert rebuilt._masks == value._masks == tuple(_mask(a) for a in view)
+    assert rebuilt._masks == value._masks == tuple(face_mask(a) for a in view)
 
 
 @settings(deadline=None, max_examples=300)
@@ -464,7 +464,7 @@ def test_rejects_out_of_range_vertex():
 
 
 def test_rejects_m_beyond_bitmask_limit():
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="m=65 exceeds 64, the largest m the tests cover"):
         NonFaceFamily(65, ((1, 2),))
 
 

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests_shared import (
+    face_mask,
     ground_truth_sphere,
     is_vertex,
     nonface_families,
@@ -32,7 +33,6 @@ from oddsphere.complexes import (
     SimplicialComplex,
     _face_masks_by_size,
     _face_subset_bound,
-    _mask,
     _nerve,
     complex_from_nonfaces,
     enumerate_chains,
@@ -255,7 +255,7 @@ def test_betti_mod2_matches_dense_reference_on_bracelet_spheres():
 def by_route(c, nerve):
     """(betti_mod2(c), f_vector(c)) read from the nerve or from the faces, whichever is asked."""
     if nerve:
-        chains = Chains(*_nerve([_mask(a) for a in minimal_nonfaces(c).members], c.m))
+        chains = Chains(*_nerve([face_mask(a) for a in minimal_nonfaces(c).members], c.m))
     else:
         chains = Chains(_face_masks_by_size(c), None)
     return betti_mod2(c, chains), f_vector(c, chains)
@@ -266,7 +266,7 @@ def by_route(c, nerve):
 def test_property_nerve_and_face_routes_agree(c):
     # Alexander duality with the nerve theorem, and inclusion-exclusion over
     # the non-faces, are the claims under test: each route is the other's reference.
-    members = [_mask(a) for a in minimal_nonfaces(c).members]
+    members = [face_mask(a) for a in minimal_nonfaces(c).members]
     assume(_nerve(members, c.m, 1 << 12) is not None)
     assert by_route(c, True) == by_route(c, False)
 

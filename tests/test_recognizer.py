@@ -81,6 +81,12 @@ def test_alternating_blocks_rejects_bad_lengths():
         alternating_blocks(((1, 2),))
 
 
+@pytest.mark.parametrize("ordering, label", [(((0, 1), (2, 3), (4, 5)), "0"), (((True, 2), (3, 4), (5, 6)), "True")])
+def test_alternating_blocks_refuses_labels_as_rows_are_refused(ordering, label):
+    with pytest.raises(InvariantError, match=f"^vertex labels must be integers >= 1, got {label}$"):
+        alternating_blocks(ordering)
+
+
 def test_find_max_odd_cycle_pentagon():
     cert = find_max_odd_cycle(NonFaceFamily(5, PENTAGON_F))
     assert cert is not None

@@ -15,7 +15,6 @@ from oddsphere.complexes import (
     SimplicialComplex,
     _check_m,
     _face,
-    _mask,
     euler_characteristic,
     f_vector,
 )
@@ -31,6 +30,14 @@ from oddsphere.oracle import (
     sphere_betti_profile,
 )
 from oddsphere.recognizer import MaxOddCycle, alternating_blocks, validate_certificate
+
+
+def face_mask(face: Face) -> int:
+    """The bitmask of a face (vertex v is bit v - 1), its labels unchecked."""
+    bits = 0
+    for v in face:
+        bits |= 1 << (v - 1)
+    return bits
 
 
 def random_family(rng: random.Random, m: int) -> NonFaceFamily:
@@ -161,7 +168,7 @@ def reference_family_fields(m: int, rows) -> tuple[int, tuple[Face, ...]]:
 
 def reference_check_antichain(faces: Sequence[Face], what: str) -> None:
     """`complexes._check_antichain` testing every ordered pair of faces."""
-    masks = [_mask(f) for f in faces]
+    masks = [face_mask(f) for f in faces]
     for i, a in enumerate(masks):
         for j, b in enumerate(masks):
             if i != j and a & b == a:
@@ -408,8 +415,8 @@ def burnside_bracelet_count(m: int) -> int:
 
 def is_face(c: SimplicialComplex, a: Iterable[int]) -> bool:
     """True iff `a` is contained in some facet of `c`."""
-    am = _mask(as_face(a, c.m))
-    return any(am & _mask(f) == am for f in c.facets)
+    am = face_mask(as_face(a, c.m))
+    return any(am & face_mask(f) == am for f in c.facets)
 
 
 def permuted(c: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
