@@ -4,9 +4,14 @@ A sphere on m vertices of dimension m-4 is determined by the cyclic
 sequence of its block sizes, a bracelet: an odd-length cyclic sequence of
 positive integers summing to m (with every part >= 2 when the length is 3,
 since then the blocks themselves are the non-faces).  The catalog
-instantiates each bracelet and cross-checks every instance through the
-recognizer, the realization pipeline, and the oracle (`cross_check`, which
-`verify` runs too).  Distinct bracelets give non-isomorphic spheres
+instantiates each bracelet, builds its complex straight from the
+certificate (`recognizer.cycle_complex`: one facet per choice of a vertex
+from each block of a central triangle of slots), and cross-checks every
+instance through the recognizer, the realization pipeline, and the oracle
+(`cross_check`, which `verify` runs too).  The construction is checked by
+two independent routes: Berge's dualization of the facets must give back
+the instantiated family, and the hull of the realized points must give
+back the complex.  Distinct bracelets give non-isomorphic spheres
 (Perles, via Grunbaum, Convex Polytopes, 6.3), so each bracelet is one
 catalog entry; the tests check that correspondence with an independent
 isomorphism search.
@@ -23,14 +28,13 @@ from .complexes import (
     SimplicialComplex,
     _euler_from_f_vector,
     _from_masks,
-    complex_from_nonfaces,
     enumerate_chains,
     f_vector,
     minimal_nonfaces,
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import MaxOddCycle, Sphere, Verdict, certificate_from_slots, recognize
+from .recognizer import MaxOddCycle, Sphere, Verdict, certificate_from_slots, cycle_complex, recognize
 
 Bracelet = tuple[int, ...]
 
@@ -151,7 +155,7 @@ def catalog(m: int) -> CatalogReport:
     classes = []
     for b in enumerate_bracelets(m):
         fam, cert = instantiate(b)
-        comp = complex_from_nonfaces(fam)
+        comp = cycle_complex(cert)
         chains = enumerate_chains(comp)  # one enumeration serves the f-vector and the homology
         fv = f_vector(comp, chains)
         verdict, stages = cross_check(comp, chains)

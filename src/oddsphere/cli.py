@@ -18,7 +18,15 @@ from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cr
 from .complexes import complex_from_nonfaces, enumerate_chains, minimal_nonfaces
 from .gale import realize_gale_vectors, reconstruct_points
 from .oracle import betti_mod2, boundary_complex, hull_facets
-from .recognizer import InternalInconsistency, MaxOddCycle, NotSphere, Sphere, find_max_odd_cycle, recognize
+from .recognizer import (
+    InternalInconsistency,
+    MaxOddCycle,
+    NotSphere,
+    Sphere,
+    TwoPartition,
+    find_max_odd_cycle,
+    recognize,
+)
 
 EX_INPUT = 64
 EX_SOFTWARE = 70
@@ -64,11 +72,13 @@ def _print_certificate(cert) -> None:
     # sys.stderr is looked up per call so that redirect_stderr applies
     if isinstance(cert, MaxOddCycle):
         cyc = " - ".join("{" + ",".join(map(str, a)) + "}" for a in cert.ordering)
-        blocks = " | ".join("{" + ",".join(map(str, b)) + "}" for b in cert.blocks)
         print(f"cyclic ordering: {cyc}", file=sys.stderr)
-        print(f"blocks: {blocks}", file=sys.stderr)
+        blocks = cert.blocks
+    elif isinstance(cert, TwoPartition):
+        blocks = (cert.first, cert.second)
     else:
-        print(f"certificate: {cert}", file=sys.stderr)
+        blocks = (cert.member,)
+    print("blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in blocks), file=sys.stderr)
 
 
 def _cmd_check(args) -> int:
@@ -139,7 +149,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     comp = _complex_from_any(_read_doc(args.input))
     verdict, stages = cross_check(comp, enumerate_chains(comp))
-    if args.verbose and isinstance(verdict, Sphere) and isinstance(verdict.certificate, MaxOddCycle):
+    if args.verbose and isinstance(verdict, Sphere):
         _print_certificate(verdict.certificate)
     ok = all(v is not False for v in stages.values())
     _write_doc({"ok": ok, "stages": stages}, args.output)

@@ -5,7 +5,9 @@ positive-ray direction classes carry the same information exactly, because
 the origin-in-relative-interior test is invariant under positive scaling.
 The regular polygon is likewise irrational, so diagrams are realized on
 small primitive integer directions in the same cyclic order, and the
-direction classes are re-verified with exact arithmetic.  A maximum odd
+direction classes are re-verified with exact arithmetic.  The realized
+vectors are integer multiples of those directions, scaled by the lcm of
+the block sizes, so no `Fraction` is built before the kernel.  A maximum odd
 cycle already is its diagram: the slot order is defined by
 `MaxOddCycle.slots` and inverted by `certificate_from_slots`.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .complexes import NonFaceFamily, _from_masks
@@ -29,7 +30,6 @@ from .linalg import (
     matrix_rank,
     solve,
     vec,
-    vec_scale,
 )
 from .oracle import PointConfiguration
 from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots, validate_certificate
@@ -83,7 +83,9 @@ class GaleConfiguration:
 
 def primitive_direction(v: Sequence) -> DiagramDirection:
     """The primitive integer vector on the positive ray through v (v nonzero)."""
-    a, b = _integer_row((v[0], v[1]))
+    a, b = v[0], v[1]
+    if type(a) is not int or type(b) is not int:
+        a, b = _integer_row((a, b))
     if a == 0 and b == 0:
         raise ZeroInput("the zero vector has no direction")
     g = math.gcd(a, b)
@@ -145,13 +147,15 @@ def _verified_classes(cert: MaxOddCycle, vectors: list[Vec]) -> bool:
 
 
 def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
-    """Planar Gale vectors: (w_s / |block s|) u_s for each vertex of block `cert.slots[s]`.
+    """Planar integer Gale vectors: (w_s L / |block s|) u_s for each vertex of block `cert.slots[s]`.
 
+    L is the lcm of the block sizes, so every entry is an `int`; a uniform
+    scale leaves the kernel that `reconstruct_points` reads unchanged.
     Only certificates the library did not build are validated.  The u_s, in
     counterclockwise order, are (1, 2i-k) for i = 0..k with weight k, then
     (-1, k-1-2j) for j = 0..k-1 with weight k+1: no two are antipodal (the
     antipodes of the second group have the other parity), and the vectors
-    sum to sum_s w_s u_s = 0, checked in ints.  Such directions encode the
+    sum to L sum_s w_s u_s = 0, checked in ints.  Such directions encode the
     regular polygon's face lattice (Gruenbaum, Convex Polytopes, 6.3);
     `_verified_classes` confirms it and, with >= 3 classes, the span.
     """
@@ -161,9 +165,12 @@ def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
     k = cert.k
     directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
     weights = [k] * (k + 1) + [k + 1] * k
-    vectors: list[Vec] = [()] * m
-    for s, block in enumerate(cert.slots):
-        y = vec_scale(Fraction(weights[s], len(block)), directions[s])
+    slots = cert.slots
+    scale = math.lcm(*map(len, slots))
+    vectors: list[tuple[int, int]] = [()] * m
+    for block, w, (a, b) in zip(slots, weights, directions):
+        factor = w * scale // len(block)
+        y = (factor * a, factor * b)
         for v in block:
             vectors[v - 1] = y
     zero_sum = not any(sum(w * u[c] for w, u in zip(weights, directions)) for c in (0, 1))
@@ -189,7 +196,7 @@ def gale_transform(points: PointConfiguration) -> GaleConfiguration:
     """
     n, d = points.n, points.dim
     rows = [[p[r] for p in points.points] for r in range(d)]
-    rows.append([Fraction(1)] * n)
+    rows.append([1] * n)
     kern = kernel_basis(rows)
     if n - len(kern) < d + 1:
         raise NotAffinelySpanning(f"points do not affinely span Q^{d}")

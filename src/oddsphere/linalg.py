@@ -25,12 +25,6 @@ def vec(entries: Iterable) -> Vec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
-def vec_scale(c, a: Vec) -> Vec:
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 

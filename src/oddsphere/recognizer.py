@@ -22,6 +22,10 @@ goes through its minimal non-faces (`complexes.minimal_nonfaces`, Berge's
 dualization), which every negative verdict and its reason come from.  A
 complex that already keeps its non-faces, as in `verify` and the catalog,
 which enumerate them first, is read off them directly.
+
+`cycle_complex` runs the facet route backwards: it builds the sphere of a
+maximum odd cycle from its certificate, one facet per choice of a vertex
+from each block of a central triangle of slots.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _face,
+    _from_masks,
     _known_nonfaces,
     _row_mask,
     minimal_nonfaces,
@@ -146,19 +151,24 @@ def _certificate(ordering: CyclicOrdering, blocks: Sequence[int]) -> MaxOddCycle
 
     It is the rotation or reflection with the least blocks (B_i = {i+1} on
     the worked pentagon): a rotation by r rotates the blocks by r, reversal
-    sends B_i to B_{(2-i) mod n}.  The masks go in `_masks`, outside the
-    dataclass fields as in `complexes`; only this builder sets them.
+    sends B_i to B_{(2-i) mod n}.  The blocks are disjoint and nonempty, so
+    distinct: the least variant starts at the least block B_i, followed by
+    B_{i+1} (rotation by i) or B_{i-1} (reversal, then rotation by 2-i),
+    whichever is less.  The masks go in `_masks`, outside the dataclass
+    fields as in `complexes`; only this builder sets them.
     """
     n = len(ordering)
-    pairs = tuple((_face(b), b) for b in blocks)
-    rev_pairs = tuple(pairs[(2 - i) % n] for i in range(n))
-    best_pairs, best_ordering = min(
-        (b[r:] + b[:r], seq[r:] + seq[:r])
-        for b, seq in ((pairs, ordering), (rev_pairs, ordering[::-1]))
-        for r in range(n)
-    )
-    cert = MaxOddCycle(ordering=best_ordering, blocks=tuple(f for f, _ in best_pairs))
-    object.__setattr__(cert, "_masks", tuple(b for _, b in best_pairs))
+    faces = [_face(b) for b in blocks]
+    i = min(range(n), key=faces.__getitem__)
+    if faces[(i + 1) % n] < faces[i - 1]:
+        order = [(i + t) % n for t in range(n)]
+        best_ordering = ordering[i:] + ordering[:i]
+    else:
+        order = [(i - t) % n for t in range(n)]
+        reverse, r = ordering[::-1], (2 - i) % n
+        best_ordering = reverse[r:] + reverse[:r]
+    cert = MaxOddCycle(ordering=best_ordering, blocks=tuple(faces[s] for s in order))
+    object.__setattr__(cert, "_masks", tuple(blocks[s] for s in order))
     return cert
 
 
@@ -285,6 +295,30 @@ def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], 
         raise ValueError("3-cycle blocks must have size >= 2")
     members = [reduce(or_, (masks[(i - 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
     return members, masks
+
+
+def cycle_complex(cert: MaxOddCycle) -> SimplicialComplex:
+    """The sphere of a maximum odd cycle, built straight from its certificate.
+
+    Its facet complements are the sets taking one vertex from each block of
+    a central triangle of slots: slots p < q < r with q - p, r - q and
+    n - r + p all at most k (Gale duality; Grunbaum, *Convex Polytopes*,
+    5.4 and 6.3), as `_sphere_from_facets` reads them back.  That takes
+    time linear in the facets and dualizes nothing.  Only certificates the
+    library did not build are validated.
+    """
+    m = sum(map(len, cert.blocks))
+    if "_masks" not in vars(cert):
+        validate_certificate(cert, m)
+    n, k = cert.n, cert.k
+    bits = [[1 << (v - 1) for v in block] for block in cert.slots]
+    full = (1 << m) - 1
+    complements = []
+    for p in range(n):
+        for q in range(p + 1, min(p + k, n - 2) + 1):
+            for r in range(max(q + 1, n - k + p), min(q + k, n - 1) + 1):
+                complements.extend(x | y | z for x in bits[p] for y in bits[q] for z in bits[r])
+    return _from_masks(SimplicialComplex, m, [full ^ x for x in complements])
 
 
 def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:

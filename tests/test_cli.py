@@ -254,14 +254,28 @@ SKIPPED_STAGES_STDOUT = (
 )
 
 
-@pytest.mark.parametrize("doc", [
-    {"m": 5, "nonfaces": [[1, 2, 3], [4, 5]]},
-    {"m": 4, "nonfaces": [[1, 2, 3, 4]]},
+@pytest.mark.parametrize("doc, blocks", [
+    ({"m": 5, "nonfaces": [[1, 2, 3], [4, 5]]}, "blocks: {1,2,3} | {4,5}\n"),
+    ({"m": 4, "nonfaces": [[1, 2, 3, 4]]}, "blocks: {1,2,3,4}\n"),
 ], ids=["two-partition", "simplex-boundary"])
-def test_verify_skips_the_planar_stages_without_a_diagram(doc, monkeypatch, capsys):
+def test_verify_skips_the_planar_stages_without_a_diagram(doc, blocks, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert cli.main(["verify", "--verbose"]) == 0
-    assert capsys.readouterr() == (SKIPPED_STAGES_STDOUT, "")
+    assert capsys.readouterr() == (SKIPPED_STAGES_STDOUT, blocks)
+
+
+@pytest.mark.parametrize("doc, verdict, blocks", [
+    ({"m": 5, "nonfaces": [[1, 2, 3], [4, 5]]},
+     '{"certificate": {"kind": "two_partition", "ordering": [[1, 2, 3], [4, 5]]}, "d": 2, "verdict": "sphere"}\n',
+     "blocks: {1,2,3} | {4,5}\n"),
+    ({"m": 4, "nonfaces": [[1, 2, 3, 4]]},
+     '{"certificate": {"kind": "simplex_boundary", "ordering": [[1, 2, 3, 4]]}, "d": 2, "verdict": "sphere"}\n',
+     "blocks: {1,2,3,4}\n"),
+], ids=["two-partition", "simplex-boundary"])
+def test_check_verbose_prints_the_blocks_of_every_sphere(doc, verdict, blocks, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["check", "--verbose"]) == 0
+    assert capsys.readouterr() == (verdict, blocks)
 
 
 def test_a_wrong_hull_fails_verify_and_the_catalog_at_that_stage(monkeypatch, capsys):

@@ -140,6 +140,28 @@ def test_realized_configuration_sums_to_zero():
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
 
 
+def fraction_gale_vectors(cert):
+    """The realization in its `Fraction` form: (w_s / |block s|) u_s for each vertex of slot s."""
+    k = cert.k
+    directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
+    weights = [k] * (k + 1) + [k + 1] * k
+    vectors = [None] * sum(map(len, cert.blocks))
+    for block, w, u in zip(cert.slots, weights, directions):
+        for v in block:
+            vectors[v - 1] = tuple(Fraction(w, len(block)) * x for x in u)
+    return GaleConfiguration(vectors)
+
+
+def test_realized_vectors_are_ints_with_the_points_of_the_fraction_form():
+    for m in range(4, 13):
+        for b in enumerate_bracelets(m):
+            _, cert = instantiate(b)
+            g = realize_gale_vectors(cert)
+            assert all(type(x) is int for v in g.vectors for x in v)
+            assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
+            assert reconstruct_points(g) == reconstruct_points(fraction_gale_vectors(cert))
+
+
 def test_realize_one_vertex_per_slot_for_every_k():
     for k in range(1, 41):
         n = 2 * k + 1

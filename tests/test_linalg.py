@@ -20,7 +20,6 @@ from tests_shared import (
     reference_primitive_direction,
     reference_rref,
     reference_vec,
-    reference_vec_scale,
 )
 
 from oddsphere import linalg
@@ -35,7 +34,6 @@ from oddsphere.linalg import (
     rref,
     solve,
     vec,
-    vec_scale,
 )
 from oddsphere.serialize import fraction_to_str
 
@@ -143,7 +141,6 @@ def assert_same_outcome(helper, reference, *args):
 @given(mixed_rows(), mixed_rows(1), mixed_rows(2))
 def test_property_helpers_match_wrapping_versions(row, scalar, pair):
     assert_same_outcome(vec, reference_vec, row)
-    assert_same_outcome(vec_scale, reference_vec_scale, *scalar, row)
     assert_same_outcome(_integer_row, reference_integer_row, row)
     assert_same_outcome(primitive_direction, reference_primitive_direction, pair)
     assert_same_outcome(fraction_to_str, reference_fraction_to_str, *scalar)

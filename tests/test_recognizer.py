@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
+    MAX_VERTICES,
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
+    _face,
     _known_nonfaces,
+    _row_mask,
     complex_from_nonfaces,
     minimal_nonfaces,
 )
@@ -27,7 +30,9 @@ from oddsphere.recognizer import (
     Sphere,
     TooShort,
     TwoPartition,
+    _certificate,
     alternating_blocks,
+    cycle_complex,
     find_max_odd_cycle,
     recognize,
     validate_certificate,
@@ -378,6 +383,25 @@ def test_property_recognized_certificates_are_valid_and_canonical(f):
             assert find_max_odd_cycle(f) == verdict.certificate
 
 
+def test_canonical_rotation_is_the_least_of_all_dihedral_variants():
+    # `_certificate` compares two candidates, both starting at the least block
+    rng = random.Random(1931)
+    for m in range(4, 13):
+        for b in enumerate_bracelets(m):
+            ordering = instantiate(b)[1].ordering
+            image = list(range(1, m + 1))
+            rng.shuffle(image)
+            relabelled = tuple(tuple(sorted(image[v - 1] for v in a)) for a in ordering)
+            n = len(ordering)
+            for seq in (ordering, relabelled):
+                for r in range(n):
+                    for turned in (seq[r:] + seq[:r], (seq[r:] + seq[:r])[::-1]):
+                        masks = [_row_mask(a, MAX_VERTICES) for a in alternating_blocks(turned)]
+                        cert = _certificate(turned, masks)
+                        assert cert == brute_force_canonical_certificate(turned)
+                        assert tuple(map(_face, vars(cert)["_masks"])) == cert.blocks
+
+
 def test_instantiated_certificates_are_valid_and_canonical():
     for m in range(4, 13):
         for b in enumerate_bracelets(m):
@@ -545,3 +569,42 @@ def test_facet_route_checks_the_number_of_triples():
         c = SimplicialComplex(9, tuple(f for f in sphere.facets if f != facet))
         facet_verdict, dual_verdict, answered = by_both_routes(c)
         assert not answered and facet_verdict == dual_verdict
+
+
+# -- the sphere of a certificate ------------------------------------------------
+
+def test_cycle_complex_equals_the_dualization_on_every_bracelet():
+    for m in range(4, 15):
+        for b in enumerate_bracelets(m):
+            fam, cert = instantiate(b)
+            assert cycle_complex(cert) == complex_from_nonfaces(fam), b
+
+
+BRACELETS_TO_12 = [b for m in range(4, 13) for b in enumerate_bracelets(m)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(BRACELETS_TO_12).flatmap(
+    lambda b: st.tuples(st.just(b), st.permutations(range(1, sum(b) + 1)))
+))
+def test_property_cycle_complex_of_a_relabelled_family(case):
+    b, image = case
+    f = permuted_family(instantiate(b)[0], {v: image[v - 1] for v in range(1, len(image) + 1)})
+    cert = find_max_odd_cycle(f)
+    expected = complex_from_nonfaces(f)
+    assert cycle_complex(cert) == expected
+    # a copy carries no mark, so it is validated before the facets are built
+    assert cycle_complex(dataclasses.replace(cert)) == expected
+
+
+@pytest.mark.parametrize("cert, reason", [
+    pytest.param(MaxOddCycle(((1, 2), (3, 4), (5, 6), (7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))),
+                 "odd length", id="even-length"),
+    pytest.param(MaxOddCycle(((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)), ((2,), (3,), (4,), (5,), (1,))),
+                 "disagree", id="rotated-blocks"),
+    pytest.param(MaxOddCycle(((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)), ((1,), (2,), (3,), (4,), (4,))),
+                 "partition", id="blocks-not-a-partition"),
+])
+def test_cycle_complex_refuses_an_invalid_certificate(cert, reason):
+    with pytest.raises(ValueError, match=reason):
+        cycle_complex(cert)

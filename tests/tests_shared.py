@@ -184,11 +184,6 @@ def reference_vec(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in entries)
 
 
-def reference_vec_scale(c, a) -> tuple[Fraction, ...]:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def reference_cross2(a: Sequence, b: Sequence) -> Fraction:
     """z-component of the cross product of two planar vectors."""
     return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
