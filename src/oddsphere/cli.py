@@ -4,7 +4,8 @@ Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 2 (out of scope); a usage error, malformed input, an invariant violation or
 input past a work limit of `complexes` is 64 for every subcommand; an
 internal inconsistency (a bug, not bad input) is 70 with an
-`internal error:` message; other operational failures exit 1.
+`internal error:` message; an `--output` path that cannot be written is
+73 with an `error: cannot write` line; other operational failures exit 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import serialize
 from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cross_check
-from .complexes import complex_from_nonfaces, enumerate_chains, minimal_nonfaces
+from .complexes import _clip, complex_from_nonfaces, enumerate_chains, minimal_nonfaces
 from .gale import realize_gale_vectors, reconstruct_points
 from .oracle import betti_mod2, boundary_complex, hull_facets
 from .recognizer import (
@@ -30,9 +31,14 @@ from .recognizer import (
 
 EX_INPUT = 64
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 
 class InputError(Exception):
+    pass
+
+
+class _CannotWrite(Exception):
     pass
 
 
@@ -55,8 +61,11 @@ def _write_doc(doc, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CannotWrite(f"cannot write {_clip(path)}: {_clip(exc.strerror or str(exc))}") from exc
 
 
 def _complex_from_any(doc):
@@ -196,6 +205,9 @@ def main(argv=None) -> int:
     except (InputError, serialize.DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INPUT
+    except _CannotWrite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
     except (InternalInconsistency, CatalogVerificationError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_, mul, or_
 
-from .complexes import Chains, Face, SimplicialComplex, _from_masks, enumerate_chains
+from .complexes import Chains, Face, SimplicialComplex, _clip, _from_masks, enumerate_chains
 from .linalg import Vec, _fraction_free_rref, vec
 
 
@@ -306,9 +306,9 @@ def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
 def _non_simplicial(homogeneous: list[list[int]], combo: tuple[int, ...]) -> NonSimplicial:
     """The error for the independent subset `combo`, whose hyperplane supports more points."""
     normal, det, _ = _subset_normal(homogeneous, combo)
-    shown = tuple(Fraction(a, det) for a in normal)  # free-column entry 1
+    shown = "(" + ", ".join(str(Fraction(a, det)) for a in normal) + ")"  # free-column entry 1
     on = tuple(p + 1 for p, h in enumerate(homogeneous) if not sum(map(mul, normal, h)))
-    return NonSimplicial(f"supporting hyperplane {shown} contains points {on}")
+    return NonSimplicial(f"supporting hyperplane {_clip(shown)} contains points {_clip(str(on))}")
 
 
 def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:

@@ -14,18 +14,19 @@ Vertex counts beyond d+4 are out of scope (no characterization exists).
 `recognize` reads a sphere off one of two routes.  A complex that does
 not yet keep its minimal non-faces, and whose facet complements all have
 m - d - 1 vertices, is first read off its facets (`_sphere_from_facets`):
-the blocks and their cyclic order come from the complements, which must
-then be exactly the sets taking one vertex from each block of a central
-set of slots.  That costs time linear in the facets and dualizes nothing.
-Any other complex, and any complex that route does not prove a sphere,
-goes through its minimal non-faces (`complexes.minimal_nonfaces`, Berge's
-dualization), which every negative verdict and its reason come from.  A
-complex that already keeps its non-faces, as in `verify` and the catalog,
-which enumerate them first, is read off them directly.
+the blocks and their cyclic order are read off the complements, and the
+sphere those blocks fix is rebuilt (`_complements`, which takes one vertex
+from each block of a central set of slots).  The complex is that sphere
+exactly when the rebuilt complements equal its own.  That costs time
+linear in the facets and dualizes nothing.  Any other complex, and any
+complex that route does not prove a sphere, goes through its minimal
+non-faces (`complexes.minimal_nonfaces`, Berge's dualization), which every
+negative verdict and its reason come from.  A complex that already keeps
+its non-faces, as in `verify` and the catalog, which enumerate them
+first, is read off them directly.
 
-`cycle_complex` runs the facet route backwards: it builds the sphere of a
-maximum odd cycle from its certificate, one facet per choice of a vertex
-from each block of a central triangle of slots.
+`cycle_complex` builds the sphere of a maximum odd cycle from its
+certificate with the same `_complements`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from operator import and_, or_
 from typing import Iterable, Sequence
 
@@ -297,115 +299,98 @@ def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], 
     return members, masks
 
 
+def _complements(slots: Sequence[Face]) -> set[int]:
+    """The facet complement masks of the sphere whose blocks, in slot order, are `slots`.
+
+    Each takes one vertex from each block of a central set of slots (Gale
+    duality; Grunbaum, *Convex Polytopes*, 5.4 and 6.3): the single block
+    at n = 1, both blocks at n = 2, and at odd n >= 3 the slots p < q < r
+    of a triangle of the n-gon that contains its centre, that is with
+    q - p, r - q and n - r + p all at most k.
+    """
+    bits = [[1 << (v - 1) for v in b] for b in slots]
+    n = len(slots)
+    if n < 3:
+        return {reduce(or_, pick) for pick in product(*bits)}
+    k = (n - 1) // 2
+    return {x | y | z for p in range(n) for q in range(p + 1, min(p + k, n - 2) + 1)
+            for r in range(max(q + 1, n - k + p), min(q + k, n - 1) + 1)
+            for x in bits[p] for y in bits[q] for z in bits[r]}
+
+
 def cycle_complex(cert: MaxOddCycle) -> SimplicialComplex:
     """The sphere of a maximum odd cycle, built straight from its certificate.
 
-    Its facet complements are the sets taking one vertex from each block of
-    a central triangle of slots: slots p < q < r with q - p, r - q and
-    n - r + p all at most k (Gale duality; Grunbaum, *Convex Polytopes*,
-    5.4 and 6.3), as `_sphere_from_facets` reads them back.  That takes
+    Its facets are the complements of `_complements(slots)`, which takes
     time linear in the facets and dualizes nothing.  Only certificates the
     library did not build are validated.
     """
     m = sum(map(len, cert.blocks))
     if "_masks" not in vars(cert):
         validate_certificate(cert, m)
-    n, k = cert.n, cert.k
-    bits = [[1 << (v - 1) for v in block] for block in cert.slots]
     full = (1 << m) - 1
-    complements = []
-    for p in range(n):
-        for q in range(p + 1, min(p + k, n - 2) + 1):
-            for r in range(max(q + 1, n - k + p), min(q + k, n - 1) + 1):
-                complements.extend(x | y | z for x in bits[p] for y in bits[q] for z in bits[r])
+    complements = _complements(cert.slots)
     return _from_masks(SimplicialComplex, m, [full ^ x for x in complements])
 
 
 def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:
-    """The sphere `c` is, read off its facet complements, or None if that fails.
+    """The sphere `c` is, read off its facet complements, or None if it is not a sphere.
 
     In a sphere with m <= d+4 every facet complement has s = m - d - 1 <= 3
-    vertices, one from each block of a central set of slots (Gale
-    duality; Grunbaum, *Convex Polytopes*, 5.4 and 6.3): the single block
-    [m] at s = 1, both blocks at s = 2, and at s = 3 the blocks at the
-    corners of a triangle of the (2k+1)-gon that contains its centre.  The
-    block of v is then [m] minus the other vertices of the complements
-    through v, and slots at cyclic distance j <= k share exactly j central
-    triangles, so the adjacent slots are the pairs that share one.  This
-    reads the blocks and their cyclic order off the complements, then
-    checks that the complements are exactly the sets taking one vertex
-    from each block of a central set: the block triples they span are all
-    central, there are as many as central triangles, and the complements
-    number the sum over those of the product of the block sizes.  Two
-    vertices of one complement never share a block, by construction, so a
-    complement takes one vertex from each block of its triple among the
-    vertices whose own block that is; the count can reach that sum only
-    if those vertices fill every block, which proves that the blocks
-    partition [m].  A block of one vertex cannot occur with two blocks or
-    three: that vertex would lie in every complement, so in no facet.  Any
-    failed check returns None, leaving the verdict to the dualization.
+    vertices, one from each block of a central set of slots
+    (`_complements`).  The block of v is then [m] minus the other vertices
+    of the complements through v, and slots at cyclic distance j <= k
+    share exactly j central triangles, so the adjacent slots are the pairs
+    that share one; the complements made of each block's least vertex
+    give one triangle each.  That reading is right on spheres; the proof
+    is that the complements equal those `_complements` builds from the
+    blocks read.  The blocks are distinct and cover [m], and with
+    min(n, 3) = s every two slots lie in a central set of s slots, so that
+    equality makes them disjoint; a block of one vertex cannot occur at
+    n <= 3, as that vertex would lie in no facet.  A failed check returns
+    None, leaving the verdict to the dualization.
     """
     m = c.m
     full = (1 << m) - 1
+    complements = {full ^ a for a in c._masks}
+    if any(x.bit_count() != s for x in complements):
+        return None
     near = [0] * m  # near[v]: the union of the complements through vertex v + 1
-    complements = []  # the vertex indices (label - 1) of each facet complement
-    for a in c._masks:
-        x = full ^ a
-        if x.bit_count() != s:
-            return None
-        indices = []
+    for x in complements:
         rest = x
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
-            near[v] |= x
-            indices.append(v)
+            near[low.bit_length() - 1] |= x
             rest ^= low
-        complements.append(indices)
-    block_of = [full ^ x | 1 << v for v, x in enumerate(near)]
-    blocks = list(dict.fromkeys(block_of))
-    n = len(blocks)
-    count = len(complements)
-    if s == 1:
-        return Sphere(m - 2, SimplexBoundary(_face(full))) if n == 1 and count == m else None
-    if s == 2:
-        if n != 2 or count != blocks[0].bit_count() * blocks[1].bit_count():
+    slots = list(dict.fromkeys(full ^ x | 1 << v for v, x in enumerate(near)))
+    n = len(slots)
+    if min(n, 3) != s or n > 2 and n % 2 == 0:
+        return None
+    if n > 2:
+        slot = {b & -b: i for i, b in enumerate(slots)}  # by the bit of each block's least vertex
+        least = reduce(or_, slot)
+        shared = [[0] * n for _ in range(n)]  # shared[i][j]: the triangles holding slots i and j
+        for x in complements:
+            if x | least == least:  # the vertices low, mid and rest ^ mid
+                low = x & -x
+                rest = x ^ low
+                mid = rest & -rest
+                i, j, l = slot[low], slot[mid], slot[rest ^ mid]
+                for a, b in ((i, j), (j, l), (l, i)):
+                    shared[a][b] += 1
+                    shared[b][a] += 1
+        path = _cycle_order([[j for j, t in enumerate(row) if t == 1] for row in shared])
+        if path is None:
             return None
-        return Sphere(m - 3, TwoPartition(*sorted(map(_face, blocks))))
-    if n < 3 or n % 2 == 0:
+        slots = [slots[i] for i in path]
+    faces = [_face(b) for b in slots]
+    if _complements(faces) != complements:
         return None
-    slot = {b: i for i, b in enumerate(blocks)}
-    slot_of = [slot[b] for b in block_of]
-    corners = {}  # the slots of each block triple, by its bitmask over the slots
-    for u, v, w in complements:
-        i, j, l = slot_of[u], slot_of[v], slot_of[w]
-        corners[1 << i | 1 << j | 1 << l] = (i, j, l)
-    shared = [[0] * n for _ in range(n)]  # shared[i][j]: the triples holding slots i and j
-    for i, j, l in corners.values():
-        shared[i][j] += 1
-        shared[j][i] += 1
-        shared[i][l] += 1
-        shared[l][i] += 1
-        shared[j][l] += 1
-        shared[l][j] += 1
-    path = _cycle_order([[j for j, t in enumerate(row) if t == 1] for row in shared])
-    if path is None:
-        return None
-    k = (n - 1) // 2
-    position = [0] * n
-    for p, i in enumerate(path):
-        position[i] = p
-    sizes = [b.bit_count() for b in blocks]
-    product_sum = 0
-    for i, j, l in corners.values():
-        p, q, r = sorted((position[i], position[j], position[l]))
-        if q - p > k or r - q > k or n - r + p > k:
-            return None
-        product_sum += sizes[i] * sizes[j] * sizes[l]
-    if len(corners) != n * (n * n - 1) // 24 or product_sum != count:
-        return None
-    _, _, cert = certificate_from_slots([_face(blocks[i]) for i in path], m)
-    return Sphere(m - 4, cert)
+    if n == 1:
+        return Sphere(m - 2, SimplexBoundary(faces[0]))
+    if n == 2:
+        return Sphere(m - 3, TwoPartition(*sorted(faces)))
+    return Sphere(m - 4, certificate_from_slots(faces, m)[2])
 
 
 def recognize(c: SimplicialComplex) -> Verdict:

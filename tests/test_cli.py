@@ -373,6 +373,8 @@ LONG_VALUE_DOCUMENTS = {
     "long-string-in-points": ("hull", json.dumps({"dim": 1, "points": [["x" * 5000]]})),
     "long-exponent": ("hull", json.dumps({"dim": 1, "points": [["1e" + "0" * 5000]]})),
     "long-zero-denominator": ("hull", json.dumps({"dim": 1, "points": [["1" * 3000 + "/0"]]})),
+    # 60 points on a supporting line and one off it: the hyperplane is printed as plain rationals
+    "sixty-collinear-points": ("hull", json.dumps({"dim": 2, "points": [[i, 0] for i in range(60)] + [[0, 1]]})),
 }
 
 
@@ -385,6 +387,17 @@ def test_refusals_echo_a_shortened_value(command, text, monkeypatch, capsys):
     # one line of at most 200 characters, and its newline
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201, err[:300]
     assert "..." in err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_exits_73(target, tmp_path, capsys):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    assert cli.main(["catalog", "--m", "5", "-o", str(path)]) == cli.EX_CANTCREAT == 73
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one line of at most 200 characters, with the path clipped
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1 and len(err) <= 201
+    assert "Traceback" not in err
 
 
 # -- golden output -------------------------------------------------------------

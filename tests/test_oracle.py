@@ -202,6 +202,17 @@ def test_hull_facets_names_the_least_non_simplicial_support(cut):
         assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
 
 
+def test_non_simplicial_message_prints_plain_rationals_and_is_clipped():
+    on_a_line = PointConfiguration(((0, 1), (2, 2), (4, 3), (0, 5)))
+    with pytest.raises(NonSimplicial, match=r"^supporting hyperplane \(1/2, -1, 1\) contains points \(1, 2, 3\)$"):
+        hull_facets(on_a_line)
+    # 60 points on the line y = 0 and one off it: the list of points is clipped
+    crowded = PointConfiguration(tuple((i, 0) for i in range(60)) + ((0, 1),))
+    with pytest.raises(NonSimplicial, match=r"^supporting hyperplane \(0, 1, 0\) contains points \(1, 2, 3, .{40,}\.\.\.$"):
+        hull_facets(crowded)
+    assert hull_outcome(hull_facets, crowded) == hull_outcome(reference_hull_facets, crowded)
+
+
 def test_is_vertex_simplex_and_centroid():
     for label in range(1, 5):
         assert is_vertex(UNIT_SIMPLEX_3D, label)

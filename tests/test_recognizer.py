@@ -31,6 +31,7 @@ from oddsphere.recognizer import (
     TooShort,
     TwoPartition,
     _certificate,
+    _complements,
     alternating_blocks,
     cycle_complex,
     find_max_odd_cycle,
@@ -511,17 +512,18 @@ def test_property_facet_route_agrees_on_a_sphere_with_a_facet_dropped_or_added(c
 
 
 @st.composite
-def triple_complement_complexes(draw):
-    """A complex on [m] whose facets are the complements of some 3-subsets."""
-    m = draw(st.integers(4, 9))
-    triples = draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, m + 1), 3))), min_size=1))
-    facets = tuple(tuple(v for v in range(1, m + 1) if v not in t) for t in triples)
+def small_complement_complexes(draw):
+    """A complex on [m] whose facets are the complements of some s-subsets, s = 1, 2 or 3."""
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(s + 1, 9))
+    complements = draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, m + 1), s))), min_size=1))
+    facets = tuple(tuple(v for v in range(1, m + 1) if v not in t) for t in complements)
     assume(set().union(*map(set, facets)) == set(range(1, m + 1)))
     return SimplicialComplex(m, facets)
 
 
-@settings(deadline=None, max_examples=300)
-@given(triple_complement_complexes())
+@settings(deadline=None, max_examples=450)
+@given(small_complement_complexes())
 def test_property_facet_route_agrees_on_random_pure_complexes(c):
     facet_verdict, dual_verdict, answered = by_both_routes(c)
     assert facet_verdict == dual_verdict
@@ -550,9 +552,10 @@ def test_facet_route_leaves_the_six_vertex_rp2_to_the_dualization():
     assert facet_verdict == dual_verdict == NotSphere(NotSphereReason.NON_ODD_FAMILY_SIZE)
 
 
-def test_facet_route_checks_that_every_triple_is_central():
+def test_facet_route_refuses_a_seven_cycle_of_slots_with_non_central_triples():
     # 14 complements on 7 singleton blocks whose slot graph is the 7-cycle
-    # 0-1-6-3-5-4-2 and whose count matches, but 4 triples are not central.
+    # 0-1-6-3-5-4-2, as many as the 7-gon has central triangles, but 4 of
+    # them are not central, so the sphere rebuilt in that order differs.
     triples = ((1, 3, 5), (0, 1, 6), (0, 1, 5), (0, 4, 5), (0, 3, 5), (1, 5, 6), (3, 4, 6),
                (3, 5, 6), (0, 2, 4), (1, 2, 5), (1, 4, 6), (2, 3, 4), (0, 1, 2), (2, 3, 6))
     c = SimplicialComplex(7, tuple(tuple(v + 1 for v in range(7) if v not in t) for t in triples))
@@ -560,9 +563,10 @@ def test_facet_route_checks_that_every_triple_is_central():
     assert not answered and facet_verdict == dual_verdict
 
 
-def test_facet_route_checks_the_number_of_triples():
+def test_facet_route_refuses_the_nine_gon_sphere_less_one_facet():
     # In the 9-gon the triangle with gaps (3, 3, 3) holds no pair at distance
-    # 1 or 2, so dropping its facet leaves the slot graph a 9-cycle.
+    # 1 or 2, so dropping its facet leaves the slot graph a 9-cycle; the
+    # sphere rebuilt from it has the dropped facet.
     sphere = complex_from_nonfaces(instantiate((1,) * 9)[0])
     assert len(sphere.facets) == 30  # the central triangles of the 9-gon
     for facet in sphere.facets:
@@ -578,6 +582,25 @@ def test_cycle_complex_equals_the_dualization_on_every_bracelet():
         for b in enumerate_bracelets(m):
             fam, cert = instantiate(b)
             assert cycle_complex(cert) == complex_from_nonfaces(fam), b
+
+
+def two_block_splits(m):
+    """Every split of [m] into two blocks of size >= 2, the block of 1 first."""
+    rest = range(2, m + 1)
+    for r in range(1, m - 2):
+        for first in itertools.combinations(rest, r):
+            yield (1, *first), tuple(v for v in rest if v not in first)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_complements_at_one_and_two_blocks_equal_the_dualization(m):
+    # the simplex boundary, then every two-partition sphere, with its slots in either order
+    for members in [(tuple(range(1, m + 1)),), *two_block_splits(m)]:
+        expected = complex_from_nonfaces(NonFaceFamily(m, members))
+        for slots in {members, members[::-1]}:
+            complements = _complements(slots)
+            facets = tuple(tuple(v for v in range(1, m + 1) if v not in _face(x)) for x in complements)
+            assert SimplicialComplex(m, facets) == expected, slots
 
 
 BRACELETS_TO_12 = [b for m in range(4, 13) for b in enumerate_bracelets(m)]

@@ -14,6 +14,7 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _check_m,
+    _clip,
     _face,
     euler_characteristic,
     f_vector,
@@ -306,10 +307,9 @@ def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
         if pos and neg:
             continue
         if coplanar:
-            raise NonSimplicial(
-                f"supporting hyperplane {tuple(normal)} contains points "
-                f"{tuple(sorted(set(combo) | set(coplanar)))}"
-            )
+            shown = "(" + ", ".join(map(str, normal)) + ")"
+            on = str(tuple(sorted(set(combo) | set(coplanar))))
+            raise NonSimplicial(f"supporting hyperplane {_clip(shown)} contains points {_clip(on)}")
         facets.append(tuple(combo))
     return tuple(sorted(facets))
 
