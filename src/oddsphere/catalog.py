@@ -88,8 +88,8 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
         raise ValueError(f"{b} is not a valid bracelet")
     m = sum(b)
     slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
-    members, faces, cert = certificate_from_slots(slots, m)
-    return _from_masks(NonFaceFamily, m, members, faces), cert
+    members, cert = certificate_from_slots(slots, m)
+    return _from_masks(NonFaceFamily, m, members), cert
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class SphereClass:
 
     @property
     def facet_count(self) -> int:
-        return len(self.complex.facets)
+        return len(self.complex._masks)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ enumerations that homology and f-vectors read: the faces of a complex and
 the nerve of its minimal non-faces, of which `enumerate_chains` takes the
 cheaper.
 
-Each vertex set is stored once as a bitmask (vertex v is bit v - 1) in
-`_masks`, which every kernel reads, beside the sorted tuple view `facets`
-or `members` that equality, hashing, repr and the documents read.  Labels
-are checked once, where a value enters from outside: the public
-constructors check each row in one pass.  Values the library derives are
-built by `_from_masks`, which checks only what their construction does
-not prove.
+A value is its sets as bitmasks (vertex v is bit v - 1): `_masks`, one
+tuple sorted by int, which every kernel reads and equality and hashing
+compare.  The sorted tuple view `facets` or `members`, which repr and the
+documents read, is decoded from the masks the first time something reads
+it and kept in the instance __dict__.  Labels are checked once, where a
+value enters from outside: the public constructors check each row in one
+pass and keep only its mask.  Values the library derives are built by
+`_from_masks`, which checks only what their construction does not prove.
 
 The dualizations and face enumerations can grow exponentially; each stops
 at the limits defined here (MAX_NERVE_FACES, WORK_PER_SET,
@@ -22,8 +23,8 @@ the library and the command line refuse the same inputs.
 
 All values are immutable and all operations are pure functions, so
 everything in this module is safe to share between threads.  A complex
-keeps its minimal non-faces once computed; two threads that race to
-compute them store equal values.
+keeps its minimal non-faces once computed, and every value its view once
+decoded; two threads that race to compute either store equal values.
 """
 
 from __future__ import annotations
@@ -97,20 +98,16 @@ def _check_antichain(masks: Sequence[int], what: str) -> None:
                 )
 
 
-def _set_view(obj, masks: Iterable[int], faces: Iterable[Face] | None = None) -> tuple[int, ...]:
-    """Set the view of `obj` to the sorted faces of the distinct `masks`, and `_masks` beside it.
-
-    `_masks` lives in the instance __dict__, outside the dataclass fields,
-    so equality, hashing and repr see only the view.
-    """
-    pairs = sorted(zip(map(_face, masks) if faces is None else faces, masks))
-    object.__setattr__(obj, obj._VIEW, tuple(f for f, _ in pairs))
-    object.__setattr__(obj, "_masks", tuple(a for _, a in pairs))
-    return obj._masks
+def _check_view_antichain(masks: Sequence[int], what: str) -> None:
+    """`_check_antichain` naming the nested pair that the sorted view meets first."""
+    try:
+        _check_antichain(masks, what)
+    except InvariantError:
+        _check_antichain(sorted(masks, key=_face), what)  # raises again, in the view's order
 
 
 def _checked_view(obj) -> tuple[int, ...]:
-    """Check m and the labels of the view once, then set it, duplicates dropped.
+    """Check m and the labels of the rows passed in once, and keep only their distinct masks.
 
     One pass over all labels checks that their type is exactly int (so no
     bool passes), and a row's mask is the sum of the bits of its labels,
@@ -122,7 +119,7 @@ def _checked_view(obj) -> tuple[int, ...]:
     """
     m = obj.m
     _check_m(m)
-    rows = list(map(tuple, getattr(obj, obj._VIEW)))
+    rows = list(map(tuple, obj.__dict__.pop(obj._VIEW)))
     labels = list(chain.from_iterable(rows))
     masks = None
     if set(map(type, labels)) <= {int}:
@@ -133,24 +130,40 @@ def _checked_view(obj) -> tuple[int, ...]:
             pass
     if masks is None or sum(map(int.bit_count, masks)) != len(labels):
         masks = [_row_mask(row, m) for row in rows]
-    by_mask = dict(zip(masks, rows))
-    return _set_view(obj, by_mask, map(tuple, map(sorted, by_mask.values())))
+    object.__setattr__(obj, "_masks", tuple(sorted(set(masks))))
+    return obj._masks
 
 
-def _from_masks(cls, m: int, masks: Iterable[int], faces: Iterable[Face] | None = None):
-    """A `cls` on [m] from distinct masks (and their faces), checking only m.
+def _from_masks(cls, m: int, masks: Iterable[int]):
+    """A `cls` on [m] from distinct masks, checking only m.
 
     For values the library derives, whose construction proves the rest.
     """
     _check_m(m)
     obj = object.__new__(cls)
     object.__setattr__(obj, "m", m)
-    _set_view(obj, masks, faces)
+    object.__setattr__(obj, "_masks", tuple(sorted(masks)))
     return obj
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class _SetSystem:
+    """A value that is m and its masks; the view named by `_VIEW` is decoded when first read."""
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.m, self._masks) == (other.m, other._masks)
+
+    def __hash__(self):
+        return hash((self.m, self._masks))
+
+    def __getattr__(self, name):  # called only for names missing from the instance __dict__
+        if name != self._VIEW:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, tuple(sorted(map(_face, self._masks))))
+        return self.__dict__[name]
+
+
+@dataclass(frozen=True, eq=False)
+class SimplicialComplex(_SetSystem):
     """A complex given by its facet antichain; every singleton of [m] is a face."""
 
     m: int
@@ -162,7 +175,7 @@ class SimplicialComplex:
         masks = _checked_view(self)
         if not masks:
             raise InvariantError("a complex needs at least one facet")
-        _check_antichain(masks, "facets")
+        _check_view_antichain(masks, "facets")
         covered = 0
         for a in masks:
             covered |= a
@@ -176,8 +189,8 @@ class SimplicialComplex:
         return max(map(int.bit_count, self._masks)) - 1
 
 
-@dataclass(frozen=True)
-class NonFaceFamily:
+@dataclass(frozen=True, eq=False)
+class NonFaceFamily(_SetSystem):
     """An antichain of subsets of [m], each of size >= 2 (the minimal non-faces)."""
 
     m: int
@@ -187,10 +200,10 @@ class NonFaceFamily:
 
     def __post_init__(self):
         masks = _checked_view(self)
-        for f, a in zip(self.members, masks):
+        for a in masks:  # sets of size < 2 come in the view's order when sorted by int
             if a.bit_count() < 2:
-                raise InvariantError(f"non-face {f} has size < 2; singletons are always faces")
-        _check_antichain(masks, "non-face family members")
+                raise InvariantError(f"non-face {_face(a)} has size < 2; singletons are always faces")
+        _check_view_antichain(masks, "non-face family members")
 
 
 # Limits on the enumerations behind homology and f-vectors, measured on a
@@ -333,7 +346,7 @@ def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:
 
 def _face_subset_bound(c: SimplicialComplex) -> int:
     """Sum over facets F of 2^|F|: the subsets `_face_masks_by_size` visits."""
-    return sum(1 << len(f) for f in c.facets)
+    return sum(1 << a.bit_count() for a in c._masks)
 
 
 def _nerve(members: Sequence[int], m: int, limit: int | None = None):

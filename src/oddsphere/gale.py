@@ -291,5 +291,5 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] 
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    members, faces, cert = certificate_from_slots(classes, g.n)
-    return _from_masks(NonFaceFamily, g.n, members, faces), cert
+    members, cert = certificate_from_slots(classes, g.n)
+    return _from_masks(NonFaceFamily, g.n, members), cert

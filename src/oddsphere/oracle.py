@@ -324,7 +324,7 @@ def boundary_complex(pc: PointConfiguration) -> SimplicialComplex:
     missing = (1 << pc.n) - 1 & ~reduce(or_, masks, 0)
     if missing:
         raise InteriorPoint(f"point {(missing & -missing).bit_length()} is not a vertex of the hull")
-    return _from_masks(SimplicialComplex, pc.n, masks, _faces(masks, pc.n))
+    return _from_masks(SimplicialComplex, pc.n, masks)
 
 
 def betti_mod2(c: SimplicialComplex, chains: Chains | None = None) -> tuple[int, ...]:

@@ -148,29 +148,24 @@ def _alternating_masks(members: Sequence[int]) -> list[int]:
     return [reduce(and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
 
 
-def _certificate(ordering: CyclicOrdering, blocks: Sequence[int]) -> MaxOddCycle:
-    """The canonical certificate of a cycle just proved valid, marked by its block masks.
+def _certificate(blocks: Sequence[int]) -> MaxOddCycle:
+    """The canonical certificate of a cycle just proved valid, from its block masks B_0, ..., B_{n-1}.
 
     It is the rotation or reflection with the least blocks (B_i = {i+1} on
-    the worked pentagon): a rotation by r rotates the blocks by r, reversal
-    sends B_i to B_{(2-i) mod n}.  The blocks are disjoint and nonempty, so
-    distinct: the least variant starts at the least block B_i, followed by
-    B_{i+1} (rotation by i) or B_{i-1} (reversal, then rotation by 2-i),
-    whichever is less.  The masks go in `_masks`, outside the dataclass
-    fields as in `complexes`; only this builder sets them.
+    the worked pentagon), whose ordering is the members of its blocks
+    (`_members`).  The blocks are disjoint and nonempty, so they compare as
+    their least vertices do: the least variant starts at the block B_i with
+    the least vertex, then B_{i+1} or B_{i-1}, whichever has the lesser.
+    The block masks go in `_masks`, outside the dataclass fields as in
+    `complexes`; only this builder sets them.
     """
-    n = len(ordering)
-    faces = [_face(b) for b in blocks]
-    i = min(range(n), key=faces.__getitem__)
-    if faces[(i + 1) % n] < faces[i - 1]:
-        order = [(i + t) % n for t in range(n)]
-        best_ordering = ordering[i:] + ordering[:i]
-    else:
-        order = [(i - t) % n for t in range(n)]
-        reverse, r = ordering[::-1], (2 - i) % n
-        best_ordering = reverse[r:] + reverse[:r]
-    cert = MaxOddCycle(ordering=best_ordering, blocks=tuple(faces[s] for s in order))
-    object.__setattr__(cert, "_masks", tuple(blocks[s] for s in order))
+    n = len(blocks)
+    least = [b & -b for b in blocks]  # the bit of each block's least vertex
+    i = min(range(n), key=least.__getitem__)
+    step = 1 if least[(i + 1) % n] < least[i - 1] else -1
+    blocks = tuple(blocks[(i + step * t) % n] for t in range(n))
+    cert = MaxOddCycle(ordering=tuple(map(_face, _members(blocks))), blocks=tuple(map(_face, blocks)))
+    object.__setattr__(cert, "_masks", blocks)
     return cert
 
 
@@ -203,7 +198,8 @@ def validate_certificate(cert: Certificate, m: int) -> None:
             raise ValueError("two-partition blocks must partition [m]")
         return
     if isinstance(cert, MaxOddCycle):
-        members, blocks = _cycle_members(cert.blocks, m)
+        blocks = _checked_blocks(cert.blocks, m)
+        members = _members(blocks)
         if (
             tuple(_face(b) for b in blocks) != cert.blocks
             or len(cert.ordering) != len(members)
@@ -235,7 +231,7 @@ def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
     blocks = _alternating_masks([masks[i] for i in path])
     if not _is_partition(blocks, f.m):
         return NotSphereReason.BLOCKS_NOT_PARTITION
-    return _certificate(tuple(f.members[i] for i in path), blocks)
+    return _certificate(blocks)
 
 
 def _cycle_order(adj: Sequence[Sequence[int]]) -> list[int] | None:
@@ -260,32 +256,26 @@ def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
     return cert if isinstance(cert, MaxOddCycle) else None
 
 
-def certificate_from_slots(
-    slots: Sequence[Iterable[int]], m: int
-) -> tuple[list[int], CyclicOrdering, MaxOddCycle]:
-    """The member masks and faces, and the marked canonical certificate, whose block B_{-2j} is `slots[j]`.
+def certificate_from_slots(slots: Sequence[Iterable[int]], m: int) -> tuple[list[int], MaxOddCycle]:
+    """The member masks and marked canonical certificate of the cycle whose block B_{-2j} is `slots[j]`.
 
-    Checking the slots (`_cycle_members`) proves the rest, so callers build
-    the members' non-face family from their masks and faces unchecked.
+    Checking the blocks B_i = slots[ik mod n] (-2k = 1 mod n) proves the
+    rest, so callers build the members' family from their masks unchecked.
     """
     n = len(slots)
-    blocks: list = [()] * n
-    for j, slot in enumerate(slots):
-        blocks[(-2 * j) % n] = slot
-    members, masks = _cycle_members(blocks, m)
-    faces = tuple(map(_face, members))
-    return members, faces, _certificate(faces, masks)
+    blocks = _checked_blocks([slots[i * (n // 2) % n] for i in range(n)], m)
+    return _members(blocks), _certificate(blocks)
 
 
-def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], list[int]]:
-    """Member and block bitmasks of the maximum odd cycle with blocks B_0, ..., B_{n-1}.
+def _checked_blocks(blocks: Sequence[Iterable[int]], m: int) -> list[int]:
+    """The masks of the blocks B_0, ..., B_{n-1} of a maximum odd cycle, checked.
 
-    A_i is the union of B_i, B_{i-2}, ..., B_{i-2k+2}.  Raises ValueError
-    unless n is odd and >= 3 and the blocks partition [m] (into sets of
-    size >= 2 if n = 3).  The rest of `validate_certificate` then holds by
-    construction, and the members form a valid non-face family: A_i and
-    A_{i+1} are unions of disjoint sets of blocks, the members are distinct
-    unions of k blocks, and the alternating intersection from A_i is B_i.
+    Raises ValueError unless n is odd and >= 3 and the blocks partition [m]
+    (into sets of size >= 2 if n = 3).  The rest of `validate_certificate`
+    then holds by construction, and the members (`_members`) form a valid
+    non-face family: A_i and A_{i+1} are unions of disjoint sets of blocks,
+    the members are distinct unions of k blocks, and the alternating
+    intersection from A_i is B_i.
     """
     n = len(blocks)
     if n < 3 or n % 2 == 0:
@@ -295,12 +285,17 @@ def _cycle_members(blocks: Sequence[Iterable[int]], m: int) -> tuple[list[int], 
         raise ValueError("alternating blocks do not partition [m]")
     if n == 3 and any(b.bit_count() < 2 for b in masks):
         raise ValueError("3-cycle blocks must have size >= 2")
-    members = [reduce(or_, (masks[(i - 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
-    return members, masks
+    return masks
 
 
-def _complements(slots: Sequence[Face]) -> set[int]:
-    """The facet complement masks of the sphere whose blocks, in slot order, are `slots`.
+def _members(blocks: Sequence[int]) -> list[int]:
+    """The member masks A_i = B_i | B_{i-2} | ... | B_{i-2k+2} of the cycle with block masks B_0, ..., B_{n-1}."""
+    n = len(blocks)
+    return [reduce(or_, (blocks[(i - 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
+
+
+def _complements(slots: Sequence[int]) -> set[int]:
+    """The facet complement masks of the sphere whose block masks, in slot order, are `slots`.
 
     Each takes one vertex from each block of a central set of slots (Gale
     duality; Grunbaum, *Convex Polytopes*, 5.4 and 6.3): the single block
@@ -308,7 +303,7 @@ def _complements(slots: Sequence[Face]) -> set[int]:
     of a triangle of the n-gon that contains its centre, that is with
     q - p, r - q and n - r + p all at most k.
     """
-    bits = [[1 << (v - 1) for v in b] for b in slots]
+    bits = [[1 << v for v in range(b.bit_length()) if b >> v & 1] for b in slots]
     n = len(slots)
     if n < 3:
         return {reduce(or_, pick) for pick in product(*bits)}
@@ -329,7 +324,7 @@ def cycle_complex(cert: MaxOddCycle) -> SimplicialComplex:
     if "_masks" not in vars(cert):
         validate_certificate(cert, m)
     full = (1 << m) - 1
-    complements = _complements(cert.slots)
+    complements = _complements([_row_mask(b, m) for b in cert.slots])
     return _from_masks(SimplicialComplex, m, [full ^ x for x in complements])
 
 
@@ -383,14 +378,13 @@ def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:
         if path is None:
             return None
         slots = [slots[i] for i in path]
-    faces = [_face(b) for b in slots]
-    if _complements(faces) != complements:
+    if _complements(slots) != complements:
         return None
     if n == 1:
-        return Sphere(m - 2, SimplexBoundary(faces[0]))
+        return Sphere(m - 2, SimplexBoundary(_face(full)))
     if n == 2:
-        return Sphere(m - 3, TwoPartition(*sorted(faces)))
-    return Sphere(m - 4, certificate_from_slots(faces, m)[2])
+        return Sphere(m - 3, TwoPartition(*sorted(map(_face, slots))))
+    return Sphere(m - 4, _certificate([slots[i * (n // 2) % n] for i in range(n)]))  # B_i = slots[ik mod n]
 
 
 def recognize(c: SimplicialComplex) -> Verdict:
@@ -424,13 +418,13 @@ def recognize(c: SimplicialComplex) -> Verdict:
     if masks == (full,):
         if d != m - 2:
             raise InternalInconsistency(f"simplex-boundary family but dim {d} != {m - 2}")
-        return Sphere(m - 2, SimplexBoundary(fam.members[0]))
+        return Sphere(m - 2, SimplexBoundary(_face(full)))
     if len(masks) == 2:
         a, b = masks
         if not a & b and a | b == full:
             if d != m - 3:
                 raise InternalInconsistency(f"two-partition family but dim {d} != {m - 3}")
-            return Sphere(m - 3, TwoPartition(*fam.members))
+            return Sphere(m - 3, TwoPartition(*sorted(map(_face, masks))))
         return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
     if len(masks) < 3:
         return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)

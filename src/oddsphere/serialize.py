@@ -50,7 +50,9 @@ def fraction_from_str(s) -> Fraction:
     try:
         if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
             return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise DocumentError(f"bad rational {_clip(repr(s))}: zero denominator") from exc
+    except ValueError as exc:
         raise DocumentError(f"bad rational {_clip(repr(s))}: {_clip(str(exc))}") from exc
     raise DocumentError(f"rationals must be 'p/q' strings, got {_clip(repr(s))}")
 

@@ -196,6 +196,14 @@ def test_catalog_thirteen_vertices_has_one_class_per_bracelet():
     assert len(report.classes) == 183
 
 
+def test_catalog_decodes_no_facets_or_members():
+    # Every cross-check compares masks, so decoding a view here would be wasted work.
+    for cls in catalog(9).classes:
+        assert "facets" not in vars(cls.complex)
+        assert "members" not in vars(cls.family)
+        assert cls.facet_count == len(cls.complex.facets)
+
+
 def test_catalog_names_a_certificate_other_than_the_instantiated_one(monkeypatch):
     octahedron = instantiate((2, 2, 2))[1]
     monkeypatch.setattr(catalog_module, "recognize", lambda c: Sphere(c.m - 4, octahedron))

@@ -16,6 +16,8 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _check_antichain,
+    _check_view_antichain,
+    _face,
     _minimal_transversals,
     _row_mask,
     complex_from_nonfaces,
@@ -348,6 +350,9 @@ def test_property_check_antichain_matches_reference(drawn):
     assert error == _antichain_error(reference_check_antichain, faces)
     if nested:
         assert error is not None
+    # Values keep their masks sorted by int; a refusal still names the pair the sorted view meets first.
+    in_view_order = _antichain_error(lambda fs, what: _check_view_antichain(sorted(map(face_mask, fs)), what), faces)
+    assert in_view_order == _antichain_error(reference_check_antichain, sorted(faces))
 
 
 @st.composite
@@ -377,11 +382,12 @@ def label_rows(draw):
 
 
 def assert_rebuilds_equal(value):
-    """A library-built value equals its validated rebuild, stored masks included."""
+    """A library-built value equals its validated rebuild: the same masks, sorted by int, and a lex-sorted view."""
     view = value.facets if isinstance(value, SimplicialComplex) else value.members
+    assert view == tuple(sorted(view))
     rebuilt = type(value)(value.m, view)
     assert rebuilt == value
-    assert rebuilt._masks == value._masks == tuple(face_mask(a) for a in view)
+    assert rebuilt._masks == value._masks == tuple(sorted(face_mask(a) for a in view))
 
 
 @settings(deadline=None, max_examples=300)
@@ -423,6 +429,18 @@ def test_one_pass_label_check_refuses_like_row_mask(kind, label):
 def test_property_trusted_builds_equal_validated_rebuilds(f, c):
     assert_rebuilds_equal(complex_from_nonfaces(f))
     assert_rebuilds_equal(minimal_nonfaces(c))
+
+
+@settings(deadline=None)
+@given(nonface_families(), simplicial_complexes(), st.randoms(use_true_random=False))
+def test_property_public_and_library_builds_are_one_value(f, c, rng):
+    # The library builds from masks; the public constructors read rows in any order.
+    for value in (complex_from_nonfaces(f), minimal_nonfaces(c)):
+        rows = [rng.sample(face, len(face)) for face in map(_face, value._masks)]
+        rng.shuffle(rows)
+        public = type(value)(value.m, rows)
+        assert public == value and hash(public) == hash(value)
+        assert repr(public) == repr(value)
 
 
 @settings(deadline=None, max_examples=40)
