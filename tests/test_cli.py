@@ -410,6 +410,19 @@ def test_unwritable_output_exits_73(target, tmp_path, capsys):
 CLI_OUTPUT_DIGEST = "eed5964ae1ba1d7f2eea3d8c01a09d7e2748622bd1d69b04f4ee94e6b53b9d02"
 
 
+def record(digest, argv, stdin_text=""):
+    """Run `cli.main(argv)` in process on `stdin_text`, add argv, stdout, stderr and exit code to `digest`, return stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    digest.update(json.dumps([argv, out.getvalue(), err.getvalue(), rc]).encode())
+    return out.getvalue()
+
+
 def cli_transcript() -> str:
     """Digest of stdout, stderr and exit code of in-process `cli.main` runs.
 
@@ -420,35 +433,71 @@ def cli_transcript() -> str:
     complex document `complex` printed.
     """
     digest = hashlib.sha256()
-
-    def record(argv, stdin_text=""):
-        out, err = io.StringIO(), io.StringIO()
-        saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(argv)
-        finally:
-            sys.stdin = saved
-        digest.update(json.dumps([argv, out.getvalue(), err.getvalue(), rc]).encode())
-        return out.getvalue()
-
     for m in range(4, 11):
-        record(["catalog", "--m", str(m)])
+        record(digest, ["catalog", "--m", str(m)])
     for m in range(5, 10):
         for bracelet in enumerate_bracelets(m):
             doc = json.dumps(serialize.family_to_doc(instantiate(bracelet)[0]))
-            points = record(["realize", "--verify", "--verbose"], doc)
-            record(["hull"], points)
-            record(["verify", "--verbose"], doc)
-            record(["check", "--verbose"], doc)
-            facets = record(["complex"], doc)
+            points = record(digest, ["realize", "--verify", "--verbose"], doc)
+            record(digest, ["hull"], points)
+            record(digest, ["verify", "--verbose"], doc)
+            record(digest, ["check", "--verbose"], doc)
+            facets = record(digest, ["complex"], doc)
             for argv in (["check"], ["nonfaces"], ["homology"]):
-                record(argv, facets)
+                record(digest, argv, facets)
     return digest.hexdigest()
 
 
 def test_cli_output_digest():
     assert cli_transcript() == CLI_OUTPUT_DIGEST
+
+
+# sha256 of `low_shapes_transcript()`, pinned while the simplex boundary,
+# the two-set partition and the maximum odd cycle were three certificate
+# classes, before they became one.
+LOW_SHAPES_DIGEST = "8da85c545b1338add29ec709456d82864f757f403145d14a0a0cae210d7e5718"
+
+# One non-face document per negative verdict: the full simplex, one member
+# short of [m], two members that are no partition, an even family, three
+# pairwise-meeting members, and three disjoint pairs that miss vertex 7.
+REASON_DOCS = (
+    {"m": 3, "nonfaces": []},
+    {"m": 4, "nonfaces": [[1, 2, 3]]},
+    {"m": 5, "nonfaces": [[1, 2], [3, 4]]},
+    {"m": 6, "nonfaces": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]},
+    {"m": 5, "nonfaces": [[1, 2], [2, 3], [1, 3]]},
+    {"m": 7, "nonfaces": [[1, 2], [3, 4], [5, 6]]},
+)
+
+
+def low_shapes_transcript() -> str:
+    """Digest of `check`, `verify` and `realize`, each `--verbose`, on the spheres with one or two blocks.
+
+    Those are the simplex boundary on [m] and the two-set partitions of [m]
+    into blocks of size >= 2, for m <= 8, up to relabelling.  Each goes in as
+    its non-face document and as its complex document (the complements of
+    one vertex from each block), then both again with every label v moved
+    to the v-th of 1, 3, 5, ..., 2, 4, 6, ... and the rows in reverse order.
+    The documents of REASON_DOCS follow.
+    """
+    digest = hashlib.sha256()
+    docs = []
+    for m in range(2, 9):
+        splits = [[list(range(1, a + 1)), list(range(a + 1, m + 1))] for a in range(2, m // 2 + 1)]
+        for blocks in [[list(range(1, m + 1))], *splits]:
+            facets = [[v for v in range(1, m + 1) if v not in pick] for pick in itertools.product(*blocks)]
+            image = [*range(1, m + 1, 2), *range(2, m + 1, 2)]
+            for key, rows in (("nonfaces", blocks), ("facets", facets)):
+                docs.append({"m": m, key: rows})
+                docs.append({"m": m, key: [[image[v - 1] for v in row] for row in reversed(rows)]})
+    for doc in docs + list(REASON_DOCS):
+        for command in ("check", "verify", "realize"):
+            record(digest, [command, "--verbose"], json.dumps(doc))
+    return digest.hexdigest()
+
+
+def test_cli_output_digest_of_one_and_two_blocks_and_every_reason():
+    assert low_shapes_transcript() == LOW_SHAPES_DIGEST
 
 
 # -- adversarial inputs: each must finish inside a wall-time bound ------------
