@@ -52,18 +52,14 @@ from .oracle import (
 )
 from .recognizer import (
     Certificate,
-    MaxOddCycle,
     NotSphere,
     NotSphereReason,
     OutOfScope,
-    SimplexBoundary,
     Sphere,
-    TwoPartition,
     Verdict,
     alternating_blocks,
     find_max_odd_cycle,
     recognize,
-    validate_certificate,
 )
 
 __version__ = "0.1.0"

@@ -27,14 +27,13 @@ from .complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _euler_from_f_vector,
-    _from_masks,
     enumerate_chains,
     f_vector,
     minimal_nonfaces,
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import MaxOddCycle, Sphere, Verdict, certificate_from_slots, cycle_complex, recognize
+from .recognizer import Certificate, Sphere, Verdict, _nonfaces, cycle_complex, recognize
 
 Bracelet = tuple[int, ...]
 
@@ -74,13 +73,12 @@ def enumerate_bracelets(m: int) -> list[Bracelet]:
     return sorted(out, key=lambda b: (len(b), b))
 
 
-def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
+def instantiate(b: Bracelet) -> tuple[NonFaceFamily, Certificate]:
     """Labelled maximum odd cycle for a bracelet.
 
     Vertex labels 1..m are assigned consecutively along the slot order
-    (`MaxOddCycle.slots`, inverted by `certificate_from_slots`), slot j
-    taking the next b_j labels, and the members are the unions of k
-    consecutive blocks.
+    (`Certificate.slots`), slot j taking the next b_j labels, and the
+    members are the unions of k consecutive slots.
     """
     n = len(b)
     least = 2 if n == 3 else 1
@@ -88,8 +86,8 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, MaxOddCycle]:
         raise ValueError(f"{b} is not a valid bracelet")
     m = sum(b)
     slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
-    members, cert = certificate_from_slots(slots, m)
-    return _from_masks(NonFaceFamily, m, members), cert
+    cert = Certificate(m, slots)
+    return _nonfaces(cert), cert
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ class SphereClass:
 
     bracelet: Bracelet
     family: NonFaceFamily
-    certificate: MaxOddCycle
+    certificate: Certificate
     complex: SimplicialComplex
     f_vector: tuple[int, ...]
 
@@ -128,7 +126,7 @@ def cross_check(comp: SimplicialComplex, chains: Chains) -> tuple[Verdict, dict[
     stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
     if not isinstance(verdict, Sphere):
         return verdict, stages
-    if isinstance(verdict.certificate, MaxOddCycle):
+    if verdict.certificate.n >= 3:
         g = realize_gale_vectors(verdict.certificate)
         stages["realization"] = True
         stages["hull_matches_complex"] = boundary_complex(reconstruct_points(g)) == comp

@@ -19,15 +19,7 @@ from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cr
 from .complexes import _clip, complex_from_nonfaces, enumerate_chains, minimal_nonfaces
 from .gale import realize_gale_vectors, reconstruct_points
 from .oracle import betti_mod2, boundary_complex, hull_facets
-from .recognizer import (
-    InternalInconsistency,
-    MaxOddCycle,
-    NotSphere,
-    Sphere,
-    TwoPartition,
-    find_max_odd_cycle,
-    recognize,
-)
+from .recognizer import InternalInconsistency, NotSphere, Sphere, find_max_odd_cycle, recognize
 
 EX_INPUT = 64
 EX_SOFTWARE = 70
@@ -79,15 +71,10 @@ def _complex_from_any(doc):
 
 def _print_certificate(cert) -> None:
     # sys.stderr is looked up per call so that redirect_stderr applies
-    if isinstance(cert, MaxOddCycle):
+    if cert.n >= 3:
         cyc = " - ".join("{" + ",".join(map(str, a)) + "}" for a in cert.ordering)
         print(f"cyclic ordering: {cyc}", file=sys.stderr)
-        blocks = cert.blocks
-    elif isinstance(cert, TwoPartition):
-        blocks = (cert.first, cert.second)
-    else:
-        blocks = (cert.member,)
-    print("blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in blocks), file=sys.stderr)
+    print("blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in cert.blocks), file=sys.stderr)
 
 
 def _cmd_check(args) -> int:

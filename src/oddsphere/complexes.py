@@ -147,7 +147,7 @@ def _from_masks(cls, m: int, masks: Iterable[int]):
 
 
 class _SetSystem:
-    """A value that is m and its masks; the view named by `_VIEW` is decoded when first read."""
+    """A value that is m and its masks; a view (`_decode`) is decoded when first read."""
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and (self.m, self._masks) == (other.m, other._masks)
@@ -155,10 +155,14 @@ class _SetSystem:
     def __hash__(self):
         return hash((self.m, self._masks))
 
-    def __getattr__(self, name):  # called only for names missing from the instance __dict__
+    def _decode(self, name: str):
+        """The view `name` decoded from the masks: here the sorted sets of the view `_VIEW`."""
         if name != self._VIEW:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, tuple(sorted(map(_face, self._masks))))
+        return tuple(sorted(map(_face, self._masks)))
+
+    def __getattr__(self, name):  # called only for names missing from the instance __dict__
+        object.__setattr__(self, name, self._decode(name))
         return self.__dict__[name]
 
 

@@ -8,8 +8,8 @@ small primitive integer directions in the same cyclic order, and the
 direction classes are re-verified with exact arithmetic.  The realized
 vectors are integer multiples of those directions, scaled by the lcm of
 the block sizes, so no `Fraction` is built before the kernel.  A maximum odd
-cycle already is its diagram: the slot order is defined by
-`MaxOddCycle.slots` and inverted by `certificate_from_slots`.
+cycle already is its diagram: its certificate's slots (`Certificate.slots`)
+are the direction classes in counterclockwise order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import NonFaceFamily, _from_masks
+from .complexes import NonFaceFamily
 from .linalg import (
     Vec,
     _integer_row,
@@ -32,7 +32,7 @@ from .linalg import (
     vec,
 )
 from .oracle import PointConfiguration
-from .recognizer import InternalInconsistency, MaxOddCycle, certificate_from_slots, validate_certificate
+from .recognizer import Certificate, InternalInconsistency, _nonfaces
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -129,7 +129,7 @@ def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
     return [members_of[p] for p in ordered]
 
 
-def _verified_classes(cert: MaxOddCycle, vectors: list[Vec]) -> bool:
+def _verified_classes(cert: Certificate, vectors: list[Vec]) -> bool:
     """Exact check that the vectors still encode the certificate's combinatorics.
 
     The direction classes must be standard and, in counterclockwise order,
@@ -146,12 +146,12 @@ def _verified_classes(cert: MaxOddCycle, vectors: list[Vec]) -> bool:
     return classes == slots[shift:] + slots[:shift]
 
 
-def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
+def realize_gale_vectors(cert: Certificate) -> GaleConfiguration:
     """Planar integer Gale vectors: (w_s L / |block s|) u_s for each vertex of block `cert.slots[s]`.
 
     L is the lcm of the block sizes, so every entry is an `int`; a uniform
     scale leaves the kernel that `reconstruct_points` reads unchanged.
-    Only certificates the library did not build are validated.  The u_s, in
+    The certificate must be a maximum odd cycle (n >= 3).  The u_s, in
     counterclockwise order, are (1, 2i-k) for i = 0..k with weight k, then
     (-1, k-1-2j) for j = 0..k-1 with weight k+1: no two are antipodal (the
     antipodes of the second group have the other parity), and the vectors
@@ -159,10 +159,9 @@ def realize_gale_vectors(cert: MaxOddCycle) -> GaleConfiguration:
     regular polygon's face lattice (Gruenbaum, Convex Polytopes, 6.3);
     `_verified_classes` confirms it and, with >= 3 classes, the span.
     """
-    m = sum(len(b) for b in cert.blocks)
-    if "_masks" not in vars(cert):
-        validate_certificate(cert, m)
-    k = cert.k
+    if cert.n < 3:
+        raise ValueError(f"a planar Gale diagram needs a maximum odd cycle, not {cert.n} blocks")
+    m, k = cert.m, cert.k
     directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
     weights = [k] * (k + 1) + [k + 1] * k
     slots = cert.slots
@@ -277,7 +276,7 @@ def relint_origin_test(vectors: Iterable[Sequence]) -> bool:
     return all(cross2(ordered[i], ordered[(i + 1) % s]) > 0 for i in range(s))
 
 
-def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] | None:
+def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, Certificate] | None:
     """Read a maximum odd cycle back off a planar configuration, if it is one.
 
     Returns None unless the direction classes are standard (see
@@ -291,5 +290,5 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, MaxOddCycle] 
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    members, cert = certificate_from_slots(classes, g.n)
-    return _from_masks(NonFaceFamily, g.n, members), cert
+    cert = Certificate(g.n, classes)
+    return _nonfaces(cert), cert

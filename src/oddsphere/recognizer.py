@@ -25,8 +25,10 @@ negative verdict and its reason come from.  A complex that already keeps
 its non-faces, as in `verify` and the catalog, which enumerate them
 first, is read off them directly.
 
-`cycle_complex` builds the sphere of a maximum odd cycle from its
-certificate with the same `_complements`.
+Every sphere verdict carries a `Certificate`: the blocks in slot order,
+n = 1 of them for the simplex boundary, 2 for a two-set partition and an
+odd n >= 3 for a maximum odd cycle.  It is valid by construction, and
+`cycle_complex` builds its sphere with the same `_complements`.
 """
 
 from __future__ import annotations
@@ -36,17 +38,20 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complexes import (
     MAX_VERTICES,
     Face,
+    InvariantError,
     NonFaceFamily,
     SimplicialComplex,
+    _check_m,
     _face,
     _from_masks,
     _known_nonfaces,
     _row_mask,
+    _SetSystem,
     minimal_nonfaces,
 )
 
@@ -73,38 +78,56 @@ class NotSphereReason(enum.Enum):
     WRONG_FAMILY_SHAPE = "wrong_family_shape"
 
 
-@dataclass(frozen=True)
-class SimplexBoundary:
-    member: Face
+@dataclass(frozen=True, eq=False)
+class Certificate(_SetSystem):
+    """The blocks of a sphere on [m], given in slot order.
 
+    A sphere with m <= d+4 has n = 1 block (the simplex boundary,
+    d = m-2), n = 2 (a two-set partition, d = m-3) or an odd n >= 3 (a
+    maximum odd cycle, d = m-4): d = m - min(n, 3) - 1.  Slot j holds the
+    block B_{-2j mod n} at odd n >= 3 and B_j at n <= 2, so at every n
+    B_i = slots[i * floor(n/2) mod n], and the members A_i (the minimal
+    non-faces, `_members`) are unions of k = max(1, (n-1)/2) blocks.
 
-@dataclass(frozen=True)
-class TwoPartition:
-    first: Face
-    second: Face
+    As in `complexes`, the value is m and the canonical block masks
+    B_0, ..., B_{n-1} in `_masks` (see `_canonical`), which equality and
+    hashing compare; `blocks`, `ordering` (the members, in block order) and
+    `slots` are decoded when first read.  The constructor checks m and the
+    labels as `SimplicialComplex` does, and that the blocks partition [m]
+    into n = 1, 2 or an odd number of blocks, each of at least 2 vertices
+    when n <= 3, so every certificate is valid.  Any rotation or reflection
+    of the slots gives the same value.  `_certificate` builds one from
+    blocks the library has proved valid.
+    """
 
+    m: int
+    slots: tuple[Face, ...]
 
-@dataclass(frozen=True)
-class MaxOddCycle:
-    ordering: CyclicOrdering
-    blocks: tuple[Face, ...]
+    def __post_init__(self):
+        _check_m(self.m)
+        slots = [_row_mask(s, self.m) for s in self.__dict__.pop("slots")]
+        n = len(slots)
+        if n % 2 == 0 and n != 2:
+            raise InvariantError(f"a certificate has 1, 2 or an odd number of blocks, got {n}")
+        if not _is_partition(slots, self.m):
+            raise InvariantError(f"certificate blocks do not partition [1, {self.m}]")
+        if n <= 3 and min(map(int.bit_count, slots)) < 2:
+            raise InvariantError(f"each of {n} certificate blocks needs size >= 2")
+        object.__setattr__(self, "_masks", _canonical(_blocks(slots)))
 
     @property
     def n(self) -> int:
-        return len(self.ordering)
+        return len(self._masks)
 
     @property
     def k(self) -> int:
-        return (len(self.ordering) - 1) // 2
+        return max(1, (len(self._masks) - 1) // 2)
 
-    @property
-    def slots(self) -> tuple[Face, ...]:
-        """Slot j of the (2k+1)-gon holds block B_{-2j}; `certificate_from_slots` inverts this."""
-        n = len(self.blocks)
-        return tuple(self.blocks[(-2 * j) % n] for j in range(n))
-
-
-Certificate = SimplexBoundary | TwoPartition | MaxOddCycle
+    def _decode(self, name: str) -> tuple[Face, ...]:
+        views = {"blocks": tuple, "ordering": _members, "slots": _slots}
+        if name not in views:
+            raise AttributeError(f"'Certificate' object has no attribute {name!r}")
+        return tuple(map(_face, views[name](self._masks)))
 
 
 @dataclass(frozen=True)
@@ -148,25 +171,39 @@ def _alternating_masks(members: Sequence[int]) -> list[int]:
     return [reduce(and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
 
 
-def _certificate(blocks: Sequence[int]) -> MaxOddCycle:
-    """The canonical certificate of a cycle just proved valid, from its block masks B_0, ..., B_{n-1}.
+def _certificate(blocks: Sequence[int]) -> Certificate:
+    """The certificate with block masks B_0, ..., B_{n-1}, built unchecked: for blocks proved valid."""
+    cert = object.__new__(Certificate)
+    object.__setattr__(cert, "m", reduce(or_, blocks).bit_length())
+    object.__setattr__(cert, "_masks", _canonical(blocks))
+    return cert
 
-    It is the rotation or reflection with the least blocks (B_i = {i+1} on
-    the worked pentagon), whose ordering is the members of its blocks
-    (`_members`).  The blocks are disjoint and nonempty, so they compare as
-    their least vertices do: the least variant starts at the block B_i with
-    the least vertex, then B_{i+1} or B_{i-1}, whichever has the lesser.
-    The block masks go in `_masks`, outside the dataclass fields as in
-    `complexes`; only this builder sets them.
+
+def _canonical(blocks: Sequence[int]) -> tuple[int, ...]:
+    """The rotation or reflection of the block masks B_0, ..., B_{n-1} with the least blocks.
+
+    The blocks are disjoint and nonempty, so they compare as their least
+    vertices do: the least variant starts at the block B_i with the least
+    vertex, then B_{i+1} or B_{i-1}, whichever has the lesser (B_i = {i+1}
+    on the worked pentagon).
     """
     n = len(blocks)
     least = [b & -b for b in blocks]  # the bit of each block's least vertex
     i = min(range(n), key=least.__getitem__)
     step = 1 if least[(i + 1) % n] < least[i - 1] else -1
-    blocks = tuple(blocks[(i + step * t) % n] for t in range(n))
-    cert = MaxOddCycle(ordering=tuple(map(_face, _members(blocks))), blocks=tuple(map(_face, blocks)))
-    object.__setattr__(cert, "_masks", blocks)
-    return cert
+    return tuple(blocks[(i + step * t) % n] for t in range(n))
+
+
+def _blocks(slots: Sequence[int]) -> list[int]:
+    """The block masks B_i = slots[i * floor(n/2) mod n] of the slot masks `slots`."""
+    n = len(slots)
+    return [slots[i * (n // 2) % n] for i in range(n)]
+
+
+def _slots(blocks: Sequence[int]) -> Sequence[int]:
+    """The slot masks of the block masks `blocks`, inverting `_blocks`: slot j holds B_{-2j} at n >= 3."""
+    n = len(blocks)
+    return blocks if n < 3 else [blocks[-2 * j % n] for j in range(n)]
 
 
 def _is_partition(blocks: Sequence[int], m: int) -> bool:
@@ -180,50 +217,24 @@ def _is_partition(blocks: Sequence[int], m: int) -> bool:
     return total == m and union == (1 << m) - 1
 
 
-def validate_certificate(cert: Certificate, m: int) -> None:
-    """Re-check a certificate from scratch; raises InvariantError-style ValueError."""
-    full = (1 << m) - 1
-    if isinstance(cert, SimplexBoundary):
-        if _row_mask(cert.member, m) != full:
-            raise ValueError(f"simplex-boundary certificate must carry [1,{m}]")
-        if m < 2:
-            raise ValueError("simplex-boundary certificate needs m >= 2")
-        return
-    if isinstance(cert, TwoPartition):
-        a = _row_mask(cert.first, m)
-        b = _row_mask(cert.second, m)
-        if a.bit_count() < 2 or b.bit_count() < 2:
-            raise ValueError("two-partition blocks must have size >= 2")
-        if a & b or a | b != full:
-            raise ValueError("two-partition blocks must partition [m]")
-        return
-    if isinstance(cert, MaxOddCycle):
-        blocks = _checked_blocks(cert.blocks, m)
-        members = _members(blocks)
-        if (
-            tuple(_face(b) for b in blocks) != cert.blocks
-            or len(cert.ordering) != len(members)
-            or any(_row_mask(a, m) != x for a, x in zip(cert.ordering, members))
-        ):
-            raise ValueError("stored blocks disagree with the alternating intersections")
-        return
-    raise TypeError(f"unknown certificate type {type(cert)!r}")
+def _read_family(f: NonFaceFamily) -> Certificate | NotSphereReason:
+    """The certificate of the sphere whose minimal non-faces are `f`, or why no sphere has them.
 
-
-def _max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | NotSphereReason:
-    """Walk the disjointness graph of the members, then check the blocks.
-
-    In a valid cycle A_i and A_j are disjoint exactly when j = i +- 1, so
-    the disjointness graph must be the n-cycle itself: every member has
-    exactly two disjoint partners, and the walk from one member to the
-    next visits all n of them.  That fixes the ordering up to rotation and
-    reflection, so no search is needed.  The walk makes successive members
-    disjoint, so once the blocks partition [m] the certificate is valid.
+    At n <= 2 members the members are the blocks, so they must partition
+    [m].  At odd n >= 3 the members are walked: in a valid cycle A_i and
+    A_j are disjoint exactly when j = i +- 1, so the disjointness graph
+    must be the n-cycle itself: every member has exactly two disjoint
+    partners, and the walk from one member to the next visits all n of
+    them.  That fixes the ordering up to rotation and reflection, so no
+    search is needed.  The walk makes successive members disjoint, so once
+    the blocks partition [m] the certificate is valid.
     """
     masks = f._masks
     n = len(masks)
-    if n < 3 or n % 2 == 0:
-        return NotSphereReason.NO_CYCLIC_ORDERING
+    if n <= 2:
+        return _certificate(masks) if _is_partition(masks, f.m) else NotSphereReason.WRONG_FAMILY_SHAPE
+    if n % 2 == 0:
+        return NotSphereReason.NON_ODD_FAMILY_SIZE
     # no member is empty, so none counts as disjoint from itself
     path = _cycle_order([[j for j, b in enumerate(masks) if not a & b] for a in masks])
     if path is None:
@@ -250,48 +261,16 @@ def _cycle_order(adj: Sequence[Sequence[int]]) -> list[int] | None:
     return path
 
 
-def find_max_odd_cycle(f: NonFaceFamily) -> MaxOddCycle | None:
-    """The canonical maximum-odd-cycle certificate for `f`, if one exists."""
-    cert = _max_odd_cycle(f)
-    return cert if isinstance(cert, MaxOddCycle) else None
-
-
-def certificate_from_slots(slots: Sequence[Iterable[int]], m: int) -> tuple[list[int], MaxOddCycle]:
-    """The member masks and marked canonical certificate of the cycle whose block B_{-2j} is `slots[j]`.
-
-    Checking the blocks B_i = slots[ik mod n] (-2k = 1 mod n) proves the
-    rest, so callers build the members' family from their masks unchecked.
-    """
-    n = len(slots)
-    blocks = _checked_blocks([slots[i * (n // 2) % n] for i in range(n)], m)
-    return _members(blocks), _certificate(blocks)
-
-
-def _checked_blocks(blocks: Sequence[Iterable[int]], m: int) -> list[int]:
-    """The masks of the blocks B_0, ..., B_{n-1} of a maximum odd cycle, checked.
-
-    Raises ValueError unless n is odd and >= 3 and the blocks partition [m]
-    (into sets of size >= 2 if n = 3).  The rest of `validate_certificate`
-    then holds by construction, and the members (`_members`) form a valid
-    non-face family: A_i and A_{i+1} are unions of disjoint sets of blocks,
-    the members are distinct unions of k blocks, and the alternating
-    intersection from A_i is B_i.
-    """
-    n = len(blocks)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"maximum odd cycle needs odd length >= 3, got {n}")
-    masks = [_row_mask(b, m) for b in blocks]
-    if not _is_partition(masks, m):
-        raise ValueError("alternating blocks do not partition [m]")
-    if n == 3 and any(b.bit_count() < 2 for b in masks):
-        raise ValueError("3-cycle blocks must have size >= 2")
-    return masks
+def find_max_odd_cycle(f: NonFaceFamily) -> Certificate | None:
+    """The canonical certificate of `f` if it is a maximum odd cycle (n >= 3 members)."""
+    cert = _read_family(f)
+    return cert if isinstance(cert, Certificate) and cert.n >= 3 else None
 
 
 def _members(blocks: Sequence[int]) -> list[int]:
-    """The member masks A_i = B_i | B_{i-2} | ... | B_{i-2k+2} of the cycle with block masks B_0, ..., B_{n-1}."""
+    """The member masks A_i = B_i | B_{i-2} | ... | B_{i-2k+2} of the sphere with block masks B_0, ..., B_{n-1}."""
     n = len(blocks)
-    return [reduce(or_, (blocks[(i - 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
+    return [reduce(or_, (blocks[(i - 2 * j) % n] for j in range(max(1, (n - 1) // 2)))) for i in range(n)]
 
 
 def _complements(slots: Sequence[int]) -> set[int]:
@@ -313,19 +292,24 @@ def _complements(slots: Sequence[int]) -> set[int]:
             for x in bits[p] for y in bits[q] for z in bits[r]}
 
 
-def cycle_complex(cert: MaxOddCycle) -> SimplicialComplex:
-    """The sphere of a maximum odd cycle, built straight from its certificate.
+def cycle_complex(cert: Certificate) -> SimplicialComplex:
+    """The sphere of a certificate, built straight from it.
 
     Its facets are the complements of `_complements(slots)`, which takes
-    time linear in the facets and dualizes nothing.  Only certificates the
-    library did not build are validated.
+    time linear in the facets and dualizes nothing.
     """
-    m = sum(map(len, cert.blocks))
-    if "_masks" not in vars(cert):
-        validate_certificate(cert, m)
-    full = (1 << m) - 1
-    complements = _complements([_row_mask(b, m) for b in cert.slots])
-    return _from_masks(SimplicialComplex, m, [full ^ x for x in complements])
+    full = (1 << cert.m) - 1
+    return _from_masks(SimplicialComplex, cert.m, [full ^ x for x in _complements(_slots(cert._masks))])
+
+
+def _nonfaces(cert: Certificate) -> NonFaceFamily:
+    """The minimal non-faces of the sphere of a certificate, its members, built unchecked.
+
+    They form a non-face family: distinct unions of k of the disjoint
+    nonempty blocks, so none lies in another, of at least 2 vertices each
+    (at n <= 3 a member is one block).
+    """
+    return _from_masks(NonFaceFamily, cert.m, _members(cert._masks))
 
 
 def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:
@@ -380,19 +364,16 @@ def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:
         slots = [slots[i] for i in path]
     if _complements(slots) != complements:
         return None
-    if n == 1:
-        return Sphere(m - 2, SimplexBoundary(_face(full)))
-    if n == 2:
-        return Sphere(m - 3, TwoPartition(*sorted(map(_face, slots))))
-    return Sphere(m - 4, _certificate([slots[i * (n // 2) % n] for i in range(n)]))  # B_i = slots[ik mod n]
+    return Sphere(m - s - 1, _certificate(_blocks(slots)))
 
 
 def recognize(c: SimplicialComplex) -> Verdict:
     """Decide sphereness of a complex on at most d+4 vertices.
 
-    Verdicts carry a certificate whose shape fixes the dimension:
-    simplex boundary (d = m-2), two-set partition (d = m-3), or maximum
-    odd cycle (d = m-4).  Complexes with m - d >= 5 are out of scope.
+    A sphere verdict carries a certificate whose n blocks fix the
+    dimension d = m - min(n, 3) - 1: simplex boundary (n = 1), two-set
+    partition (n = 2) or maximum odd cycle.  Complexes with m - d >= 5 are
+    out of scope.
 
     For an odd family of at least three members, NO_CYCLIC_ORDERING means
     the disjointness graph of the members is not a single n-cycle (even
@@ -412,27 +393,9 @@ def recognize(c: SimplicialComplex) -> Verdict:
         sphere = _sphere_from_facets(c, m - d - 1)
         if sphere is not None:
             return sphere
-    fam = minimal_nonfaces(c)
-    masks = fam._masks
-    full = (1 << m) - 1
-    if masks == (full,):
-        if d != m - 2:
-            raise InternalInconsistency(f"simplex-boundary family but dim {d} != {m - 2}")
-        return Sphere(m - 2, SimplexBoundary(_face(full)))
-    if len(masks) == 2:
-        a, b = masks
-        if not a & b and a | b == full:
-            if d != m - 3:
-                raise InternalInconsistency(f"two-partition family but dim {d} != {m - 3}")
-            return Sphere(m - 3, TwoPartition(*sorted(map(_face, masks))))
-        return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
-    if len(masks) < 3:
-        return NotSphere(NotSphereReason.WRONG_FAMILY_SHAPE)
-    if len(masks) % 2 == 0:
-        return NotSphere(NotSphereReason.NON_ODD_FAMILY_SIZE)
-    cert = _max_odd_cycle(fam)
+    cert = _read_family(minimal_nonfaces(c))
     if isinstance(cert, NotSphereReason):
         return NotSphere(cert)
-    if d != m - 4:
-        raise InternalInconsistency(f"maximum odd cycle found but dim {d} != {m - 4}")
-    return Sphere(m - 4, cert)
+    if d != m - min(cert.n, 3) - 1:
+        raise InternalInconsistency(f"a certificate of {cert.n} blocks on {m} vertices, but dim {d}")
+    return Sphere(d, cert)

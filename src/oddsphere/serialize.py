@@ -13,15 +13,7 @@ from fractions import Fraction
 from .catalog import CatalogReport
 from .complexes import NonFaceFamily, SimplicialComplex, _clip
 from .oracle import PointConfiguration
-from .recognizer import (
-    MaxOddCycle,
-    NotSphere,
-    OutOfScope,
-    SimplexBoundary,
-    Sphere,
-    TwoPartition,
-    Verdict,
-)
+from .recognizer import Certificate, NotSphere, OutOfScope, Sphere, Verdict
 
 
 class DocumentError(ValueError):
@@ -121,15 +113,12 @@ def points_from_doc(doc) -> PointConfiguration:
         raise DocumentError(f"invalid point configuration: {exc}") from exc
 
 
-def certificate_to_doc(cert) -> dict:
-    if isinstance(cert, SimplexBoundary):
-        return {"kind": "simplex_boundary", "ordering": [list(cert.member)]}
-    if isinstance(cert, TwoPartition):
-        return {"kind": "two_partition", "ordering": [list(cert.first), list(cert.second)]}
-    if isinstance(cert, MaxOddCycle):
-        ordering, blocks = [list(a) for a in cert.ordering], [list(b) for b in cert.blocks]
-        return {"kind": "max_odd_cycle", "ordering": ordering, "blocks": blocks}
-    raise TypeError(f"unknown certificate {cert!r}")
+def certificate_to_doc(cert: Certificate) -> dict:
+    kind = ("simplex_boundary", "two_partition", "max_odd_cycle")[min(cert.n, 3) - 1]
+    doc = {"kind": kind, "ordering": [list(a) for a in cert.ordering]}
+    if cert.n >= 3:
+        doc["blocks"] = [list(b) for b in cert.blocks]
+    return doc
 
 
 def verdict_to_doc(v: Verdict) -> dict:

@@ -40,7 +40,7 @@ from oddsphere.oracle import (
     hull_facets,
 )
 from oddsphere.recognizer import (
-    MaxOddCycle,
+    Certificate,
     NotSphere,
     NotSphereReason,
     OutOfScope,
@@ -75,7 +75,7 @@ def test_criterion_1_pentagon():
     comp = complex_from_nonfaces(fam)
     verdict = recognize(comp)
     assert isinstance(verdict, Sphere) and verdict.d == 1
-    assert isinstance(verdict.certificate, MaxOddCycle)
+    assert isinstance(verdict.certificate, Certificate) and verdict.certificate.n == 5
     assert verdict.certificate.blocks == ((1,), (2,), (3,), (4,), (5,))
     assert comp.facets == ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5))
     assert time.monotonic() - start < 1.0
@@ -88,7 +88,7 @@ def test_criterion_2_octahedron():
     comp = complex_from_nonfaces(fam)
     verdict = recognize(comp)
     assert isinstance(verdict, Sphere) and verdict.d == 2
-    assert isinstance(verdict.certificate, MaxOddCycle) and verdict.certificate.n == 3
+    assert isinstance(verdict.certificate, Certificate) and verdict.certificate.n == 3
     assert f_vector(comp)[1:] == (6, 12, 8)
     points = reconstruct_points(realize_gale_vectors(verdict.certificate))
     assert points.dim == 3

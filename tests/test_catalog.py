@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tests_shared import are_isomorphic, burnside_bracelet_count, permuted
+from tests_shared import are_isomorphic, assert_valid_and_canonical, burnside_bracelet_count, permuted
 
 from oddsphere.catalog import (
     CatalogVerificationError,
@@ -20,7 +20,7 @@ from oddsphere.complexes import (
     SimplicialComplex,
     complex_from_nonfaces,
 )
-from oddsphere.recognizer import Sphere, find_max_odd_cycle, validate_certificate
+from oddsphere.recognizer import Sphere, find_max_odd_cycle
 
 # `oddsphere.catalog` is also the name of the function the package exports
 catalog_module = importlib.import_module("oddsphere.catalog")
@@ -100,7 +100,7 @@ def test_enumerate_bracelets_small_counts():
 
 def test_instantiate_pentagon_bracelet():
     fam, cert = instantiate((1, 1, 1, 1, 1))
-    validate_certificate(cert, 5)
+    assert_valid_and_canonical(cert, 5)
     assert all(len(b) == 1 for b in cert.blocks)
     # the pentagon family up to relabeling: the complex is a 5-cycle graph
     comp = complex_from_nonfaces(fam)
@@ -118,8 +118,8 @@ def test_instantiate_output_passes_search():
         for b in enumerate_bracelets(m):
             fam, cert = instantiate(b)
             found = find_max_odd_cycle(fam)
-            assert found is not None
-            validate_certificate(found, m)
+            assert found == cert
+            assert_valid_and_canonical(found, m)
 
 
 @pytest.mark.parametrize("bracelet", [(True, 2, 2, 1, 1), (2.0, 2, 2)])

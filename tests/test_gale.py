@@ -1,6 +1,5 @@
 """Gale transforms, diagrams, the integer realization, and the readback."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests_shared import (
-    assert_marked_valid,
+    assert_valid_and_canonical,
     coface_test,
+    face_mask,
     is_face,
     is_vertex,
     linear_feasible_nonneg,
@@ -44,10 +44,11 @@ from oddsphere.gale import (
 from oddsphere.linalg import matrix_rank
 from oddsphere.oracle import PointConfiguration, boundary_complex, hull_facets
 from oddsphere.recognizer import (
-    MaxOddCycle,
+    Certificate,
     Sphere,
+    _blocks,
+    _certificate,
     alternating_blocks,
-    certificate_from_slots,
     find_max_odd_cycle,
     recognize,
 )
@@ -97,7 +98,7 @@ def test_slots_round_trip_on_every_bracelet():
     for m in range(4, 13):
         for b in enumerate_bracelets(m):
             _, cert = instantiate(b)
-            assert certificate_from_slots(cert.slots, m)[-1] == cert
+            assert Certificate(m, cert.slots) == cert
             assert tuple(len(s) for s in cert.slots) == b
 
 
@@ -168,7 +169,8 @@ def test_realize_one_vertex_per_slot_for_every_k():
         # a 3-cycle needs blocks of size >= 2, so k = 1 doubles every slot
         slots = [(j + 1,) for j in range(n)] if k > 1 else [(1, 2), (3, 4), (5, 6)]
         m = sum(len(s) for s in slots)
-        g = realize_gale_vectors(certificate_from_slots(slots, m)[-1])
+        # past MAX_VERTICES the constructor refuses m, so the unchecked builder makes the certificate
+        g = realize_gale_vectors(_certificate(_blocks([face_mask(s) for s in slots])))
         assert all(sum(v[c] for v in g.vectors) == 0 for c in range(2))
         if m > MAX_VERTICES:
             continue  # no NonFaceFamily to read back
@@ -181,13 +183,14 @@ def test_realize_one_vertex_per_slot_for_every_k():
 
 
 def test_realize_every_rotation_and_reflection_of_the_ordering():
-    # valid certificates need not be canonical: label 1 may sit in any slot
+    # the slots of any rotation or reflection, label 1 in any slot, build one certificate
     for fam in (PENTAGON, OCTAHEDRON, instantiate((2, 1, 1, 1, 1))[0]):
         ordering = find_max_odd_cycle(fam).ordering
         n = len(ordering)
         for r in range(n):
             for turned in (ordering[r:] + ordering[:r], tuple(reversed(ordering[r:] + ordering[:r]))):
-                g = realize_gale_vectors(MaxOddCycle(turned, alternating_blocks(turned)))
+                blocks = alternating_blocks(turned)
+                g = realize_gale_vectors(Certificate(fam.m, [blocks[-2 * j % n] for j in range(n)]))
                 recovered = recover_nonfaces(g)
                 assert recovered is not None and recovered[0] == fam
 
@@ -201,31 +204,18 @@ def test_realized_coordinates_stay_small():
                 assert x.numerator.bit_length() < 16 and x.denominator.bit_length() < 16, (b, x)
 
 
-@pytest.mark.parametrize("cert, reason", [
-    pytest.param(MaxOddCycle(((1, 2), (3, 4), (5, 6), (7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))),
-                 "odd length", id="even-length-ordering"),
-    # successive members are disjoint, but B_4 = A_4 & A_1 is empty
-    pytest.param(MaxOddCycle(((1, 4), (2,), (1, 3), (2, 4), (3,)), ((1,), (2,), (3,), (4,), ())),
-                 "do not partition", id="blocks-not-a-partition"),
-    pytest.param(MaxOddCycle(((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)), ((2,), (3,), (4,), (5,), (1,))),
-                 "disagree", id="stored-blocks-differ"),
+@pytest.mark.parametrize("m, slots, reason", [
+    pytest.param(8, ((1, 2), (3, 4), (5, 6), (7, 8)), "odd number", id="even-length-ordering"),
+    # an empty block: the members ((1, 4), (2,), (1, 3), (2, 4), (3,)) are successively disjoint
+    pytest.param(5, ((1,), (4,), (2,), (), (3,)), "do not partition", id="blocks-not-a-partition"),
     # a singleton non-face would be a missing vertex, so no sphere has this family
-    pytest.param(MaxOddCycle(((1,), (2, 3), (4, 5)), ((1,), (2, 3), (4, 5))),
-                 "size >= 2", id="three-cycle-with-singleton-block"),
+    pytest.param(5, ((1,), (2, 3), (4, 5)), "size >= 2", id="three-cycle-with-singleton-block"),
+    # a two-set partition is a sphere, but it has no planar diagram
+    pytest.param(5, ((1, 2), (3, 4, 5)), "maximum odd cycle", id="two-partition"),
 ])
-def test_realize_rejects_malformed_certificates(cert, reason):
+def test_realize_rejects_malformed_certificates(m, slots, reason):
     with pytest.raises(ValueError, match=reason):
-        realize_gale_vectors(cert)
-
-
-def test_realize_validates_a_library_certificate_once_it_is_replaced():
-    _, cert = instantiate((2, 1, 1, 1, 1))
-    realize_gale_vectors(cert)
-    # `replace` builds through the public constructor, so the copy carries no
-    # mark and is checked in full: rotated blocks disagree with the ordering
-    turned = dataclasses.replace(cert, blocks=cert.blocks[1:] + cert.blocks[:1])
-    with pytest.raises(ValueError, match="disagree"):
-        realize_gale_vectors(turned)
+        realize_gale_vectors(Certificate(m, slots))
 
 
 def test_readback_certificates_are_valid_and_canonical():
@@ -234,7 +224,7 @@ def test_readback_certificates_are_valid_and_canonical():
             _, cert = instantiate(b)
             recovered = recover_nonfaces(realize_gale_vectors(cert))
             assert recovered is not None
-            assert_marked_valid(recovered[1], m)
+            assert_valid_and_canonical(recovered[1], m)
             assert recovered[1] == cert
 
 
@@ -458,7 +448,7 @@ def test_recover_rejects_singleton_class_when_k_is_one():
 
 # k = 2: five slots, vertices 1 and 2 share slot 0; the slots' honest
 # directions in counterclockwise order
-SHARED_SLOT = certificate_from_slots([(1, 2), (3,), (4,), (5,), (6,)], 6)[-1]
+SHARED_SLOT = Certificate(6, [(1, 2), (3,), (4,), (5,), (6,)])
 CCW = [(1, -2), (1, 0), (1, 2), (-1, 1), (-1, -1)]
 
 
@@ -494,14 +484,10 @@ def test_property_relabelled_bracelet_realizes_its_complex(case):
     b, images = case
     perm = dict(zip(range(1, len(images) + 1), images))
     fam, cert = instantiate(b)
-    # relabelled in place, so label 1 may sit in any block and slot
-    relabelled = MaxOddCycle(
-        tuple(tuple(sorted(perm[v] for v in a)) for a in cert.ordering),
-        tuple(tuple(sorted(perm[v] for v in b)) for b in cert.blocks),
-    )
+    relabelled = Certificate(fam.m, [[perm[v] for v in s] for s in cert.slots])
     fam = permuted_family(fam, perm)
     comp = boundary_complex(reconstruct_points(realize_gale_vectors(relabelled)))
     assert comp == complex_from_nonfaces(fam)
     verdict = recognize(comp)
-    assert isinstance(verdict, Sphere) and isinstance(verdict.certificate, MaxOddCycle)
+    assert verdict == Sphere(fam.m - 4, relabelled)
     assert NonFaceFamily(fam.m, verdict.certificate.ordering) == fam

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,25 +22,22 @@ from oddsphere.complexes import (
     minimal_nonfaces,
 )
 from oddsphere.recognizer import (
+    Certificate,
     EvenLength,
-    MaxOddCycle,
     NotSphere,
     NotSphereReason,
     OutOfScope,
-    SimplexBoundary,
     Sphere,
     TooShort,
-    TwoPartition,
     _certificate,
     _complements,
     alternating_blocks,
     cycle_complex,
     find_max_odd_cycle,
     recognize,
-    validate_certificate,
 )
 from tests_shared import (
-    assert_marked_valid,
+    assert_valid_and_canonical,
     brute_force_canonical_certificate,
     canonical_certificate,
     nonface_families,
@@ -134,7 +132,7 @@ def test_recognize_five_cycle_graph():
     c = SimplicialComplex(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
     v = recognize(c)
     assert isinstance(v, Sphere) and v.d == 1
-    assert isinstance(v.certificate, MaxOddCycle)
+    assert v.certificate.n == 5
     assert v.certificate.blocks == ((1,), (2,), (3,), (4,), (5,))
 
 
@@ -142,22 +140,22 @@ def test_recognize_octahedron():
     c = complex_from_nonfaces(NonFaceFamily(6, ((1, 2), (3, 4), (5, 6))))
     v = recognize(c)
     assert isinstance(v, Sphere) and v.d == 2
-    assert isinstance(v.certificate, MaxOddCycle) and v.certificate.n == 3
+    assert v.certificate.n == 3
 
 
 def test_recognize_simplex_boundary():
     c = SimplicialComplex(4, tuple(itertools.combinations(range(1, 5), 3)))
     v = recognize(c)
-    assert isinstance(v, Sphere) and v.d == 2
-    assert isinstance(v.certificate, SimplexBoundary)
+    assert v == Sphere(2, Certificate(4, [(1, 2, 3, 4)]))
+    assert v.certificate.n == 1
 
 
 def test_recognize_four_cycle_two_partition():
     c = SimplicialComplex(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
     assert minimal_nonfaces(c).members == ((1, 3), (2, 4))
     v = recognize(c)
-    assert isinstance(v, Sphere) and v.d == 1
-    assert isinstance(v.certificate, TwoPartition)
+    assert v == Sphere(1, Certificate(4, [(1, 3), (2, 4)]))
+    assert v.certificate.n == 2
 
 
 def test_recognize_triangle_with_isolated_vertices():
@@ -217,7 +215,7 @@ def test_property_find_max_odd_cycle_matches_brute_force(f):
     cert = find_max_odd_cycle(f)
     assert (cert is not None) == brute_force_max_odd_cycle_exists(f)
     if cert is not None:
-        validate_certificate(cert, f.m)
+        assert_valid_and_canonical(cert, f.m)
         assert tuple(sorted(cert.ordering)) == f.members
 
 
@@ -273,7 +271,13 @@ def test_certificate_revalidates():
     ):
         cert = find_max_odd_cycle(f)
         assert cert is not None
-        validate_certificate(cert, f.m)
+        assert_valid_and_canonical(cert, f.m)
+
+
+def slots_of(blocks):
+    """The slots of blocks B_0, ..., B_{n-1} at odd n >= 3: slot j holds B_{-2j}."""
+    n = len(blocks)
+    return [blocks[-2 * j % n] for j in range(n)]
 
 
 def test_dihedral_invariance_and_canonical_uniqueness():
@@ -285,9 +289,8 @@ def test_dihedral_invariance_and_canonical_uniqueness():
         for r in range(n):
             seqs.append(tuple(seq[r:] + seq[:r]))
     for seq in seqs:
-        rotated = MaxOddCycle(ordering=seq, blocks=alternating_blocks(seq))
-        validate_certificate(rotated, 5)  # validity is dihedral-invariant
-        assert canonical_certificate(seq) == cert  # one representative per orbit
+        assert Certificate(5, slots_of(alternating_blocks(seq))) == cert  # one value per orbit
+        assert canonical_certificate(seq) == (cert.blocks, cert.ordering)  # one representative per orbit
 
 
 def test_eq1_readback_and_telescoping():
@@ -336,7 +339,7 @@ def test_recognize_relabeling_invariance():
             assert type(v1) is type(v0)
             if isinstance(v0, Sphere):
                 assert v1.d == v0.d
-                assert type(v1.certificate) is type(v0.certificate)
+                assert v1.certificate.n == v0.certificate.n
 
 
 @st.composite
@@ -378,10 +381,8 @@ def relabelled_families(draw, max_m=9):
 def test_property_recognized_certificates_are_valid_and_canonical(f):
     verdict = recognize(complex_from_nonfaces(f))
     if isinstance(verdict, Sphere):
-        validate_certificate(verdict.certificate, f.m)
-        if isinstance(verdict.certificate, MaxOddCycle):
-            assert_marked_valid(verdict.certificate, f.m)
-            assert find_max_odd_cycle(f) == verdict.certificate
+        assert_valid_and_canonical(verdict.certificate, f.m)
+        assert find_max_odd_cycle(f) == (verdict.certificate if verdict.certificate.n >= 3 else None)
 
 
 def test_canonical_rotation_is_the_least_of_all_dihedral_variants():
@@ -399,33 +400,18 @@ def test_canonical_rotation_is_the_least_of_all_dihedral_variants():
                     for turned in (seq[r:] + seq[:r], (seq[r:] + seq[:r])[::-1]):
                         masks = [_row_mask(a, MAX_VERTICES) for a in alternating_blocks(turned)]
                         cert = _certificate(masks)
-                        assert cert == brute_force_canonical_certificate(turned)
-                        assert tuple(map(_face, vars(cert)["_masks"])) == cert.blocks
+                        assert (cert.blocks, cert.ordering) == brute_force_canonical_certificate(turned)
 
 
 def test_instantiated_certificates_are_valid_and_canonical():
     for m in range(4, 13):
         for b in enumerate_bracelets(m):
-            assert_marked_valid(instantiate(b)[1], m)
-
-
-def test_caller_built_certificates_carry_no_mark():
-    cert = find_max_odd_cycle(NonFaceFamily(5, PENTAGON_F))
-    assert "_masks" in vars(cert)
-    assert "_masks" not in vars(MaxOddCycle(cert.ordering, cert.blocks))
-    assert "_masks" not in vars(dataclasses.replace(cert))
+            assert_valid_and_canonical(instantiate(b)[1], m)
 
 
 def relabelled_certificate(cert, perm):
-    """The canonical form of `cert` with every label v moved to perm[v]."""
-    def move(a):
-        return tuple(sorted(perm[v] for v in a))
-
-    if isinstance(cert, MaxOddCycle):
-        return canonical_certificate(tuple(map(move, cert.ordering)))
-    if isinstance(cert, TwoPartition):
-        return TwoPartition(*sorted((move(cert.first), move(cert.second))))
-    return SimplexBoundary(move(cert.member))
+    """`cert` with every label v moved to perm[v]."""
+    return Certificate(cert.m, [tuple(perm[v] for v in s) for s in cert.slots])
 
 
 @settings(deadline=None)
@@ -491,8 +477,7 @@ def test_property_facet_route_answers_every_sphere(c):
     assert answered
     assert isinstance(facet_verdict, Sphere)
     assert facet_verdict == dual_verdict
-    if isinstance(facet_verdict.certificate, MaxOddCycle):
-        assert_marked_valid(facet_verdict.certificate, c.m)
+    assert_valid_and_canonical(facet_verdict.certificate, c.m)
 
 
 @settings(deadline=None, max_examples=150)
@@ -577,19 +562,28 @@ def test_facet_route_refuses_the_nine_gon_sphere_less_one_facet():
 
 # -- the sphere of a certificate ------------------------------------------------
 
-def test_cycle_complex_equals_the_dualization_on_every_bracelet():
-    for m in range(4, 15):
-        for b in enumerate_bracelets(m):
-            fam, cert = instantiate(b)
-            assert cycle_complex(cert) == complex_from_nonfaces(fam), b
-
-
 def two_block_splits(m):
     """Every split of [m] into two blocks of size >= 2, the block of 1 first."""
     rest = range(2, m + 1)
     for r in range(1, m - 2):
         for first in itertools.combinations(rest, r):
             yield (1, *first), tuple(v for v in rest if v not in first)
+
+
+def one_or_two_block_spheres(max_m):
+    """(family, certificate) of the simplex boundary and of every two-set partition of [m], 2 <= m <= max_m."""
+    for m in range(2, max_m + 1):
+        for members in [(tuple(range(1, m + 1)),), *two_block_splits(m)]:
+            yield NonFaceFamily(m, members), Certificate(m, members)
+
+
+def test_cycle_complex_equals_the_dualization_on_every_bracelet():
+    # and on every sphere of one or two blocks with m <= 9
+    bracelets = (instantiate(b) for m in range(4, 15) for b in enumerate_bracelets(m))
+    for fam, cert in itertools.chain(bracelets, one_or_two_block_spheres(9)):
+        comp = cycle_complex(cert)
+        assert comp == complex_from_nonfaces(fam), cert
+        assert recognize(comp) == Sphere(cert.m - min(cert.n, 3) - 1, cert)
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -616,18 +610,65 @@ def test_property_cycle_complex_of_a_relabelled_family(case):
     cert = find_max_odd_cycle(f)
     expected = complex_from_nonfaces(f)
     assert cycle_complex(cert) == expected
-    # a copy carries no mark, so it is validated before the facets are built
+    # a copy goes through the constructor, which checks it again
     assert cycle_complex(dataclasses.replace(cert)) == expected
 
 
-@pytest.mark.parametrize("cert, reason", [
-    pytest.param(MaxOddCycle(((1, 2), (3, 4), (5, 6), (7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))),
-                 "odd length", id="even-length"),
-    pytest.param(MaxOddCycle(((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)), ((2,), (3,), (4,), (5,), (1,))),
-                 "disagree", id="rotated-blocks"),
-    pytest.param(MaxOddCycle(((1, 4), (2, 5), (1, 3), (2, 4), (3, 5)), ((1,), (2,), (3,), (4,), (4,))),
-                 "partition", id="blocks-not-a-partition"),
+@pytest.mark.parametrize("m, slots, reason", [
+    pytest.param(8, ((1, 2), (3, 4), (5, 6), (7, 8)), "odd number", id="even-length"),
+    pytest.param(5, ((1,), (2,), (3,), (4,), (4,)), "partition", id="blocks-not-a-partition"),
 ])
-def test_cycle_complex_refuses_an_invalid_certificate(cert, reason):
+def test_cycle_complex_refuses_an_invalid_certificate(m, slots, reason):
     with pytest.raises(ValueError, match=reason):
-        cycle_complex(cert)
+        cycle_complex(Certificate(m, slots))
+
+
+# -- the one certificate constructor ---------------------------------------------
+
+def relabelled_spheres_of_every_shape():
+    """(family, seed) for every sphere of one or two blocks with m <= 7 and every bracelet sphere with m <= 9."""
+    bracelets = (instantiate(b)[0] for m in range(4, 10) for b in enumerate_bracelets(m))
+    for seed, fam in enumerate(itertools.chain((f for f, _ in one_or_two_block_spheres(7)), bracelets)):
+        image = list(range(1, fam.m + 1))
+        random.Random(seed).shuffle(image)
+        yield permuted_family(fam, {v: image[v - 1] for v in range(1, fam.m + 1)}), seed
+
+
+def test_constructor_gives_recognize_s_certificate_from_any_dihedral_variant():
+    for fam, seed in relabelled_spheres_of_every_shape():
+        cert = recognize(complex_from_nonfaces(fam)).certificate
+        rng = random.Random(seed)
+        n = cert.n
+        for seq in (list(cert.slots), list(reversed(cert.slots))):
+            for r in range(n):
+                slots = [rng.sample(s, len(s)) for s in seq[r:] + seq[:r]]  # labels in any order
+                built = Certificate(fam.m, slots)
+                assert built == cert and hash(built) == hash(cert), slots
+                assert (built.blocks, built.ordering, built.slots) == (cert.blocks, cert.ordering, cert.slots)
+
+
+@pytest.mark.parametrize("m", [3.0, True])
+def test_certificate_refuses_a_vertex_count_as_complexes_do(m):
+    with pytest.raises(InvariantError) as expected:
+        SimplicialComplex(m, ((1, 2, 3),))
+    with pytest.raises(InvariantError) as refused:
+        Certificate(m, ((1, 2, 3),))
+    assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("m, slots, reason", [
+    (3, (), "1, 2 or an odd number of blocks, got 0"),
+    (8, ((1, 2), (3, 4), (5, 6), (7, 8)), "1, 2 or an odd number of blocks, got 4"),
+    (6, ((1, 2), (3, 4), (5,)), "do not partition"),
+    (5, ((1, 2), (2, 3), (4, 5)), "do not partition"),
+    (1, ((1,),), "size >= 2"),
+    (3, ((1,), (2, 3)), "size >= 2"),
+    (5, ((1,), (2, 3), (4, 5)), "size >= 2"),
+    (3, ((1, 2, 4),), "exceeds vertex count m=3"),
+    (3, ((1, True, 3),), "vertex labels must be integers >= 1, got True"),
+    (3, ((1, 2, 2, 3),), "duplicate vertex"),
+], ids=["no-block", "four-blocks", "gap", "overlap", "one-vertex-simplex", "singleton-of-two",
+        "singleton-of-three", "label-past-m", "bool-label", "repeated-label"])
+def test_certificate_refuses_blocks_of_no_sphere(m, slots, reason):
+    with pytest.raises(InvariantError, match=re.escape(reason)):
+        Certificate(m, slots)

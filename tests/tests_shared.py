@@ -15,7 +15,6 @@ from oddsphere.complexes import (
     SimplicialComplex,
     _check_m,
     _clip,
-    _face,
     euler_characteristic,
     f_vector,
 )
@@ -30,7 +29,7 @@ from oddsphere.oracle import (
     is_pseudomanifold,
     sphere_betti_profile,
 )
-from oddsphere.recognizer import MaxOddCycle, alternating_blocks, validate_certificate
+from oddsphere.recognizer import Certificate, alternating_blocks
 
 
 def face_mask(face: Face) -> int:
@@ -314,11 +313,11 @@ def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     return tuple(sorted(facets))
 
 
-def canonical_certificate(ordering) -> MaxOddCycle:
-    """The dihedral representative whose block sequence is lexicographically least.
+def canonical_certificate(ordering) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
+    """(blocks, ordering) of the dihedral variant whose block sequence is lexicographically least.
 
-    The reference for the certificates the library builds from bitmasks
-    (`recognizer._certificate`): it takes any ordering as tuples and
+    The reference for the canonical form a `Certificate` keeps
+    (`recognizer._canonical`): it takes any odd ordering as tuples and
     computes its blocks once; rotating the ordering by r rotates the blocks
     by r, and reversing it sends B_i to B_{(2-i) mod n}.
     """
@@ -326,29 +325,43 @@ def canonical_certificate(ordering) -> MaxOddCycle:
     n = len(ordering)
     blocks = alternating_blocks(ordering)
     rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
-    best_blocks, best_ordering = min(
+    return min(
         (b[r:] + b[:r], seq[r:] + seq[:r])
         for b, seq in ((blocks, ordering), (rev_blocks, ordering[::-1]))
         for r in range(n)
     )
-    return MaxOddCycle(ordering=best_ordering, blocks=best_blocks)
 
 
-def assert_marked_valid(cert: MaxOddCycle, m: int) -> None:
-    """`cert` carries the block masks that spare it re-validation, and they tell the truth."""
-    assert tuple(_face(b) for b in vars(cert)["_masks"]) == cert.blocks
-    validate_certificate(cert, m)
-    assert cert == canonical_certificate(cert.ordering)
+def assert_valid_and_canonical(cert: Certificate, m: int) -> None:
+    """`cert` is valid on [m], checked again from its decoded views, and canonical.
+
+    Its blocks partition [m] into 1, 2 or an odd number of blocks, each of
+    size >= 2 when there are at most 3.  At n <= 2 the members are the
+    blocks, in sorted order; at odd n >= 3 successive members are disjoint,
+    their alternating intersections are the blocks, and (blocks, ordering)
+    is `canonical_certificate` of the ordering.  Rebuilding it from its
+    slots gives it back.
+    """
+    blocks, ordering, n = cert.blocks, cert.ordering, cert.n
+    assert cert.m == m and sorted(v for b in blocks for v in b) == list(range(1, m + 1))
+    assert n in (1, 2) or n % 2 == 1
+    assert n > 3 or all(len(b) >= 2 for b in blocks)
+    if n <= 2:
+        assert ordering == blocks == tuple(sorted(blocks))
+    else:
+        assert not any(set(a) & set(b) for a, b in zip(ordering, ordering[1:] + ordering[:1]))
+        assert alternating_blocks(ordering) == blocks
+        assert (blocks, ordering) == canonical_certificate(ordering)
+    assert Certificate(m, cert.slots) == cert
 
 
-def brute_force_canonical_certificate(ordering) -> MaxOddCycle:
+def brute_force_canonical_certificate(ordering) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
     """The least (blocks, ordering) over all 2n dihedral variants, blocks recomputed per variant."""
     n = len(ordering)
     variants = [
         tuple(seq[r:] + seq[:r]) for seq in (list(ordering), list(reversed(ordering))) for r in range(n)
     ]
-    blocks, best = min((alternating_blocks(seq), seq) for seq in variants)
-    return MaxOddCycle(ordering=best, blocks=blocks)
+    return min((alternating_blocks(seq), seq) for seq in variants)
 
 
 def reference_betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
@@ -620,7 +633,7 @@ def ground_truth_sphere(
 
 # -- `gale`: the face test read off a certificate's polygon slots ------------
 
-def coface_test(cert: MaxOddCycle, a: Iterable[int]) -> bool:
+def coface_test(cert: Certificate, a: Iterable[int]) -> bool:
     """True iff the slots missed by `a` never fit inside k+1 consecutive slots.
 
     Equivalent to: the vertices of `a` span a proper face of the realized
