@@ -33,7 +33,7 @@ from .complexes import (
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import Certificate, Sphere, Verdict, _nonfaces, cycle_complex, recognize
+from .recognizer import Certificate, Sphere, Verdict, _nonfaces, _recognize_nonfaces, cycle_complex
 
 Bracelet = tuple[int, ...]
 
@@ -114,15 +114,15 @@ class CatalogReport:
 def cross_check(comp: SimplicialComplex, chains: Chains) -> tuple[Verdict, dict[str, bool | str]]:
     """Recognize `comp` and prove a positive verdict by every independent route.
 
-    `chains` is `enumerate_chains(comp)`, computed first, so `recognize`
-    and the Gale readback read the minimal non-faces that enumeration
-    derived again from the facets.  Returns the verdict and the stages
-    `verify` reports: `recognizer`, then for a sphere `realization`,
-    `hull_matches_complex` and `gale_readback` (each "skipped" for a
-    simplex boundary or two-partition sphere, which has no planar
-    diagram) and `homology_profile`.  A stage is True when it passed.
+    `chains` is `enumerate_chains(comp)`.  The verdict (`_recognize_nonfaces`)
+    and the Gale readback read the minimal non-faces derived again from the
+    facets, never a construction `comp` came from.  Returns the verdict and
+    the stages `verify` reports: `recognizer`, then for a sphere
+    `realization`, `hull_matches_complex` and `gale_readback` (each
+    "skipped" for a simplex boundary or two-partition sphere, which has no
+    planar diagram) and `homology_profile`.  A stage is True when it passed.
     """
-    verdict = recognize(comp)
+    verdict = _recognize_nonfaces(comp)
     stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
     if not isinstance(verdict, Sphere):
         return verdict, stages

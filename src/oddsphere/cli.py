@@ -46,6 +46,10 @@ def _read_doc(path: str):
         raise InputError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError("malformed JSON: nested too deeply") from exc
+    except UnicodeError:
+        raise
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise InputError(f"malformed JSON: {_clip(str(exc))}") from exc
 
 
 def _write_doc(doc, path: str) -> None:

@@ -69,11 +69,22 @@ def _row_mask(row: Iterable[int], m: int) -> int:
 
 
 def _face(mask: int) -> Face:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
+    """The labels of the bits of `mask`, ascending: a loop visits the set bits or, when they outnumber
+    the unset bits below the top one by more than 4, deletes those from the run of all labels."""
+    n = mask.bit_length()
+    if 2 * mask.bit_count() <= n + 4:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return tuple(out)
+    out = list(range(1, n + 1))
+    holes = mask ^ ((1 << n) - 1)
+    while holes:
+        top = holes.bit_length() - 1
+        del out[top]
+        holes ^= 1 << top
     return tuple(out)
 
 
@@ -287,14 +298,9 @@ def _minimal_transversals(
     return transversals
 
 
-def _known_nonfaces(c: SimplicialComplex) -> NonFaceFamily | None:
-    """The minimal non-faces `c` keeps from an earlier `minimal_nonfaces`, or None."""
-    return c.__dict__.get("_nonface_cache")
-
-
 def _nonfaces(c: SimplicialComplex, cap: int, per_set: int) -> NonFaceFamily:
     """`minimal_nonfaces(c)` with the dualization capped at `cap` sets and `per_set` * `cap` units."""
-    fam = _known_nonfaces(c)
+    fam = c.__dict__.get("_nonface_cache")
     if fam is None:
         full = (1 << c.m) - 1
         fam = _from_masks(NonFaceFamily, c.m, _minimal_transversals([full ^ a for a in c._masks], cap, per_set))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import NonFaceFamily
+from .complexes import NonFaceFamily, _check_m
 from .linalg import (
     Vec,
     _integer_row,
@@ -32,7 +32,7 @@ from .linalg import (
     vec,
 )
 from .oracle import PointConfiguration
-from .recognizer import Certificate, InternalInconsistency, _nonfaces
+from .recognizer import Certificate, InternalInconsistency, _blocks, _certificate, _nonfaces
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -283,12 +283,13 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, Certificate] 
     `_standard_classes`) and, for k = 1, every class carries at least two
     vectors.  Classes in counterclockwise order are the blocks
     B_0, B_{-2}, ..., B_{-4k}; members are rebuilt as unions of k
-    consecutive blocks.
+    consecutive blocks.  Those checks prove the certificate valid but for m.
     """
     if g.dim != 2:
         raise InvalidConfiguration("recover_nonfaces expects a planar configuration")
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    cert = Certificate(g.n, classes)
+    _check_m(g.n)
+    cert = _certificate(_blocks([sum(1 << (v - 1) for v in c) for c in classes]))
     return _nonfaces(cert), cert

@@ -5,7 +5,7 @@ so the other modules can be checked against them.  The homology reads the
 minimal non-faces, which `complexes` derives again from the facets, but
 nothing here takes a Gale diagram as input.  Facet enumeration reduces
 the matrix of the points' integer homogeneous columns once, sparsest
-columns first, and keeps facets as bitmasks until they are sliced into
+columns first, and keeps facets as bitmasks until they are decoded into
 label tuples.  At codimension c = n - D - 1 <= 3, which every realized
 sphere has (n = D+3), the facets are read off the kernel of that matrix,
 a Gale transform recomputed from the coordinates alone: a D-subset is a
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_, mul, or_
 
-from .complexes import Chains, Face, SimplicialComplex, _clip, _from_masks, enumerate_chains
+from .complexes import Chains, Face, SimplicialComplex, _clip, _face, _from_masks, enumerate_chains
 from .linalg import Vec, _fraction_free_rref, vec
 
 
@@ -78,22 +78,7 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     points makes the hull non-simplicial, which is reported, for the
     lexicographically least such S, rather than guessed around.
     """
-    return tuple(sorted(_faces(_facet_masks(pc), pc.n)))
-
-
-def _faces(masks: list[int], n: int) -> list[Face]:
-    """Label tuples of facet masks on [n], sliced around the c+1 labels each misses."""
-    labels = tuple(range(1, n + 1))
-    faces = []
-    for mask in masks:
-        face, start, holes = (), 0, ~mask & (1 << n) - 1
-        while holes:
-            end = (holes & -holes).bit_length()
-            face += labels[start:end - 1]
-            start = end
-            holes &= holes - 1
-        faces.append(face + labels[start:])
-    return faces
+    return tuple(sorted(map(_face, _facet_masks(pc))))
 
 
 def _facet_masks(pc: PointConfiguration) -> list[int]:
@@ -269,7 +254,7 @@ def _kernel_facets(
                     into.append(outside ^ z)
                     found ^= z
     if offenders:
-        raise _non_simplicial(homogeneous, tuple(i - 1 for i in min(_faces(offenders, n))))
+        raise _non_simplicial(homogeneous, tuple(i - 1 for i in min(map(_face, offenders))))
     return facets
 
 

@@ -11,19 +11,18 @@ minimal non-face family has one of three shapes:
 
 Vertex counts beyond d+4 are out of scope (no characterization exists).
 
-`recognize` reads a sphere off one of two routes.  A complex that does
-not yet keep its minimal non-faces, and whose facet complements all have
-m - d - 1 vertices, is first read off its facets (`_sphere_from_facets`):
-the blocks and their cyclic order are read off the complements, and the
-sphere those blocks fix is rebuilt (`_complements`, which takes one vertex
-from each block of a central set of slots).  The complex is that sphere
-exactly when the rebuilt complements equal its own.  That costs time
-linear in the facets and dualizes nothing.  Any other complex, and any
-complex that route does not prove a sphere, goes through its minimal
-non-faces (`complexes.minimal_nonfaces`, Berge's dualization), which every
-negative verdict and its reason come from.  A complex that already keeps
-its non-faces, as in `verify` and the catalog, which enumerate them
-first, is read off them directly.
+`recognize` reads a sphere off one of two routes.  A complex whose facet
+complements all have m - d - 1 <= 3 vertices is first read off its facets
+(`_sphere_from_facets`): the blocks and their cyclic order are read off the
+complements, and the sphere those blocks fix is rebuilt (`_complements`,
+which takes one vertex from each block of a central set of slots).  The
+complex is that sphere exactly when the rebuilt complements equal its own.
+That costs time linear in the facets and dualizes nothing.  Any other
+complex, and any complex that route does not prove a sphere, goes through
+its minimal non-faces (`_recognize_nonfaces`, on Berge's dualization in
+`complexes.minimal_nonfaces`), which every negative verdict and its reason
+come from.  `catalog.cross_check` calls that route by name, so that it
+recognizes from non-faces derived again from the facets.
 
 Every sphere verdict carries a `Certificate`: the blocks in slot order,
 n = 1 of them for the simplex boundary, 2 for a two-set partition and an
@@ -49,7 +48,6 @@ from .complexes import (
     _check_m,
     _face,
     _from_masks,
-    _known_nonfaces,
     _row_mask,
     _SetSystem,
     minimal_nonfaces,
@@ -380,19 +378,25 @@ def recognize(c: SimplicialComplex) -> Verdict:
     when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
     means it is one but the alternating blocks fail to partition [m].
     A sphere read off its facets needs no dualization (see the module
-    docstring); otherwise this raises EnumerationLimitError when the
-    dualization that finds the minimal non-faces outgrows its limit (see
-    `minimal_nonfaces`).
+    docstring); otherwise the verdict is `_recognize_nonfaces(c)`, which
+    raises EnumerationLimitError when the dualization that finds the
+    minimal non-faces outgrows its limit (see `minimal_nonfaces`).
     """
+    s = c.m - c.dimension - 1
+    if 1 <= s <= 3:
+        sphere = _sphere_from_facets(c, s)
+        if sphere is not None:
+            return sphere
+    return _recognize_nonfaces(c)
+
+
+def _recognize_nonfaces(c: SimplicialComplex) -> Verdict:
+    """`recognize` read off the minimal non-faces of `c` alone, never off its facets."""
     m, d = c.m, c.dimension
     if m - d >= 5:
         return OutOfScope(m, d)
     if m == d + 1:
         return NotSphere(NotSphereReason.FULL_SIMPLEX)
-    if _known_nonfaces(c) is None:
-        sphere = _sphere_from_facets(c, m - d - 1)
-        if sphere is not None:
-            return sphere
     cert = _read_family(minimal_nonfaces(c))
     if isinstance(cert, NotSphereReason):
         return NotSphere(cert)

@@ -12,6 +12,7 @@ from oddsphere.catalog import (
     CatalogVerificationError,
     canonical_bracelet,
     catalog,
+    cross_check,
     enumerate_bracelets,
     instantiate,
 )
@@ -19,11 +20,13 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     complex_from_nonfaces,
+    enumerate_chains,
 )
 from oddsphere.recognizer import Sphere, find_max_odd_cycle
 
 # `oddsphere.catalog` is also the name of the function the package exports
 catalog_module = importlib.import_module("oddsphere.catalog")
+recognizer_module = importlib.import_module("oddsphere.recognizer")
 
 
 def set_partitions(universe, blocks):
@@ -206,10 +209,29 @@ def test_catalog_decodes_no_facets_or_members():
 
 def test_catalog_names_a_certificate_other_than_the_instantiated_one(monkeypatch):
     octahedron = instantiate((2, 2, 2))[1]
-    monkeypatch.setattr(catalog_module, "recognize", lambda c: Sphere(c.m - 4, octahedron))
+    monkeypatch.setattr(catalog_module, "_recognize_nonfaces", lambda c: Sphere(c.m - 4, octahedron))
     # (2, 2, 2) is the first class of catalog(6) and passes; (1, 1, 1, 1, 2) does not
     with pytest.raises(CatalogVerificationError, match=r"failed .*\bcertificate\b"):
         catalog(6)
+
+
+def test_cross_check_never_reads_a_sphere_off_its_facets(monkeypatch):
+    # The cross-check recognizes from the minimal non-faces even where the
+    # facet route would answer, so it does not re-prove a sphere with the
+    # construction that built it.
+    def refuse(c, s):
+        raise AssertionError("the cross-check took the facet route")
+
+    monkeypatch.setattr(recognizer_module, "_sphere_from_facets", refuse)
+    for m in range(5, 10):
+        assert len(catalog(m).classes) == len(enumerate_bracelets(m))
+    geometric = ("realization", "hull_matches_complex", "gale_readback")
+    for fam, shown in ((NonFaceFamily(5, ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))), True),
+                       (NonFaceFamily(4, ((1, 2), (3, 4))), "skipped")):
+        comp = complex_from_nonfaces(fam)
+        verdict, stages = cross_check(comp, enumerate_chains(comp))
+        assert isinstance(verdict, Sphere)
+        assert stages == {"recognizer": True, **dict.fromkeys(geometric, shown), "homology_profile": True}
 
 
 def test_catalog_rejects_out_of_range():

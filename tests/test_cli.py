@@ -367,6 +367,8 @@ def test_deeply_nested_documents_exit_64(command, text, monkeypatch, capsys):
 DEEP = "[" * 900 + "]" * 900  # nested below the JSON parser's limit
 LONG_VALUE_DOCUMENTS = {
     "deep-array-in-nonfaces": ("check", '{"m": 5, "nonfaces": ' + DEEP + "}"),
+    # past Python's limit on the digits of an int parsed from a string
+    "long-integer": ("check", '{"m": ' + "1" * 5000 + ', "nonfaces": []}'),
     "face-over-m": ("check", json.dumps({"m": 5, "nonfaces": [list(range(1, 3000))]})),
     "repeated-vertex": ("check", json.dumps({"m": 5, "facets": [[1] * 3000]})),
     "deep-array-in-points": ("hull", '{"dim": 1, "points": [' + DEEP + "]}"),

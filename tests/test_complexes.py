@@ -310,6 +310,15 @@ def test_library_refuses_like_the_cli(call, value):
     assert time.perf_counter() - start < 2.0
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 199), max_size=12), st.integers(0, 200))
+def test_property_face_decodes_sparse_and_dense_masks(bits, width):
+    # a few set bits, then their complement in `width` bits: a few holes
+    sparse = sum(1 << b for b in set(bits))
+    for mask in (sparse, sparse ^ ((1 << max(width, sparse.bit_length())) - 1)):
+        assert _face(mask) == tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 @settings(deadline=None)
 @given(mask_lists())
 def test_property_minimal_transversals_match_reference(masks):

@@ -23,6 +23,7 @@ from tests_shared import (
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     MAX_VERTICES,
+    InvariantError,
     NonFaceFamily,
     complex_from_nonfaces,
 )
@@ -180,6 +181,13 @@ def test_realize_one_vertex_per_slot_for_every_k():
         ))
         recovered = recover_nonfaces(g)
         assert recovered is not None and recovered[0] == expected
+
+
+def test_readback_refuses_a_configuration_of_more_than_max_vertices_vectors():
+    # 65 one-vertex slots realize, but their certificate would have m = 65 > MAX_VERTICES
+    g = realize_gale_vectors(_certificate([1 << v for v in range(MAX_VERTICES + 1)]))
+    with pytest.raises(InvariantError, match=f"m={MAX_VERTICES + 1} exceeds {MAX_VERTICES}"):
+        recover_nonfaces(g)
 
 
 def test_realize_every_rotation_and_reflection_of_the_ordering():

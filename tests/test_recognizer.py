@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oddsphere import recognizer as recognizer_module
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
     MAX_VERTICES,
@@ -16,7 +17,6 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _face,
-    _known_nonfaces,
     _row_mask,
     complex_from_nonfaces,
     minimal_nonfaces,
@@ -31,6 +31,8 @@ from oddsphere.recognizer import (
     TooShort,
     _certificate,
     _complements,
+    _recognize_nonfaces,
+    _sphere_from_facets,
     alternating_blocks,
     cycle_complex,
     find_max_odd_cycle,
@@ -440,16 +442,16 @@ RP2_FACETS = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
 
 
 def by_both_routes(c):
-    """(recognize by the facet route, recognize by the dualization, whether the facet route answered).
+    """(recognize's verdict, the non-face route's verdict, whether the facet route answered).
 
-    Each runs on a fresh copy of `c`; the second copy keeps its minimal
-    non-faces first, so `recognize` reads them instead of the facets.  The
-    facet route keeps no non-faces, so a copy without them answered there.
+    Each call gets a fresh copy of `c`, so none reads what another kept.
     """
-    facet_copy, dualized = SimplicialComplex(c.m, c.facets), SimplicialComplex(c.m, c.facets)
-    minimal_nonfaces(dualized)
-    verdict = recognize(facet_copy)
-    return verdict, recognize(dualized), _known_nonfaces(facet_copy) is None
+    def copy():
+        return SimplicialComplex(c.m, c.facets)
+
+    s = c.m - c.dimension - 1
+    answered = 1 <= s <= 3 and _sphere_from_facets(copy(), s) is not None
+    return recognize(copy()), _recognize_nonfaces(copy()), answered
 
 
 @st.composite
@@ -528,6 +530,22 @@ def test_facet_route_examples(c):
     facet_verdict, dual_verdict, answered = by_both_routes(c)
     assert answered and isinstance(facet_verdict, Sphere)
     assert facet_verdict == dual_verdict
+
+
+def test_recognize_reads_a_sphere_off_its_facets_even_once_it_keeps_its_nonfaces(monkeypatch):
+    spheres = [cycle_complex(instantiate(b)[1]) for b in ((1,) * 5, (2, 2, 2), (1, 1, 1, 2, 3))]
+    spheres += [complex_from_nonfaces(NonFaceFamily(4, ((1, 2), (3, 4)))),
+                complex_from_nonfaces(NonFaceFamily(4, ((1, 2, 3, 4),)))]
+    expected = [recognize(SimplicialComplex(c.m, c.facets)) for c in spheres]
+    for c in spheres:
+        minimal_nonfaces(c)
+
+    def refuse(f):
+        raise AssertionError("recognize read the minimal non-faces")
+
+    monkeypatch.setattr(recognizer_module, "_read_family", refuse)
+    assert [recognize(c) for c in spheres] == expected
+    assert all(isinstance(v, Sphere) for v in expected)
 
 
 def test_facet_route_leaves_the_six_vertex_rp2_to_the_dualization():
