@@ -33,7 +33,7 @@ from .complexes import (
 )
 from .gale import realize_gale_vectors, reconstruct_points, recover_nonfaces
 from .oracle import betti_mod2, boundary_complex, is_pseudomanifold, sphere_betti_profile
-from .recognizer import Certificate, Sphere, Verdict, _nonfaces, _recognize_nonfaces, cycle_complex
+from .recognizer import Certificate, Sphere, Verdict, _family, _recognize_nonfaces, cycle_complex
 
 Bracelet = tuple[int, ...]
 
@@ -87,7 +87,7 @@ def instantiate(b: Bracelet) -> tuple[NonFaceFamily, Certificate]:
     m = sum(b)
     slots = [range(start, start + part) for start, part in zip(accumulate(b, initial=1), b)]
     cert = Certificate(m, slots)
-    return _nonfaces(cert), cert
+    return _family(cert), cert
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Command-line front end: JSON in, JSON out, one subcommand per workflow.
 
+Every subcommand takes `--output/-o` and all but `catalog` `--input/-i`;
+`check`, `realize` and `verify` take `--verbose`, `realize` `--verify` and
+`catalog` `--m`.
+
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
-2 (out of scope); a usage error, malformed input, an invariant violation or
-input past a work limit of `complexes` is 64 for every subcommand; an
-internal inconsistency (a bug, not bad input) is 70 with an
-`internal error:` message; an `--output` path that cannot be written is
-73 with an `error: cannot write` line; other operational failures exit 1.
+2 (out of scope); a usage error, malformed input (a document that is not
+UTF-8 gets a `malformed JSON:` line), an invariant violation or input past
+a work limit of `complexes` is 64 for every subcommand; an internal
+inconsistency (a bug, not bad input) is 70 with an `internal error:`
+message; an `--output` path that cannot be written is 73 with an
+`error: cannot write` line; other operational failures exit 1.
 """
 
 from __future__ import annotations
@@ -26,30 +31,27 @@ EX_SOFTWARE = 70
 EX_CANTCREAT = 73
 
 
-class InputError(Exception):
-    pass
-
-
 class _CannotWrite(Exception):
     pass
 
 
 def _read_doc(path: str):
+    """The JSON document at `path` ('-': stdin, as text if it has no `buffer`), its bytes decoded as strict UTF-8."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise serialize.DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
+        raise serialize.DocumentError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InputError("malformed JSON: nested too deeply") from exc
-    except UnicodeError:
-        raise
-    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
-        raise InputError(f"malformed JSON: {_clip(str(exc))}") from exc
+        raise serialize.DocumentError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an integer longer than sys.get_int_max_str_digits()
+        raise serialize.DocumentError(f"malformed JSON: {_clip(str(exc))}") from exc
 
 
 def _write_doc(doc, path: str) -> None:
@@ -178,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "catalog":
             p.add_argument("--input", "-i", default="-", help="input JSON path, '-' for stdin")
         p.add_argument("--output", "-o", default="-", help="output JSON path, '-' for stdout")
-        p.add_argument("--verbose", action="store_true", help="print certificates to stderr")
+        if name in ("check", "realize", "verify"):
+            p.add_argument("--verbose", action="store_true", help="print certificates to stderr")
         if name == "realize":
             p.add_argument("--verify", action="store_true", help="also compare the hull with the complex")
         if name == "catalog":
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
         return EX_INPUT if exc.code else 0
     try:
         return args.handler(args)
-    except (InputError, serialize.DocumentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INPUT
     except _CannotWrite as exc:

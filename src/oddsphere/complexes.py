@@ -13,8 +13,10 @@ compare.  The sorted tuple view `facets` or `members`, which repr and the
 documents read, is decoded from the masks the first time something reads
 it and kept in the instance __dict__.  Labels are checked once, where a
 value enters from outside: the public constructors check each row in one
-pass and keep only its mask.  Values the library derives are built by
-`_from_masks`, which checks only what their construction does not prove.
+pass and keep only its mask.  Values the library derives, here and
+elsewhere, are built by `_built`, which skips the constructor's checks;
+derived complexes and families go through `_from_masks`, which checks m,
+the one thing their construction does not prove.
 
 The dualizations and face enumerations can grow exponentially; each stops
 at the limits defined here (MAX_NERVE_FACES, WORK_PER_SET,
@@ -145,16 +147,17 @@ def _checked_view(obj) -> tuple[int, ...]:
     return obj._masks
 
 
-def _from_masks(cls, m: int, masks: Iterable[int]):
-    """A `cls` on [m] from distinct masks, checking only m.
-
-    For values the library derives, whose construction proves the rest.
-    """
-    _check_m(m)
+def _built(cls, **fields):
+    """A `cls` holding `fields`, its constructor's checks skipped: for values whose construction proves them."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, "m", m)
-    object.__setattr__(obj, "_masks", tuple(sorted(masks)))
+    obj.__dict__.update(fields)
     return obj
+
+
+def _from_masks(cls, m: int, masks: Iterable[int]):
+    """`_built` for a `cls` on [m] from distinct masks, checking only m: the library derives them."""
+    _check_m(m)
+    return _built(cls, m=m, _masks=tuple(sorted(masks)))
 
 
 class _SetSystem:

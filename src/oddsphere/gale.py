@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import NonFaceFamily, _check_m
+from .complexes import NonFaceFamily, _built
 from .linalg import (
     Vec,
     _integer_row,
@@ -32,7 +32,7 @@ from .linalg import (
     vec,
 )
 from .oracle import PointConfiguration
-from .recognizer import Certificate, InternalInconsistency, _blocks, _certificate, _nonfaces
+from .recognizer import Certificate, InternalInconsistency, _blocks, _certificate, _family
 
 
 # a direction class: the primitive integer vector on a positive ray
@@ -53,7 +53,7 @@ class ZeroInput(ValueError):
 
 @dataclass(frozen=True)
 class GaleConfiguration:
-    """Vectors y_1..y_n in Q^e with zero sum, spanning Q^e; checked unless `realize_gale_vectors` built them."""
+    """Vectors y_1..y_n in Q^e with zero sum, spanning Q^e; checked unless the library built them."""
 
     vectors: tuple[Vec, ...]
 
@@ -175,14 +175,7 @@ def realize_gale_vectors(cert: Certificate) -> GaleConfiguration:
     zero_sum = not any(sum(w * u[c] for w, u in zip(weights, directions)) for c in (0, 1))
     if not (zero_sum and _verified_classes(cert, vectors)):
         raise InternalInconsistency(f"integer directions for k = {k} fail the zero sum or the diagram check")
-    return _proved_configuration(tuple(vectors))
-
-
-def _proved_configuration(vectors: tuple[Vec, ...]) -> GaleConfiguration:
-    """A configuration of `vectors` whose construction proved the constructor's checks, made without them."""
-    g = object.__new__(GaleConfiguration)
-    object.__setattr__(g, "vectors", vectors)
-    return g
+    return _built(GaleConfiguration, vectors=tuple(vectors))
 
 
 def gale_transform(points: PointConfiguration) -> GaleConfiguration:
@@ -199,7 +192,7 @@ def gale_transform(points: PointConfiguration) -> GaleConfiguration:
     kern = kernel_basis(rows)
     if n - len(kern) < d + 1:
         raise NotAffinelySpanning(f"points do not affinely span Q^{d}")
-    return _proved_configuration(tuple(tuple(b[i] for b in kern) for i in range(n)))
+    return _built(GaleConfiguration, vectors=tuple(tuple(b[i] for b in kern) for i in range(n)))
 
 
 def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
@@ -220,9 +213,7 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     # Each basis vector is 1 at its own free column and 0 at the other free
     # columns, and the all-ones vector lies in the kernel (zero sum), so it is
     # the sum of the whole basis: dropping the last vector leaves a complement.
-    pc = object.__new__(PointConfiguration)
-    object.__setattr__(pc, "points", tuple(tuple(b[i] for b in kern[:-1]) for i in range(n)))
-    return pc
+    return _built(PointConfiguration, points=tuple(tuple(b[i] for b in kern[:-1]) for i in range(n)))
 
 
 def dependence_from_direction(g: GaleConfiguration, alpha: Sequence) -> Vec:
@@ -283,13 +274,13 @@ def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, Certificate] 
     `_standard_classes`) and, for k = 1, every class carries at least two
     vectors.  Classes in counterclockwise order are the blocks
     B_0, B_{-2}, ..., B_{-4k}; members are rebuilt as unions of k
-    consecutive blocks.  Those checks prove the certificate valid but for m.
+    consecutive blocks.  Those checks prove the certificate valid but for m,
+    which `_family` checks.
     """
     if g.dim != 2:
         raise InvalidConfiguration("recover_nonfaces expects a planar configuration")
     classes = _standard_classes(g.vectors)
     if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
         return None
-    _check_m(g.n)
     cert = _certificate(_blocks([sum(1 << (v - 1) for v in c) for c in classes]))
-    return _nonfaces(cert), cert
+    return _family(cert), cert

@@ -45,6 +45,7 @@ from .complexes import (
     InvariantError,
     NonFaceFamily,
     SimplicialComplex,
+    _built,
     _check_m,
     _face,
     _from_masks,
@@ -171,10 +172,7 @@ def _alternating_masks(members: Sequence[int]) -> list[int]:
 
 def _certificate(blocks: Sequence[int]) -> Certificate:
     """The certificate with block masks B_0, ..., B_{n-1}, built unchecked: for blocks proved valid."""
-    cert = object.__new__(Certificate)
-    object.__setattr__(cert, "m", reduce(or_, blocks).bit_length())
-    object.__setattr__(cert, "_masks", _canonical(blocks))
-    return cert
+    return _built(Certificate, m=reduce(or_, blocks).bit_length(), _masks=_canonical(blocks))
 
 
 def _canonical(blocks: Sequence[int]) -> tuple[int, ...]:
@@ -300,7 +298,7 @@ def cycle_complex(cert: Certificate) -> SimplicialComplex:
     return _from_masks(SimplicialComplex, cert.m, [full ^ x for x in _complements(_slots(cert._masks))])
 
 
-def _nonfaces(cert: Certificate) -> NonFaceFamily:
+def _family(cert: Certificate) -> NonFaceFamily:
     """The minimal non-faces of the sphere of a certificate, its members, built unchecked.
 
     They form a non-face family: distinct unions of k of the disjoint

@@ -6,6 +6,7 @@ import importlib
 import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from oddsphere import cli, complexes, oracle, serialize
 from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_bracelets, instantiate
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
-from oddsphere.recognizer import InternalInconsistency, recognize
+from oddsphere.recognizer import Certificate, InternalInconsistency, recognize
 from tests_shared import nonface_families, simplicial_complexes
 
 PENTAGON_DOC = {"m": 5, "nonfaces": [[1, 4], [2, 5], [1, 3], [2, 4], [3, 5]]}
@@ -168,6 +169,27 @@ def test_check_malformed_json_exits_64():
     assert proc.returncode == 64
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff", "error: malformed JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid ...\n"),
+    (b"\xef\xbb\xbf" + json.dumps(PENTAGON_DOC).encode(),
+     "error: malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+], ids=["byte-ff", "utf8-bom"])
+def test_a_document_that_is_not_plain_utf8_is_refused_alike_by_every_route(data, message, tmp_path):
+    # -i FILE, then stdin under the default stdin encoding (an empty
+    # PYTHONIOENCODING counts as unset) and two others: every route reads
+    # bytes and decodes them as UTF-8.  The message is one line of at most 200 characters.
+    assert message.count("\n") == 1 and len(message) <= 201
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    routes = [(["-i", str(path)], None, "")] + [([], data, encoding) for encoding in ("", "utf-8:strict", "latin-1")]
+    for args, stdin, encoding in routes:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddsphere.cli", "check", *args],
+            input=stdin, capture_output=True, env={**os.environ, "PYTHONIOENCODING": encoding},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (64, b"", message), (args, encoding)
+
+
 def test_check_reports_no_cyclic_ordering():
     # the disjointness graph has a Hamiltonian cycle but is not a single 5-cycle
     doc = {"m": 7, "nonfaces": [[1, 6], [2, 3], [2, 7], [3, 4], [5, 6, 7]]}
@@ -271,7 +293,10 @@ def test_verify_skips_the_planar_stages_without_a_diagram(doc, blocks, monkeypat
     ({"m": 4, "nonfaces": [[1, 2, 3, 4]]},
      '{"certificate": {"kind": "simplex_boundary", "ordering": [[1, 2, 3, 4]]}, "d": 2, "verdict": "sphere"}\n',
      "blocks: {1,2,3,4}\n"),
-], ids=["two-partition", "simplex-boundary"])
+    ({"m": 5, "nonfaces": [[4, 5], [1, 2, 3]]},
+     '{"certificate": {"kind": "two_partition", "ordering": [[1, 2, 3], [4, 5]]}, "d": 2, "verdict": "sphere"}\n',
+     "blocks: {1,2,3} | {4,5}\n"),
+], ids=["two-partition", "simplex-boundary", "two-partition-unsorted-rows"])
 def test_check_verbose_prints_the_blocks_of_every_sphere(doc, verdict, blocks, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert cli.main(["check", "--verbose"]) == 0
@@ -291,6 +316,18 @@ def test_a_wrong_hull_fails_verify_and_the_catalog_at_that_stage(monkeypatch, ca
     assert [name for name, passed in doc["stages"].items() if passed is not True] == ["hull_matches_complex"]
     with pytest.raises(CatalogVerificationError, match=r"failed hull_matches_complex$"):
         catalog(6)
+
+
+def test_realize_verify_reports_a_hull_that_differs(monkeypatch, capsys):
+    def simplex_boundary(points):
+        return complex_from_nonfaces(NonFaceFamily(points.n, (tuple(range(1, points.n + 1)),)))
+
+    monkeypatch.setattr(cli, "boundary_complex", simplex_boundary)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
+    assert cli.main(["realize", "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "verification: hull boundary differs from the complex\n"
+    assert len(serialize.points_from_doc(json.loads(out)).points) == 5  # the points are still printed
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -326,6 +363,20 @@ def test_internal_errors_exit_70(stage, argv, error, monkeypatch, capsys):
     assert err == "internal error: stage contradicted itself\n"
 
 
+@pytest.mark.parametrize("module, name, replacement, argv, message", [
+    # the pentagon read as a two-block certificate, whose dimension is not the complex's
+    ("oddsphere.recognizer", "_read_family", lambda f: Certificate(5, [[1, 2], [3, 4, 5]]), ["verify"],
+     "a certificate of 2 blocks on 5 vertices, but dim 1"),
+    ("oddsphere.gale", "_verified_classes", lambda cert, vectors: False, ["realize"],
+     "integer directions for k = 2 fail the zero sum or the diagram check"),
+], ids=["certificate-dimension", "gale-directions"])
+def test_contradictions_inside_the_library_exit_70(module, name, replacement, argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module(module), name, replacement)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
+    assert cli.main(argv) == cli.EX_SOFTWARE
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["check", "realize"])
 def test_verbose_certificate_follows_redirected_stderr(command, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
@@ -337,11 +388,53 @@ def test_verbose_certificate_follows_redirected_stderr(command, monkeypatch):
     assert any(line.startswith("blocks: ") for line in lines)
 
 
-@pytest.mark.parametrize("argv", [["catalog", "--m", "x"], ["check", "--bogus"], []], ids=["bad-int", "flag", "none"])
+# `--verbose` belongs to `check`, `realize` and `verify` only
+VERBOSE_ELSEWHERE = [["nonfaces"], ["complex"], ["hull"], ["homology"], ["catalog", "--m", "5"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["catalog", "--m", "x"], ["check", "--bogus"], [], *([*a, "--verbose"] for a in VERBOSE_ELSEWHERE)],
+    ids=["bad-int", "flag", "none", *(f"{a[0]}-verbose" for a in VERBOSE_ELSEWHERE)],
+)
 def test_usage_errors_exit_64(argv, capsys):
     assert cli.main(argv) == cli.EX_INPUT
     _, err = capsys.readouterr()
-    assert "error:" in err and "Traceback" not in err
+    assert err.startswith("usage: oddsphere") and "error:" in err and "Traceback" not in err
+
+
+# One call each of `python -m oddsphere.cli`: argv, stdin document, exit code, stdout, stderr.
+CLI_CALLS = {
+    # four points, three of them on a supporting line: no simplicial hull
+    "collinear-hull": (["hull"], {"dim": 2, "points": [["0", "0"], ["1", "0"], ["2", "0"], ["1", "1"]]}, 64, "",
+                       "error: supporting hyperplane (0, 1, 0) contains points (1, 2, 3)\n"),
+    "bool-label-check": (["check"], {"m": 4, "facets": [[1, True]]}, 64, "",
+                         "error: invalid complex: vertex labels must be integers >= 1, got True\n"),
+    # the pentagon under another labelling, through realization and the Gale readback
+    "relabelled-pentagon-verify": (
+        ["verify"], {"m": 5, "nonfaces": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]}, 0,
+        '{"ok": true, "stages": {"gale_readback": true, "homology_profile": true, '
+        '"hull_matches_complex": true, "realization": true, "recognizer": true}}\n', ""),
+    # the 6-vertex RP^2: pure with m = d+4, so the facet route runs, finds no
+    # sphere and leaves the reason to the dualization
+    "rp2-check": (["check"], {"m": 6, "facets": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], [2, 3, 5],
+                                                  [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]},
+                  1, '{"reason": "non_odd_family_size", "verdict": "not_sphere"}\n', ""),
+}
+
+
+@pytest.mark.parametrize("argv, doc, code, out, err", CLI_CALLS.values(), ids=CLI_CALLS)
+def test_cli_calls(argv, doc, code, out, err):
+    proc = run_cli(argv, doc)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_hull_of_a_realized_bracelet_is_its_complex_byte_for_byte():
+    doc = serialize.family_to_doc(instantiate((5,) * 5)[0])
+    points = run_cli(["realize"], doc)
+    assert points.returncode == 0
+    hull = run_cli(["hull"], json.loads(points.stdout))
+    assert (hull.returncode, hull.stdout) == (0, run_cli(["complex"], doc).stdout)
 
 
 def test_help_exits_zero(capsys):
