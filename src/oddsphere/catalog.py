@@ -111,30 +111,25 @@ class CatalogReport:
     classes: tuple[SphereClass, ...]
 
 
-def cross_check(comp: SimplicialComplex, chains: Chains) -> tuple[Verdict, dict[str, bool | str]]:
+def cross_check(comp: SimplicialComplex, chains: Chains) -> tuple[Verdict, dict[str, bool]]:
     """Recognize `comp` and prove a positive verdict by every independent route.
 
     `chains` is `enumerate_chains(comp)`.  The verdict (`_recognize_nonfaces`)
     and the Gale readback read the minimal non-faces derived again from the
     facets, never a construction `comp` came from.  Returns the verdict and
-    the stages `verify` reports: `recognizer`, then for a sphere
-    `realization`, `hull_matches_complex` and `gale_readback` (each
-    "skipped" for a simplex boundary or two-partition sphere, which has no
-    planar diagram) and `homology_profile`.  A stage is True when it passed.
+    the stages `verify` reports: `recognizer`, then for a sphere of any of
+    the three shapes `realization`, `hull_matches_complex`, `gale_readback`
+    and `homology_profile`.  A stage is True when it passed.
     """
     verdict = _recognize_nonfaces(comp)
-    stages: dict[str, bool | str] = {"recognizer": isinstance(verdict, Sphere)}
+    stages = {"recognizer": isinstance(verdict, Sphere)}
     if not isinstance(verdict, Sphere):
         return verdict, stages
-    if verdict.certificate.n >= 3:
-        g = realize_gale_vectors(verdict.certificate)
-        stages["realization"] = True
-        stages["hull_matches_complex"] = boundary_complex(reconstruct_points(g)) == comp
-        recovered = recover_nonfaces(g)
-        stages["gale_readback"] = recovered is not None and recovered[0] == minimal_nonfaces(comp)
-    else:
-        stages.update(realization="skipped", hull_matches_complex="skipped", gale_readback="skipped")
-    stages["homology_profile"] = betti_mod2(comp, chains) == sphere_betti_profile(verdict.d)
+    g = realize_gale_vectors(verdict.certificate)
+    recovered = recover_nonfaces(g)
+    stages.update(realization=True, hull_matches_complex=boundary_complex(reconstruct_points(g)) == comp,
+                  gale_readback=recovered is not None and recovered[0] == minimal_nonfaces(comp),
+                  homology_profile=betti_mod2(comp, chains) == sphere_betti_profile(verdict.d))
     return verdict, stages
 
 
@@ -163,7 +158,7 @@ def catalog(m: int) -> CatalogReport:
             pseudomanifold=is_pseudomanifold(comp),
             euler_characteristic=_euler_from_f_vector(fv) == 1 + (-1) ** (m - 4),
         )
-        failed = [name for name, passed in stages.items() if passed is not True]
+        failed = [name for name, passed in stages.items() if not passed]
         if failed:
             raise CatalogVerificationError(f"{fam.members}: failed {', '.join(failed)}")
         classes.append(SphereClass(bracelet=b, family=fam, certificate=cert, complex=comp, f_vector=fv))

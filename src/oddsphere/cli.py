@@ -5,12 +5,13 @@ Every subcommand takes `--output/-o` and all but `catalog` `--input/-i`;
 `catalog` `--m`.
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
-2 (out of scope); a usage error, malformed input (a document that is not
-UTF-8 gets a `malformed JSON:` line), an invariant violation or input past
-a work limit of `complexes` is 64 for every subcommand; an internal
-inconsistency (a bug, not bad input) is 70 with an `internal error:`
-message; an `--output` path that cannot be written is 73 with an
-`error: cannot write` line; other operational failures exit 1.
+2 (out of scope); `realize` exits 1 on a family that no sphere with
+m <= d+4 has, naming the `NotSphereReason`; a usage error, malformed input
+(a document that is not UTF-8 gets a `malformed JSON:` line), an invariant
+violation or input past a work limit of `complexes` is 64 for every
+subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
+`internal error:` message; an `--output` path that cannot be written is 73
+with an `error: cannot write` line; other operational failures exit 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cr
 from .complexes import _clip, complex_from_nonfaces, enumerate_chains, minimal_nonfaces
 from .gale import realize_gale_vectors, reconstruct_points
 from .oracle import betti_mod2, boundary_complex, hull_facets
-from .recognizer import InternalInconsistency, NotSphere, Sphere, find_max_odd_cycle, recognize
+from .recognizer import InternalInconsistency, NotSphere, NotSphereReason, Sphere, _read_family, recognize
 
 EX_INPUT = 64
 EX_SOFTWARE = 70
@@ -45,7 +46,7 @@ def _read_doc(path: str):
                 data = fh.read()
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except OSError as exc:
-        raise serialize.DocumentError(f"cannot read {path}: {exc}") from exc
+        raise serialize.DocumentError(f"cannot read {_clip(path)}: {_clip(exc.strerror or str(exc))}") from exc
     except json.JSONDecodeError as exc:
         raise serialize.DocumentError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
@@ -110,9 +111,9 @@ def _cmd_complex(args) -> int:
 
 def _cmd_realize(args) -> int:
     fam = serialize.family_from_doc(_read_doc(args.input))
-    cert = find_max_odd_cycle(fam)
-    if cert is None:
-        print("error: the family is not a maximum odd cycle", file=sys.stderr)
+    cert = _read_family(fam)
+    if isinstance(cert, NotSphereReason):
+        print(f"error: no sphere with m <= d+4 has these minimal non-faces: {cert.value}", file=sys.stderr)
         return 1
     if args.verbose:
         _print_certificate(cert)
@@ -153,7 +154,7 @@ def _cmd_verify(args) -> int:
     verdict, stages = cross_check(comp, enumerate_chains(comp))
     if args.verbose and isinstance(verdict, Sphere):
         _print_certificate(verdict.certificate)
-    ok = all(v is not False for v in stages.values())
+    ok = all(stages.values())
     _write_doc({"ok": ok, "stages": stages}, args.output)
     return 0 if ok else 1
 
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check": ("decide sphereness of a complex or non-face family", _cmd_check),
         "nonfaces": ("minimal non-faces of a complex", _cmd_nonfaces),
         "complex": ("facets of the complex determined by non-faces", _cmd_complex),
-        "realize": ("exact polytope realization of a maximum odd cycle", _cmd_realize),
+        "realize": ("exact polytope realization of a sphere's non-faces", _cmd_realize),
         "hull": ("facets of the convex hull of rational points", _cmd_hull),
         "homology": ("reduced GF(2) Betti numbers of a complex", _cmd_homology),
         "catalog": ("all spheres on m vertices of dimension m-4", _cmd_catalog),

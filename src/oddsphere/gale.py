@@ -1,15 +1,15 @@
-"""Exact Gale transforms, planar Gale diagrams, and the integer realization.
+"""Exact Gale transforms, Gale diagrams, and the integer realization of every sphere.
 
 The planar constructions never form unit vectors (those are irrational);
 positive-ray direction classes carry the same information exactly, because
 the origin-in-relative-interior test is invariant under positive scaling.
 The regular polygon is likewise irrational, so diagrams are realized on
 small primitive integer directions in the same cyclic order, and the
-direction classes are re-verified with exact arithmetic.  The realized
-vectors are integer multiples of those directions, scaled by the lcm of
-the block sizes, so no `Fraction` is built before the kernel.  A maximum odd
-cycle already is its diagram: its certificate's slots (`Certificate.slots`)
-are the direction classes in counterclockwise order.
+direction classes are re-verified with exact arithmetic.  A sphere's
+certificate already is its diagram, of dimension e = min(n, 3) - 1: its
+slots (`Certificate.slots`) are the direction classes, in counterclockwise
+order for a maximum odd cycle, on the two rays of a line for a two-set
+partition and the one zero class for the simplex boundary.
 """
 
 from __future__ import annotations
@@ -107,15 +107,22 @@ def sort_counterclockwise(directions: Iterable[tuple[int, int]]) -> list[tuple[i
 
 
 def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
-    """Labels grouped by direction class, the classes in counterclockwise order.
+    """Labels grouped by direction class: one class at e = 0, the positive then the negative vectors at
+    e = 1, and in the plane the classes in counterclockwise order.
 
-    None unless the classes are standard: no zero vector, an odd number
-    2k+1 >= 3 of classes, and every k+1 consecutive classes inside an open
-    half-plane.  That rules out antipodal classes too: one of p and -p lies
-    at most k steps after the other, so that window spans a half turn.
+    None unless the classes are standard: no zero vector at e >= 1, two
+    classes at e = 1, and in the plane an odd number 2k+1 >= 3 of classes
+    with every k+1 consecutive ones inside an open half-plane.  That rules
+    out antipodal classes too: one of p and -p lies at most k steps after
+    the other, so that window spans a half turn.
     """
+    if not vectors[0]:
+        return [list(range(1, len(vectors) + 1))]
     if any(is_zero_vec(v) for v in vectors):
         return None
+    if len(vectors[0]) == 1:
+        signs = [[i for i, v in enumerate(vectors, start=1) if (v[0] > 0) is positive] for positive in (True, False)]
+        return signs if all(signs) else None
     members_of: dict[DiagramDirection, list[int]] = {}
     for i, v in enumerate(vectors, start=1):
         members_of.setdefault(primitive_direction(v), []).append(i)
@@ -132,47 +139,44 @@ def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
 def _verified_classes(cert: Certificate, vectors: list[Vec]) -> bool:
     """Exact check that the vectors still encode the certificate's combinatorics.
 
-    The direction classes must be standard and, in counterclockwise order,
-    equal the certificate's slots in slot order up to rotation.  Together
-    these pin down the same face lattice as the symbolic diagram, for every
-    vertex subset at once.
+    The direction classes must be standard and, in order, equal the
+    certificate's slots up to rotation (slot 0 holds vertex 1): that pins
+    down the symbolic diagram's face lattice for every vertex subset.
     """
     classes = _standard_classes(vectors)
     if classes is None:
         return False
-    slots = [list(block) for block in cert.slots]
-    first = next(j for j, block in enumerate(slots) if 1 in block)
-    shift = first - next(j for j, labels in enumerate(classes) if 1 in labels)
-    return classes == slots[shift:] + slots[:shift]
+    shift = next(j for j, labels in enumerate(classes) if 1 in labels)
+    return classes[shift:] + classes[:shift] == [list(block) for block in cert.slots]
 
 
 def realize_gale_vectors(cert: Certificate) -> GaleConfiguration:
-    """Planar integer Gale vectors: (w_s L / |block s|) u_s for each vertex of block `cert.slots[s]`.
+    """Integer Gale vectors in Q^e, e = min(n, 3) - 1: (w_s L / |block s|) u_s for each vertex of block `cert.slots[s]`.
 
     L is the lcm of the block sizes, so every entry is an `int`; a uniform
-    scale leaves the kernel that `reconstruct_points` reads unchanged.
-    The certificate must be a maximum odd cycle (n >= 3).  The u_s, in
-    counterclockwise order, are (1, 2i-k) for i = 0..k with weight k, then
-    (-1, k-1-2j) for j = 0..k-1 with weight k+1: no two are antipodal (the
-    antipodes of the second group have the other parity), and the vectors
-    sum to L sum_s w_s u_s = 0, checked in ints.  Such directions encode the
-    regular polygon's face lattice (Gruenbaum, Convex Polytopes, 6.3);
-    `_verified_classes` confirms it and, with >= 3 classes, the span.
+    scale leaves the kernel that `reconstruct_points` reads unchanged.  Only
+    u_s and w_s depend on n: u = () and w = 1 give the simplex (n = 1), u =
+    (1,), (-1,) and w = 1, 1 the free sum of two simplices (Gruenbaum, Convex
+    Polytopes, 6.1).  At odd n >= 3 the u_s, in counterclockwise order, are
+    (1, 2i-k) for i = 0..k with weight k, then (-1, k-1-2j) for j = 0..k-1
+    with weight k+1: no two are antipodal (the antipodes of the second group
+    have the other parity), and they encode the regular polygon's face lattice
+    (6.3).  The vectors sum to L sum_s w_s u_s = 0, checked in ints;
+    `_verified_classes` confirms the classes and so the span.
     """
-    if cert.n < 3:
-        raise ValueError(f"a planar Gale diagram needs a maximum odd cycle, not {cert.n} blocks")
-    m, k = cert.m, cert.k
-    directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
-    weights = [k] * (k + 1) + [k + 1] * k
-    slots = cert.slots
-    scale = math.lcm(*map(len, slots))
-    vectors: list[tuple[int, int]] = [()] * m
-    for block, w, (a, b) in zip(slots, weights, directions):
+    m, n, k = cert.m, cert.n, cert.k
+    directions, weights = ([()], [1]) if n == 1 else ([(1,), (-1,)], [1, 1])
+    if n >= 3:
+        directions = [(1, 2 * i - k) for i in range(k + 1)] + [(-1, k - 1 - 2 * j) for j in range(k)]
+        weights = [k] * (k + 1) + [k + 1] * k
+    scale = math.lcm(*map(len, cert.slots))
+    vectors: list[tuple[int, ...]] = [()] * m
+    for block, w, u in zip(cert.slots, weights, directions):
         factor = w * scale // len(block)
-        y = (factor * a, factor * b)
+        y = tuple(factor * a for a in u)
         for v in block:
             vectors[v - 1] = y
-    zero_sum = not any(sum(w * u[c] for w, u in zip(weights, directions)) for c in (0, 1))
+    zero_sum = not any(sum(w * u[c] for w, u in zip(weights, directions)) for c in range(len(directions[0])))
     if not (zero_sum and _verified_classes(cert, vectors)):
         raise InternalInconsistency(f"integer directions for k = {k} fail the zero sum or the diagram check")
     return _built(GaleConfiguration, vectors=tuple(vectors))
@@ -268,19 +272,19 @@ def relint_origin_test(vectors: Iterable[Sequence]) -> bool:
 
 
 def recover_nonfaces(g: GaleConfiguration) -> tuple[NonFaceFamily, Certificate] | None:
-    """Read a maximum odd cycle back off a planar configuration, if it is one.
+    """Read a sphere back off a configuration of dimension e <= 2, if it is one.
 
     Returns None unless the direction classes are standard (see
-    `_standard_classes`) and, for k = 1, every class carries at least two
-    vectors.  Classes in counterclockwise order are the blocks
-    B_0, B_{-2}, ..., B_{-4k}; members are rebuilt as unions of k
-    consecutive blocks.  Those checks prove the certificate valid but for m,
-    which `_family` checks.
+    `_standard_classes`) and, when there are at most three, every class
+    carries at least two vectors.  The classes, in that order, are the
+    slots (the blocks B_0, B_{-2}, ..., B_{-4k} in the plane), and members
+    are rebuilt as unions of k consecutive blocks.  Those checks prove the
+    certificate valid but for m, which `_family` checks.
     """
-    if g.dim != 2:
-        raise InvalidConfiguration("recover_nonfaces expects a planar configuration")
+    if g.dim > 2:
+        raise InvalidConfiguration("recover_nonfaces expects a configuration of dimension at most 2")
     classes = _standard_classes(g.vectors)
-    if classes is None or (len(classes) == 3 and any(len(c) < 2 for c in classes)):
+    if classes is None or (len(classes) <= 3 and any(len(c) < 2 for c in classes)):
         return None
     cert = _certificate(_blocks([sum(1 << (v - 1) for v in c) for c in classes]))
     return _family(cert), cert

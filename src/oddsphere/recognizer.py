@@ -216,17 +216,19 @@ def _is_partition(blocks: Sequence[int], m: int) -> bool:
 def _read_family(f: NonFaceFamily) -> Certificate | NotSphereReason:
     """The certificate of the sphere whose minimal non-faces are `f`, or why no sphere has them.
 
-    At n <= 2 members the members are the blocks, so they must partition
-    [m].  At odd n >= 3 the members are walked: in a valid cycle A_i and
-    A_j are disjoint exactly when j = i +- 1, so the disjointness graph
-    must be the n-cycle itself: every member has exactly two disjoint
-    partners, and the walk from one member to the next visits all n of
-    them.  That fixes the ordering up to rotation and reflection, so no
-    search is needed.  The walk makes successive members disjoint, so once
-    the blocks partition [m] the certificate is valid.
+    The empty family is the full simplex's.  At n = 1 or 2 the members are
+    the blocks, so they must partition [m].  At odd n >= 3 they are walked:
+    in a valid cycle A_i and A_j are disjoint exactly when j = i +- 1, so
+    the disjointness graph must be the n-cycle itself: every member has
+    exactly two disjoint partners, and the walk from one member to the next
+    visits all n of them.  That fixes the ordering up to rotation and
+    reflection with no search.  The walk makes successive members disjoint,
+    so once the blocks partition [m] the certificate is valid.
     """
     masks = f._masks
     n = len(masks)
+    if not n:
+        return NotSphereReason.FULL_SIMPLEX
     if n <= 2:
         return _certificate(masks) if _is_partition(masks, f.m) else NotSphereReason.WRONG_FAMILY_SHAPE
     if n % 2 == 0:
@@ -393,8 +395,6 @@ def _recognize_nonfaces(c: SimplicialComplex) -> Verdict:
     m, d = c.m, c.dimension
     if m - d >= 5:
         return OutOfScope(m, d)
-    if m == d + 1:
-        return NotSphere(NotSphereReason.FULL_SIMPLEX)
     cert = _read_family(minimal_nonfaces(c))
     if isinstance(cert, NotSphereReason):
         return NotSphere(cert)

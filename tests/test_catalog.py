@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from tests_shared import are_isomorphic, assert_valid_and_canonical, burnside_bracelet_count, permuted
+from tests_shared import (
+    are_isomorphic,
+    assert_valid_and_canonical,
+    burnside_bracelet_count,
+    one_and_two_blocks,
+    permuted,
+)
 
 from oddsphere.catalog import (
     CatalogVerificationError,
@@ -22,7 +28,7 @@ from oddsphere.complexes import (
     complex_from_nonfaces,
     enumerate_chains,
 )
-from oddsphere.recognizer import Sphere, find_max_odd_cycle
+from oddsphere.recognizer import Certificate, Sphere, find_max_odd_cycle
 
 # `oddsphere.catalog` is also the name of the function the package exports
 catalog_module = importlib.import_module("oddsphere.catalog")
@@ -225,13 +231,15 @@ def test_cross_check_never_reads_a_sphere_off_its_facets(monkeypatch):
     monkeypatch.setattr(recognizer_module, "_sphere_from_facets", refuse)
     for m in range(5, 10):
         assert len(catalog(m).classes) == len(enumerate_bracelets(m))
-    geometric = ("realization", "hull_matches_complex", "gale_readback")
-    for fam, shown in ((NonFaceFamily(5, ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))), True),
-                       (NonFaceFamily(4, ((1, 2), (3, 4))), "skipped")):
-        comp = complex_from_nonfaces(fam)
+    # Every sphere shape runs every stage: the pentagon, the simplex boundary
+    # on [m] and every two-set partition of [m], m <= 12.
+    pentagon = Certificate(5, [[1], [2], [3], [4], [5]])
+    stages_run = ("recognizer", "realization", "hull_matches_complex", "gale_readback", "homology_profile")
+    for cert in [pentagon, *(Certificate(m, blocks) for m, blocks in one_and_two_blocks(12))]:
+        comp = complex_from_nonfaces(NonFaceFamily(cert.m, cert.ordering))
         verdict, stages = cross_check(comp, enumerate_chains(comp))
-        assert isinstance(verdict, Sphere)
-        assert stages == {"recognizer": True, **dict.fromkeys(geometric, shown), "homology_profile": True}
+        assert verdict == Sphere(cert.m - min(cert.n, 3) - 1, cert)
+        assert stages == dict.fromkeys(stages_run, True), cert
 
 
 def test_catalog_rejects_out_of_range():

@@ -22,7 +22,7 @@ from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_brace
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
 from oddsphere.recognizer import Certificate, InternalInconsistency, recognize
-from tests_shared import nonface_families, simplicial_complexes
+from tests_shared import nonface_families, one_and_two_blocks, simplicial_complexes
 
 PENTAGON_DOC = {"m": 5, "nonfaces": [[1, 4], [2, 5], [1, 3], [2, 4], [3, 5]]}
 SIX_CYCLE_DOC = {"m": 6, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}
@@ -223,9 +223,19 @@ def test_realize_with_verify():
 
 
 def test_realize_rejects_even_family():
-    proc = run_cli(["realize"], {"m": 4, "nonfaces": [[1, 2], [3, 4]]})
-    assert proc.returncode == 1
-    assert "maximum odd cycle" in proc.stderr
+    # the pentagon less one member: four members, so no sphere shape fits
+    proc = run_cli(["realize"], {"m": 5, "nonfaces": [[1, 4], [2, 5], [1, 3], [2, 4]]})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: no sphere with m <= d+4 has these minimal non-faces: non_odd_family_size\n"
+
+
+def test_realize_verify_proves_every_one_and_two_block_sphere(monkeypatch, capsys):
+    for m, blocks in one_and_two_blocks(12):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"m": m, "nonfaces": blocks})))
+        assert cli.main(["realize", "--verify"]) == 0, blocks
+        out, err = capsys.readouterr()
+        assert err == "verification: hull boundary matches the complex\n"
+        assert serialize.points_from_doc(json.loads(out)).dim == m - len(blocks)
 
 
 def test_hull_command():
@@ -270,9 +280,9 @@ def test_verify_non_sphere_fails():
     assert json.loads(proc.stdout)["ok"] is False
 
 
-SKIPPED_STAGES_STDOUT = (
-    '{"ok": true, "stages": {"gale_readback": "skipped", "homology_profile": true, '
-    '"hull_matches_complex": "skipped", "realization": "skipped", "recognizer": true}}\n'
+ALL_STAGES_PASS_STDOUT = (
+    '{"ok": true, "stages": {"gale_readback": true, "homology_profile": true, '
+    '"hull_matches_complex": true, "realization": true, "recognizer": true}}\n'
 )
 
 
@@ -280,10 +290,10 @@ SKIPPED_STAGES_STDOUT = (
     ({"m": 5, "nonfaces": [[1, 2, 3], [4, 5]]}, "blocks: {1,2,3} | {4,5}\n"),
     ({"m": 4, "nonfaces": [[1, 2, 3, 4]]}, "blocks: {1,2,3,4}\n"),
 ], ids=["two-partition", "simplex-boundary"])
-def test_verify_skips_the_planar_stages_without_a_diagram(doc, blocks, monkeypatch, capsys):
+def test_verify_runs_every_stage_on_one_and_two_blocks(doc, blocks, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert cli.main(["verify", "--verbose"]) == 0
-    assert capsys.readouterr() == (SKIPPED_STAGES_STDOUT, blocks)
+    assert capsys.readouterr() == (ALL_STAGES_PASS_STDOUT, blocks)
 
 
 @pytest.mark.parametrize("doc, verdict, blocks", [
@@ -412,9 +422,12 @@ CLI_CALLS = {
                          "error: invalid complex: vertex labels must be integers >= 1, got True\n"),
     # the pentagon under another labelling, through realization and the Gale readback
     "relabelled-pentagon-verify": (
-        ["verify"], {"m": 5, "nonfaces": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]}, 0,
-        '{"ok": true, "stages": {"gale_readback": true, "homology_profile": true, '
-        '"hull_matches_complex": true, "realization": true, "recognizer": true}}\n', ""),
+        ["verify"], {"m": 5, "nonfaces": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]}, 0, ALL_STAGES_PASS_STDOUT, ""),
+    # the 4-cycle, a two-set partition: a quadrilateral whose diagonals are the non-faces
+    "four-cycle-realize": (
+        ["realize", "--verify"], {"m": 4, "nonfaces": [[1, 2], [3, 4]]}, 0,
+        '{"dim": 2, "points": [["-1/1", "1/1"], ["1/1", "0/1"], ["0/1", "1/1"], ["0/1", "0/1"]]}\n',
+        "verification: hull boundary matches the complex\n"),
     # the 6-vertex RP^2: pure with m = d+4, so the facet route runs, finds no
     # sphere and leaves the reason to the dualization
     "rp2-check": (["check"], {"m": 6, "facets": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], [2, 3, 5],
@@ -484,6 +497,16 @@ def test_refusals_echo_a_shortened_value(command, text, monkeypatch, capsys):
     assert "..." in err and "Fraction(" not in err
 
 
+def test_an_unreadable_input_path_is_echoed_shortened(tmp_path, capsys):
+    path = tmp_path.joinpath(*["x" * 100] * 3)  # a missing file whose path is far past 200 characters
+    assert cli.main(["check", "-i", str(path)]) == cli.EX_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one line of at most 200 characters, with the path clipped
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1 and len(err) <= 201, err[:300]
+    assert err.endswith("...: No such file or directory\n")
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_unwritable_output_exits_73(target, tmp_path, capsys):
     path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
@@ -547,10 +570,15 @@ def test_cli_output_digest():
     assert cli_transcript() == CLI_OUTPUT_DIGEST
 
 
-# sha256 of `low_shapes_transcript()`, pinned while the simplex boundary,
-# the two-set partition and the maximum odd cycle were three certificate
-# classes, before they became one.
-LOW_SHAPES_DIGEST = "8da85c545b1338add29ec709456d82864f757f403145d14a0a0cae210d7e5718"
+# sha256 of `low_shapes_transcript(["check"])`, pinned before `realize` and
+# `verify` proved the one- and two-block spheres with a polytope, which left
+# `check` unchanged.
+LOW_SHAPES_CHECK_DIGEST = "ad74eac2f1b8732eaaa91bc0c5d077248874425f8505d9eab7577d52b2a6646e"
+# sha256 of `low_shapes_transcript(["verify", "realize"])`, re-pinned when
+# those spheres began to realize: `realize` exits 0 on their non-face
+# documents, `verify` reports every stage true, and a family that fits no
+# shape names its `NotSphereReason`.
+LOW_SHAPES_REALIZE_DIGEST = "74a05eff040c13701e9dbad4786efe9e577062bae0985f454ba8a088c9e5bf24"
 
 # One non-face document per negative verdict: the full simplex, one member
 # short of [m], two members that are no partition, an even family, three
@@ -565,8 +593,8 @@ REASON_DOCS = (
 )
 
 
-def low_shapes_transcript() -> str:
-    """Digest of `check`, `verify` and `realize`, each `--verbose`, on the spheres with one or two blocks.
+def low_shapes_transcript(commands) -> str:
+    """Digest of each of `commands`, with `--verbose`, on the spheres with one or two blocks.
 
     Those are the simplex boundary on [m] and the two-set partitions of [m]
     into blocks of size >= 2, for m <= 8, up to relabelling.  Each goes in as
@@ -577,22 +605,24 @@ def low_shapes_transcript() -> str:
     """
     digest = hashlib.sha256()
     docs = []
-    for m in range(2, 9):
-        splits = [[list(range(1, a + 1)), list(range(a + 1, m + 1))] for a in range(2, m // 2 + 1)]
-        for blocks in [[list(range(1, m + 1))], *splits]:
-            facets = [[v for v in range(1, m + 1) if v not in pick] for pick in itertools.product(*blocks)]
-            image = [*range(1, m + 1, 2), *range(2, m + 1, 2)]
-            for key, rows in (("nonfaces", blocks), ("facets", facets)):
-                docs.append({"m": m, key: rows})
-                docs.append({"m": m, key: [[image[v - 1] for v in row] for row in reversed(rows)]})
+    for m, blocks in one_and_two_blocks(8):
+        facets = [[v for v in range(1, m + 1) if v not in pick] for pick in itertools.product(*blocks)]
+        image = [*range(1, m + 1, 2), *range(2, m + 1, 2)]
+        for key, rows in (("nonfaces", blocks), ("facets", facets)):
+            docs.append({"m": m, key: rows})
+            docs.append({"m": m, key: [[image[v - 1] for v in row] for row in reversed(rows)]})
     for doc in docs + list(REASON_DOCS):
-        for command in ("check", "verify", "realize"):
+        for command in commands:
             record(digest, [command, "--verbose"], json.dumps(doc))
     return digest.hexdigest()
 
 
+def test_check_output_digest_of_one_and_two_blocks_and_every_reason():
+    assert low_shapes_transcript(["check"]) == LOW_SHAPES_CHECK_DIGEST
+
+
 def test_cli_output_digest_of_one_and_two_blocks_and_every_reason():
-    assert low_shapes_transcript() == LOW_SHAPES_DIGEST
+    assert low_shapes_transcript(["verify", "realize"]) == LOW_SHAPES_REALIZE_DIGEST
 
 
 # -- adversarial inputs: each must finish inside a wall-time bound ------------

@@ -15,6 +15,7 @@ from tests_shared import (
     is_face,
     is_vertex,
     linear_feasible_nonneg,
+    one_and_two_blocks,
     permuted_family,
     random_gale_configuration,
     random_points,
@@ -50,6 +51,7 @@ from oddsphere.recognizer import (
     _blocks,
     _certificate,
     alternating_blocks,
+    cycle_complex,
     find_max_odd_cycle,
     recognize,
 )
@@ -218,12 +220,29 @@ def test_realized_coordinates_stay_small():
     pytest.param(5, ((1,), (4,), (2,), (), (3,)), "do not partition", id="blocks-not-a-partition"),
     # a singleton non-face would be a missing vertex, so no sphere has this family
     pytest.param(5, ((1,), (2, 3), (4, 5)), "size >= 2", id="three-cycle-with-singleton-block"),
-    # a two-set partition is a sphere, but it has no planar diagram
-    pytest.param(5, ((1, 2), (3, 4, 5)), "maximum odd cycle", id="two-partition"),
+    pytest.param(5, ((1,), (2, 3, 4, 5)), "size >= 2", id="two-partition-with-singleton-block"),
 ])
 def test_realize_rejects_malformed_certificates(m, slots, reason):
     with pytest.raises(ValueError, match=reason):
         realize_gale_vectors(Certificate(m, slots))
+
+
+@pytest.mark.parametrize("slots, vectors, points", [
+    # the simplex boundary: m zero vectors in Q^0, the vertices of a simplex
+    pytest.param(((1, 2, 3),), ((),) * 3, ((1, 0), (0, 1), (0, 0)), id="simplex-boundary"),
+    # a two-set partition: its blocks on the two rays of a line, the free sum of two simplices
+    pytest.param(((1, 2), (3, 4, 5)), ((3,), (3,), (-2,), (-2,), (-2,)),
+                 ((-1, Fraction(2, 3), Fraction(2, 3)), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+                 id="two-partition"),
+])
+def test_realize_gale_vectors_of_one_and_two_blocks(slots, vectors, points):
+    cert = Certificate(sum(map(len, slots)), slots)
+    g = realize_gale_vectors(cert)
+    assert g.vectors == vectors and g.dim == len(slots) - 1
+    pc = reconstruct_points(g)
+    assert pc.points == points
+    assert boundary_complex(pc) == complex_from_nonfaces(NonFaceFamily(cert.m, slots))
+    assert recover_nonfaces(g) == (NonFaceFamily(cert.m, slots), cert)
 
 
 def test_readback_certificates_are_valid_and_canonical():
@@ -481,21 +500,27 @@ def test_verified_classes_accepts_only_the_diagrams_classes(vectors, accepted):
     assert _verified_classes(SHARED_SLOT, vectors) is accepted
 
 
-ROUND_TRIP_BRACELETS = [b for m in range(5, 13) for b in enumerate_bracelets(m)]
+# (family, certificate) of every sphere shape: the bracelets with 5 <= m <= 12,
+# and the one- and two-block spheres with m <= 12, whose members are the blocks
+ROUND_TRIP_SPHERES = [
+    [instantiate(b) for m in range(5, 13) for b in enumerate_bracelets(m)],
+    [(NonFaceFamily(m, blocks), Certificate(m, blocks)) for m, blocks in one_and_two_blocks(12)],
+]
 
 
-@settings(deadline=None, max_examples=50)
-@given(st.sampled_from(ROUND_TRIP_BRACELETS).flatmap(
-    lambda b: st.tuples(st.just(b), st.permutations(range(1, sum(b) + 1)))
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(ROUND_TRIP_SPHERES).flatmap(st.sampled_from).flatmap(
+    lambda sphere: st.tuples(st.just(sphere), st.permutations(range(1, sphere[0].m + 1)))
 ))
 def test_property_relabelled_bracelet_realizes_its_complex(case):
-    b, images = case
+    (fam, cert), images = case
     perm = dict(zip(range(1, len(images) + 1), images))
-    fam, cert = instantiate(b)
     relabelled = Certificate(fam.m, [[perm[v] for v in s] for s in cert.slots])
     fam = permuted_family(fam, perm)
-    comp = boundary_complex(reconstruct_points(realize_gale_vectors(relabelled)))
-    assert comp == complex_from_nonfaces(fam)
+    g = realize_gale_vectors(relabelled)
+    comp = boundary_complex(reconstruct_points(g))
+    assert comp == complex_from_nonfaces(fam) == cycle_complex(relabelled)
     verdict = recognize(comp)
-    assert verdict == Sphere(fam.m - 4, relabelled)
+    assert verdict == Sphere(fam.m - min(cert.n, 3) - 1, relabelled)
     assert NonFaceFamily(fam.m, verdict.certificate.ordering) == fam
+    assert recover_nonfaces(g) == (fam, relabelled)

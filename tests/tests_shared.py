@@ -419,6 +419,20 @@ def burnside_bracelet_count(m: int) -> int:
     return count
 
 
+def one_and_two_blocks(max_m: int) -> list[tuple[int, list[list[int]]]]:
+    """(m, blocks) of the spheres with one or two blocks, 2 <= m <= max_m, up to relabelling.
+
+    For each m: the simplex boundary's block [m], then the two-set
+    partitions of [m] into blocks of consecutive labels, of sizes a <= m - a
+    with a >= 2.
+    """
+    spheres = []
+    for m in range(2, max_m + 1):
+        spheres.append((m, [list(range(1, m + 1))]))
+        spheres.extend((m, [list(range(1, a + 1)), list(range(a + 1, m + 1))]) for a in range(2, m // 2 + 1))
+    return spheres
+
+
 # -- `complexes`: face membership and relabelling ----------------------------
 
 def is_face(c: SimplicialComplex, a: Iterable[int]) -> bool:
