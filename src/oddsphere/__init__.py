@@ -57,7 +57,6 @@ from .recognizer import (
     OutOfScope,
     Sphere,
     Verdict,
-    alternating_blocks,
     find_max_odd_cycle,
     recognize,
 )

@@ -1,12 +1,13 @@
 """Command-line front end: JSON in, JSON out, one subcommand per workflow.
 
 Every subcommand takes `--output/-o` and all but `catalog` `--input/-i`;
-`check`, `realize` and `verify` take `--verbose`, `realize` `--verify` and
+`check`, `realize` and `verify` take `--verbose` and read a complex or a
+non-face document as given (`_read_input`), `realize` takes `--verify` and
 `catalog` `--m`.
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
-2 (out of scope); `realize` exits 1 on a family that no sphere with
-m <= d+4 has, naming the `NotSphereReason`; a usage error, malformed input
+2 (out of scope); `realize` exits 1 on every input `check` does not call a
+sphere, naming the verdict document's `reason`; a usage error, malformed input
 (a document that is not UTF-8 gets a `malformed JSON:` line), an invariant
 violation or input past a work limit of `complexes` is 64 for every
 subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
@@ -22,10 +23,10 @@ import sys
 
 from . import serialize
 from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cross_check
-from .complexes import _clip, complex_from_nonfaces, enumerate_chains, minimal_nonfaces
+from .complexes import NonFaceFamily, _clip, complex_from_nonfaces, enumerate_chains, minimal_nonfaces
 from .gale import realize_gale_vectors, reconstruct_points
 from .oracle import betti_mod2, boundary_complex, hull_facets
-from .recognizer import InternalInconsistency, NotSphere, NotSphereReason, Sphere, _read_family, recognize
+from .recognizer import InternalInconsistency, NotSphere, Sphere, recognize
 
 EX_INPUT = 64
 EX_SOFTWARE = 70
@@ -67,13 +68,19 @@ def _write_doc(doc, path: str) -> None:
             raise _CannotWrite(f"cannot write {_clip(path)}: {_clip(exc.strerror or str(exc))}") from exc
 
 
-def _complex_from_any(doc):
-    """Accept either a complex document or a non-face document."""
+def _read_input(path: str):
+    """The complex or the non-face family that the document at `path` holds, as given."""
+    doc = _read_doc(path)
     if isinstance(doc, dict) and "facets" in doc:
         return serialize.complex_from_doc(doc)
     if isinstance(doc, dict) and "nonfaces" in doc:
-        return complex_from_nonfaces(serialize.family_from_doc(doc))
+        return serialize.family_from_doc(doc)
     raise serialize.DocumentError("expected a document with 'facets' or 'nonfaces'")
+
+
+def _as_complex(given):
+    """The complex `given`, or the one whose minimal non-faces it is (Berge's dualization)."""
+    return complex_from_nonfaces(given) if isinstance(given, NonFaceFamily) else given
 
 
 def _print_certificate(cert) -> None:
@@ -85,8 +92,7 @@ def _print_certificate(cert) -> None:
 
 
 def _cmd_check(args) -> int:
-    comp = _complex_from_any(_read_doc(args.input))
-    verdict = recognize(comp)
+    verdict = recognize(_read_input(args.input))
     _write_doc(serialize.verdict_to_doc(verdict), args.output)
     if isinstance(verdict, Sphere):
         if args.verbose:
@@ -110,20 +116,19 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    fam = serialize.family_from_doc(_read_doc(args.input))
-    cert = _read_family(fam)
-    if isinstance(cert, NotSphereReason):
-        print(f"error: no sphere with m <= d+4 has these minimal non-faces: {cert.value}", file=sys.stderr)
+    given = _read_input(args.input)
+    verdict = recognize(given)
+    if not isinstance(verdict, Sphere):
+        reason = serialize.verdict_to_doc(verdict)["reason"]
+        print(f"error: no sphere with m <= d+4 has these minimal non-faces: {reason}", file=sys.stderr)
         return 1
     if args.verbose:
-        _print_certificate(cert)
-    g = realize_gale_vectors(cert)
+        _print_certificate(verdict.certificate)
+    g = realize_gale_vectors(verdict.certificate)
     points = reconstruct_points(g)
     _write_doc(serialize.points_to_doc(points), args.output)
     if args.verify:
-        expected = complex_from_nonfaces(fam)
-        realized = boundary_complex(points)
-        if realized != expected:
+        if boundary_complex(points) != _as_complex(given):
             print("verification: hull boundary differs from the complex", file=sys.stderr)
             return 1
         print("verification: hull boundary matches the complex", file=sys.stderr)
@@ -150,7 +155,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    comp = _complex_from_any(_read_doc(args.input))
+    comp = _as_complex(_read_input(args.input))
     verdict, stages = cross_check(comp, enumerate_chains(comp))
     if args.verbose and isinstance(verdict, Sphere):
         _print_certificate(verdict.certificate)
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check": ("decide sphereness of a complex or non-face family", _cmd_check),
         "nonfaces": ("minimal non-faces of a complex", _cmd_nonfaces),
         "complex": ("facets of the complex determined by non-faces", _cmd_complex),
-        "realize": ("exact polytope realization of a sphere's non-faces", _cmd_realize),
+        "realize": ("exact polytope realization of a sphere", _cmd_realize),
         "hull": ("facets of the convex hull of rational points", _cmd_hull),
         "homology": ("reduced GF(2) Betti numbers of a complex", _cmd_homology),
         "catalog": ("all spheres on m vertices of dimension m-4", _cmd_catalog),

@@ -11,18 +11,22 @@ minimal non-face family has one of three shapes:
 
 Vertex counts beyond d+4 are out of scope (no characterization exists).
 
-`recognize` reads a sphere off one of two routes.  A complex whose facet
-complements all have m - d - 1 <= 3 vertices is first read off its facets
-(`_sphere_from_facets`): the blocks and their cyclic order are read off the
-complements, and the sphere those blocks fix is rebuilt (`_complements`,
-which takes one vertex from each block of a central set of slots).  The
-complex is that sphere exactly when the rebuilt complements equal its own.
-That costs time linear in the facets and dualizes nothing.  Any other
-complex, and any complex that route does not prove a sphere, goes through
-its minimal non-faces (`_recognize_nonfaces`, on Berge's dualization in
-`complexes.minimal_nonfaces`), which every negative verdict and its reason
-come from.  `catalog.cross_check` calls that route by name, so that it
-recognizes from non-faces derived again from the facets.
+`recognize` takes a complex or a non-face family, as given.  A family is
+read directly (`_read_family`, which proves its reading by a rebuild); a
+sphere's certificate fixes d, so only a family of no sphere is dualized
+(`complexes.complex_from_nonfaces`), for the dimension its verdict names.
+A complex whose facet complements all have m - d - 1 <= 3 vertices is
+first read off its facets (`_sphere_from_facets`): the blocks and their
+cyclic order are read off the complements, and the sphere those blocks fix
+is rebuilt (`_complements`, which takes one vertex from each block of a
+central set of slots).  The complex is that sphere exactly when the
+rebuilt complements equal its own.  That costs time linear in the facets
+and dualizes nothing.  Any other complex, and any complex that route does
+not prove a sphere, goes through its minimal non-faces
+(`_recognize_nonfaces`, on Berge's dualization in
+`complexes.minimal_nonfaces`), which every negative verdict on a complex
+and its reason come from.  `catalog.cross_check` calls that route by name,
+so that it recognizes from non-faces derived again from the facets.
 
 Every sphere verdict carries a `Certificate`: the blocks in slot order,
 n = 1 of them for the simplex boundary, 2 for a two-set partition and an
@@ -40,7 +44,6 @@ from operator import and_, or_
 from typing import Sequence
 
 from .complexes import (
-    MAX_VERTICES,
     Face,
     InvariantError,
     NonFaceFamily,
@@ -51,22 +54,13 @@ from .complexes import (
     _from_masks,
     _row_mask,
     _SetSystem,
+    complex_from_nonfaces,
     minimal_nonfaces,
 )
 
-CyclicOrdering = tuple[Face, ...]
-
-
-class EvenLength(ValueError):
-    """Alternating intersections need an odd cycle length."""
-
-
-class TooShort(ValueError):
-    """Cyclic orderings shorter than 3 have no alternating structure."""
-
 
 class InternalInconsistency(RuntimeError):
-    """A certificate contradicts the complex it was computed from (a bug)."""
+    """A certificate contradicts the complex or family it was computed from (a bug)."""
 
 
 class NotSphereReason(enum.Enum):
@@ -149,23 +143,8 @@ class OutOfScope:
 Verdict = Sphere | NotSphere | OutOfScope
 
 
-def alternating_blocks(ordering: CyclicOrdering) -> tuple[Face, ...]:
-    """B_i = A_i `intersect` A_{i+2} `intersect` ... `intersect` A_{i+n-3}, indices mod n.
-
-    For n = 3 the intersection has a single term, so B_i = A_i.  Each
-    member's labels are checked as `complexes` checks a row: distinct ints
-    (not bools) in [1, MAX_VERTICES].
-    """
-    n = len(ordering)
-    if n < 3:
-        raise TooShort(f"cyclic ordering has length {n} < 3")
-    if n % 2 == 0:
-        raise EvenLength(f"cyclic ordering has even length {n}")
-    return tuple(_face(b) for b in _alternating_masks([_row_mask(a, MAX_VERTICES) for a in ordering]))
-
-
 def _alternating_masks(members: Sequence[int]) -> list[int]:
-    """`alternating_blocks` on bitmasks, for an odd number n >= 3 of members."""
+    """The blocks B_i = A_i & A_{i+2} & ... & A_{i+n-3} (mod n) of odd n >= 3 member masks in cyclic order."""
     n = len(members)
     return [reduce(and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
 
@@ -223,24 +202,31 @@ def _read_family(f: NonFaceFamily) -> Certificate | NotSphereReason:
     exactly two disjoint partners, and the walk from one member to the next
     visits all n of them.  That fixes the ordering up to rotation and
     reflection with no search.  The walk makes successive members disjoint,
-    so once the blocks partition [m] the certificate is valid.
+    so once the blocks partition [m] the certificate is valid.  It is `f`'s,
+    as a vertex of A_i lies in one block and so in k members, an independent
+    set of the n-cycle, which has none of k + 1: they include A_i.  The
+    proof is a rebuild: `_members` of the blocks must be `f`'s members, else
+    InternalInconsistency.
     """
     masks = f._masks
     n = len(masks)
     if not n:
         return NotSphereReason.FULL_SIMPLEX
-    if n <= 2:
-        return _certificate(masks) if _is_partition(masks, f.m) else NotSphereReason.WRONG_FAMILY_SHAPE
-    if n % 2 == 0:
+    if n % 2 == 0 and n != 2:
         return NotSphereReason.NON_ODD_FAMILY_SIZE
-    # no member is empty, so none counts as disjoint from itself
-    path = _cycle_order([[j for j, b in enumerate(masks) if not a & b] for a in masks])
-    if path is None:
-        return NotSphereReason.NO_CYCLIC_ORDERING
-    blocks = _alternating_masks([masks[i] for i in path])
+    blocks = masks  # at n <= 2 the members are the blocks
+    if n >= 3:
+        # no member is empty, so none counts as disjoint from itself
+        path = _cycle_order([[j for j, b in enumerate(masks) if not a & b] for a in masks])
+        if path is None:
+            return NotSphereReason.NO_CYCLIC_ORDERING
+        blocks = _alternating_masks([masks[i] for i in path])
     if not _is_partition(blocks, f.m):
-        return NotSphereReason.BLOCKS_NOT_PARTITION
-    return _certificate(blocks)
+        return NotSphereReason.WRONG_FAMILY_SHAPE if n <= 2 else NotSphereReason.BLOCKS_NOT_PARTITION
+    cert = _certificate(blocks)
+    if tuple(sorted(_members(cert._masks))) != masks:
+        raise InternalInconsistency(f"the blocks read off {n} non-faces on {f.m} vertices rebuild other members")
+    return cert
 
 
 def _cycle_order(adj: Sequence[Sequence[int]]) -> list[int] | None:
@@ -365,8 +351,8 @@ def _sphere_from_facets(c: SimplicialComplex, s: int) -> Sphere | None:
     return Sphere(m - s - 1, _certificate(_blocks(slots)))
 
 
-def recognize(c: SimplicialComplex) -> Verdict:
-    """Decide sphereness of a complex on at most d+4 vertices.
+def recognize(c: SimplicialComplex | NonFaceFamily) -> Verdict:
+    """Decide sphereness of a complex on at most d+4 vertices, given by its facets or its minimal non-faces.
 
     A sphere verdict carries a certificate whose n blocks fix the
     dimension d = m - min(n, 3) - 1: simplex boundary (n = 1), two-set
@@ -377,11 +363,15 @@ def recognize(c: SimplicialComplex) -> Verdict:
     the disjointness graph of the members is not a single n-cycle (even
     when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
     means it is one but the alternating blocks fail to partition [m].
-    A sphere read off its facets needs no dualization (see the module
-    docstring); otherwise the verdict is `_recognize_nonfaces(c)`, which
-    raises EnumerationLimitError when the dualization that finds the
-    minimal non-faces outgrows its limit (see `minimal_nonfaces`).
+    A sphere read off its family or its facets needs no dualization (see
+    the module docstring).  A family of no sphere is dualized once, for its
+    dimension, and any other complex gets `_recognize_nonfaces(c)`; each
+    raises EnumerationLimitError when that dualization outgrows its limit.
     """
+    if isinstance(c, NonFaceFamily):
+        read = _read_family(c)
+        d = complex_from_nonfaces(c).dimension if isinstance(read, NotSphereReason) else c.m - min(read.n, 3) - 1
+        return _verdict(c.m, d, read)
     s = c.m - c.dimension - 1
     if 1 <= s <= 3:
         sphere = _sphere_from_facets(c, s)
@@ -393,11 +383,17 @@ def recognize(c: SimplicialComplex) -> Verdict:
 def _recognize_nonfaces(c: SimplicialComplex) -> Verdict:
     """`recognize` read off the minimal non-faces of `c` alone, never off its facets."""
     m, d = c.m, c.dimension
+    if m - d >= 5:  # out of scope, before any dualization
+        return OutOfScope(m, d)
+    return _verdict(m, d, _read_family(minimal_nonfaces(c)))
+
+
+def _verdict(m: int, d: int, read: Certificate | NotSphereReason) -> Verdict:
+    """The verdict on the complex of dimension d on [m] whose minimal non-faces `_read_family` read as `read`."""
     if m - d >= 5:
         return OutOfScope(m, d)
-    cert = _read_family(minimal_nonfaces(c))
-    if isinstance(cert, NotSphereReason):
-        return NotSphere(cert)
-    if d != m - min(cert.n, 3) - 1:
-        raise InternalInconsistency(f"a certificate of {cert.n} blocks on {m} vertices, but dim {d}")
-    return Sphere(d, cert)
+    if isinstance(read, NotSphereReason):
+        return NotSphere(read)
+    if d != m - min(read.n, 3) - 1:
+        raise InternalInconsistency(f"a certificate of {read.n} blocks on {m} vertices, but dim {d}")
+    return Sphere(d, read)

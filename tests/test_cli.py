@@ -379,7 +379,10 @@ def test_internal_errors_exit_70(stage, argv, error, monkeypatch, capsys):
      "a certificate of 2 blocks on 5 vertices, but dim 1"),
     ("oddsphere.gale", "_verified_classes", lambda cert, vectors: False, ["realize"],
      "integer directions for k = 2 fail the zero sum or the diagram check"),
-], ids=["certificate-dimension", "gale-directions"])
+    # members rebuilt from the blocks read off a family must be the family's
+    ("oddsphere.recognizer", "_members", lambda blocks: list(blocks), ["check"],
+     "the blocks read off 5 non-faces on 5 vertices rebuild other members"),
+], ids=["certificate-dimension", "gale-directions", "family-audit"])
 def test_contradictions_inside_the_library_exit_70(module, name, replacement, argv, message, monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module(module), name, replacement)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(PENTAGON_DOC)))
@@ -413,6 +416,9 @@ def test_usage_errors_exit_64(argv, capsys):
     assert err.startswith("usage: oddsphere") and "error:" in err and "Traceback" not in err
 
 
+RP2_FACETS = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6],
+              [3, 5, 6]]
+
 # One call each of `python -m oddsphere.cli`: argv, stdin document, exit code, stdout, stderr.
 CLI_CALLS = {
     # four points, three of them on a supporting line: no simplicial hull
@@ -430,9 +436,14 @@ CLI_CALLS = {
         "verification: hull boundary matches the complex\n"),
     # the 6-vertex RP^2: pure with m = d+4, so the facet route runs, finds no
     # sphere and leaves the reason to the dualization
-    "rp2-check": (["check"], {"m": 6, "facets": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], [2, 3, 5],
-                                                  [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]},
+    "rp2-check": (["check"], {"m": 6, "facets": RP2_FACETS},
                   1, '{"reason": "non_odd_family_size", "verdict": "not_sphere"}\n', ""),
+    # `realize` refuses what `check` does not call a sphere, naming the verdict's reason
+    "rp2-realize": (["realize"], {"m": 6, "facets": RP2_FACETS}, 1, "",
+                    "error: no sphere with m <= d+4 has these minimal non-faces: non_odd_family_size\n"),
+    "four-pairs-realize": (["realize"], {"m": 8, "nonfaces": [[1, 2], [3, 4], [5, 6], [7, 8]]}, 1, "",
+                           "error: no sphere with m <= d+4 has these minimal non-faces: "
+                           "complex has m=8 vertices and dimension d=3; m - d >= 5\n"),
 }
 
 
@@ -448,6 +459,41 @@ def test_hull_of_a_realized_bracelet_is_its_complex_byte_for_byte():
     assert points.returncode == 0
     hull = run_cli(["hull"], json.loads(points.stdout))
     assert (hull.returncode, hull.stdout) == (0, run_cli(["complex"], doc).stdout)
+
+
+def test_realize_reads_a_complex_document_as_its_non_face_document():
+    # the same stdout, stderr and exit code from either document of every bracelet sphere with m <= 10
+    for m in range(5, 11):
+        for bracelet in enumerate_bracelets(m):
+            fam = instantiate(bracelet)[0]
+            runs = []
+            for doc in (serialize.family_to_doc(fam), serialize.complex_to_doc(complex_from_nonfaces(fam))):
+                digest = hashlib.sha256()
+                record(digest, ["realize", "--verify", "--verbose"], json.dumps(doc))
+                runs.append(digest.hexdigest())
+            assert runs[0] == runs[1], bracelet
+
+
+def dualization_refused(*args, **kwargs):
+    raise AssertionError("a sphere's document was dualized")
+
+
+@pytest.mark.parametrize("argv", [["check", "--verbose"], ["realize", "--verbose"], ["realize", "--verify"]])
+def test_spheres_are_recognized_without_dualization(argv, monkeypatch, capsys):
+    # A sphere's family gives its certificate and its dimension, so neither
+    # direction of Berge's dualization runs (`realize --verify` dualizes only
+    # to compare the hull with a non-face document's complex).
+    bracelets = [b for m in range(5, 10) for b in enumerate_bracelets(m)] + [(7,) * 9]
+    docs = [serialize.family_to_doc(instantiate(b)[0]) for b in bracelets]
+    docs += [{"m": m, "nonfaces": blocks} for m, blocks in one_and_two_blocks(8)]
+    if "--verify" in argv:
+        docs = [serialize.complex_to_doc(complex_from_nonfaces(serialize.family_from_doc(d))) for d in docs]
+    for module, name in (("recognizer", "complex_from_nonfaces"), ("recognizer", "minimal_nonfaces"),
+                         ("complexes", "minimal_nonfaces"), ("complexes", "_minimal_transversals")):
+        monkeypatch.setattr(importlib.import_module(f"oddsphere.{module}"), name, dualization_refused)
+    for doc in docs:
+        rc, _, err, _ = run_main_timed(argv, doc, monkeypatch, capsys)
+        assert rc == 0, (doc, err)
 
 
 def test_help_exits_zero(capsys):
@@ -575,10 +621,12 @@ def test_cli_output_digest():
 # `check` unchanged.
 LOW_SHAPES_CHECK_DIGEST = "ad74eac2f1b8732eaaa91bc0c5d077248874425f8505d9eab7577d52b2a6646e"
 # sha256 of `low_shapes_transcript(["verify", "realize"])`, re-pinned when
-# those spheres began to realize: `realize` exits 0 on their non-face
+# those spheres began to realize (`realize` exits 0 on their non-face
 # documents, `verify` reports every stage true, and a family that fits no
-# shape names its `NotSphereReason`.
-LOW_SHAPES_REALIZE_DIGEST = "74a05eff040c13701e9dbad4786efe9e577062bae0985f454ba8a088c9e5bf24"
+# shape names its `NotSphereReason`), and again when `realize` began to
+# read complex documents: on each it prints what it prints on the sphere's
+# non-face document, where it had refused them with exit 64.
+LOW_SHAPES_REALIZE_DIGEST = "31a0191d719c608989b39ae093f41a8be1a000c74bb6d6bdc2924c2d76003d67"
 
 # One non-face document per negative verdict: the full simplex, one member
 # short of [m], two members that are no partition, an even family, three
@@ -785,6 +833,7 @@ def disjoint_pairs_doc(pairs):
         (["check"], disjoint_pairs_doc(32)),
         (["verify"], disjoint_pairs_doc(20)),
         (["complex"], disjoint_pairs_doc(20)),
+        (["realize"], disjoint_pairs_doc(20)),
         (["check"], {"m": 64, "facets": pair_complement_facets(64, 32)}),
         (["check"], {"m": 35, "facets": pair_complement_facets(35, 17) + [list(range(2, 35))]}),
         (["nonfaces"], {"m": 64, "facets": pair_complement_facets(64, 32)}),
@@ -794,6 +843,7 @@ def disjoint_pairs_doc(pairs):
         "32-pairs-check",
         "20-pairs-verify",
         "20-pairs-complex",
+        "20-pairs-realize",
         "32-pairs-complex-check",
         "17-pairs-and-a-step-check",
         "32-pairs-complex-nonfaces",
@@ -894,6 +944,21 @@ def test_homology_of_the_sixty_three_vertex_complex_document(monkeypatch, capsys
     assert rc == 0
     assert json.loads(out) == {"reduced_betti": [0] * 60 + [1]}  # the 59-sphere profile
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("n, code", [(25, 0), (27, cli.EX_INPUT)])
+def test_verify_answers_odd_cycles_up_to_twenty_five_vertices(n, code, monkeypatch, capsys):
+    # The nerve of a maximum odd cycle's family depends only on n, and the
+    # facets' sum of 2^|F| is 2^(n-3) for each of n(n^2-1)/24 facets: 1.4e10
+    # at n = 27, so both limits are passed and `verify` refuses it up front.
+    fam, _ = instantiate((1,) * n)
+    rc, out, err, elapsed = run_main_timed(["verify"], serialize.family_to_doc(fam), monkeypatch, capsys)
+    assert rc == code
+    if code:
+        assert out == "" and err.startswith("error: too many faces to enumerate: the sum over facets of 2^|F| is ")
+    else:
+        assert json.loads(out)["ok"] is True
+    assert elapsed < 3.0
 
 
 def test_verify_below_the_face_limit(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from tests_shared import (
     permuted_family,
     random_gale_configuration,
     random_points,
+    reference_alternating_blocks,
 )
 
 from oddsphere.catalog import enumerate_bracelets, instantiate
@@ -50,7 +51,6 @@ from oddsphere.recognizer import (
     Sphere,
     _blocks,
     _certificate,
-    alternating_blocks,
     cycle_complex,
     find_max_odd_cycle,
     recognize,
@@ -199,7 +199,7 @@ def test_realize_every_rotation_and_reflection_of_the_ordering():
         n = len(ordering)
         for r in range(n):
             for turned in (ordering[r:] + ordering[:r], tuple(reversed(ordering[r:] + ordering[:r]))):
-                blocks = alternating_blocks(turned)
+                blocks = reference_alternating_blocks(turned)
                 g = realize_gale_vectors(Certificate(fam.m, [blocks[-2 * j % n] for j in range(n)]))
                 recovered = recover_nonfaces(g)
                 assert recovered is not None and recovered[0] == fam

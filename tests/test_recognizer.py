@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oddsphere import recognizer as recognizer_module
@@ -23,17 +23,15 @@ from oddsphere.complexes import (
 )
 from oddsphere.recognizer import (
     Certificate,
-    EvenLength,
     NotSphere,
     NotSphereReason,
     OutOfScope,
     Sphere,
-    TooShort,
     _certificate,
     _complements,
+    _read_family,
     _recognize_nonfaces,
     _sphere_from_facets,
-    alternating_blocks,
     cycle_complex,
     find_max_odd_cycle,
     recognize,
@@ -45,6 +43,7 @@ from tests_shared import (
     nonface_families,
     permuted,
     permuted_family,
+    reference_alternating_blocks,
 )
 
 PENTAGON_F = ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5))
@@ -59,7 +58,7 @@ def brute_force_max_odd_cycle_exists(f: NonFaceFamily) -> bool:
     for perm in itertools.permutations(members):
         if any(set(perm[i]) & set(perm[(i + 1) % n]) for i in range(n)):
             continue
-        blocks = alternating_blocks(perm)
+        blocks = reference_alternating_blocks(perm)
         union = set().union(*[set(b) for b in blocks])
         if (
             all(blocks)
@@ -72,25 +71,12 @@ def brute_force_max_odd_cycle_exists(f: NonFaceFamily) -> bool:
 
 
 def test_alternating_blocks_pentagon():
-    assert alternating_blocks(PENTAGON_F) == ((1,), (2,), (3,), (4,), (5,))
+    assert _read_family(NonFaceFamily(5, PENTAGON_F)).blocks == ((1,), (2,), (3,), (4,), (5,))
 
 
 def test_alternating_blocks_three_cycle_is_identity():
     o = ((1, 2), (3, 4), (5, 6))
-    assert alternating_blocks(o) == o
-
-
-def test_alternating_blocks_rejects_bad_lengths():
-    with pytest.raises(EvenLength):
-        alternating_blocks(((1, 2), (3, 4), (5, 6), (1, 7)))
-    with pytest.raises(TooShort):
-        alternating_blocks(((1, 2),))
-
-
-@pytest.mark.parametrize("ordering, label", [(((0, 1), (2, 3), (4, 5)), "0"), (((True, 2), (3, 4), (5, 6)), "True")])
-def test_alternating_blocks_refuses_labels_as_rows_are_refused(ordering, label):
-    with pytest.raises(InvariantError, match=f"^vertex labels must be integers >= 1, got {label}$"):
-        alternating_blocks(ordering)
+    assert _read_family(NonFaceFamily(6, o)).blocks == o
 
 
 def test_find_max_odd_cycle_pentagon():
@@ -291,7 +277,7 @@ def test_dihedral_invariance_and_canonical_uniqueness():
         for r in range(n):
             seqs.append(tuple(seq[r:] + seq[:r]))
     for seq in seqs:
-        assert Certificate(5, slots_of(alternating_blocks(seq))) == cert  # one value per orbit
+        assert Certificate(5, slots_of(reference_alternating_blocks(seq))) == cert  # one value per orbit
         assert canonical_certificate(seq) == (cert.blocks, cert.ordering)  # one representative per orbit
 
 
@@ -387,6 +373,16 @@ def test_property_recognized_certificates_are_valid_and_canonical(f):
         assert find_max_odd_cycle(f) == (verdict.certificate if verdict.certificate.n >= 3 else None)
 
 
+@settings(deadline=None, max_examples=200)
+@given(relabelled_families())
+@example(NonFaceFamily(3, ()))  # the full simplex
+@example(NonFaceFamily(8, ((1, 2), (3, 4), (5, 6), (7, 8))))  # out of scope: m - d = 5
+@example(NonFaceFamily(6, ((1, 2), (3, 4), (5, 6), (1, 3, 5))))  # even, so dualized for d
+def test_property_a_family_is_recognized_as_its_complex(f):
+    # read as given, and through the complex that Berge's dualization builds from it
+    assert recognize(f) == recognize(complex_from_nonfaces(f))
+
+
 def test_canonical_rotation_is_the_least_of_all_dihedral_variants():
     # `_certificate` compares two candidates, both starting at the least block
     rng = random.Random(1931)
@@ -400,7 +396,7 @@ def test_canonical_rotation_is_the_least_of_all_dihedral_variants():
             for seq in (ordering, relabelled):
                 for r in range(n):
                     for turned in (seq[r:] + seq[:r], (seq[r:] + seq[:r])[::-1]):
-                        masks = [_row_mask(a, MAX_VERTICES) for a in alternating_blocks(turned)]
+                        masks = [_row_mask(a, MAX_VERTICES) for a in reference_alternating_blocks(turned)]
                         cert = _certificate(masks)
                         assert (cert.blocks, cert.ordering) == brute_force_canonical_certificate(turned)
 

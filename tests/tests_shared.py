@@ -29,7 +29,7 @@ from oddsphere.oracle import (
     is_pseudomanifold,
     sphere_betti_profile,
 )
-from oddsphere.recognizer import Certificate, alternating_blocks
+from oddsphere.recognizer import Certificate
 
 
 def face_mask(face: Face) -> int:
@@ -313,6 +313,15 @@ def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     return tuple(sorted(facets))
 
 
+def reference_alternating_blocks(ordering) -> tuple[Face, ...]:
+    """B_i = A_i & A_{i+2} & ... & A_{i+n-3} (indices mod n) of an odd cyclic ordering, as sets of labels."""
+    n = len(ordering)
+    return tuple(
+        tuple(sorted(set.intersection(*(set(ordering[(i + 2 * j) % n]) for j in range((n - 1) // 2)))))
+        for i in range(n)
+    )
+
+
 def canonical_certificate(ordering) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
     """(blocks, ordering) of the dihedral variant whose block sequence is lexicographically least.
 
@@ -323,7 +332,7 @@ def canonical_certificate(ordering) -> tuple[tuple[Face, ...], tuple[Face, ...]]
     """
     ordering = tuple(ordering)
     n = len(ordering)
-    blocks = alternating_blocks(ordering)
+    blocks = reference_alternating_blocks(ordering)
     rev_blocks = tuple(blocks[(2 - i) % n] for i in range(n))
     return min(
         (b[r:] + b[:r], seq[r:] + seq[:r])
@@ -350,7 +359,7 @@ def assert_valid_and_canonical(cert: Certificate, m: int) -> None:
         assert ordering == blocks == tuple(sorted(blocks))
     else:
         assert not any(set(a) & set(b) for a, b in zip(ordering, ordering[1:] + ordering[:1]))
-        assert alternating_blocks(ordering) == blocks
+        assert reference_alternating_blocks(ordering) == blocks
         assert (blocks, ordering) == canonical_certificate(ordering)
     assert Certificate(m, cert.slots) == cert
 
@@ -361,7 +370,7 @@ def brute_force_canonical_certificate(ordering) -> tuple[tuple[Face, ...], tuple
     variants = [
         tuple(seq[r:] + seq[:r]) for seq in (list(ordering), list(reversed(ordering))) for r in range(n)
     ]
-    return min((alternating_blocks(seq), seq) for seq in variants)
+    return min((reference_alternating_blocks(seq), seq) for seq in variants)
 
 
 def reference_betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
