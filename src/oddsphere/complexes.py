@@ -21,7 +21,8 @@ the one thing their construction does not prove.
 The dualizations and face enumerations can grow exponentially; each stops
 at the limits defined here (MAX_NERVE_FACES, WORK_PER_SET,
 NERVE_WORK_PER_SET, MAX_FACE_SUBSETS) and raises EnumerationLimitError, so
-the library and the command line refuse the same inputs.
+the library and the command line refuse the same inputs; MAX_HULL_WORK
+bounds the hull's scan of point subsets in `oracle` the same way.
 
 All values are immutable and all operations are pure functions, so
 everything in this module is safe to share between threads.  A complex
@@ -248,6 +249,17 @@ MAX_NERVE_FACES = 1 << 17
 # 2.7 s.
 NERVE_WORK_PER_SET = 32
 WORK_PER_SET = 256
+
+# The work `oracle.hull_facets` may spend scanning the D-subsets of n points
+# in Q^D one by one, which it does only at codimension n - D - 1 > 3
+# (`MINOR_MAX_CODIM`): C(n, D) subsets, each D^2 units for its elimination
+# and one per side test of the other n - D points.  A unit took 1.1-1.5 us
+# on random points with 5 <= D <= 15, and 2.2 us on 512 points on a line,
+# whose subset masks are long (2-vCPU x86-64 VM, Python 3.11), so a scan
+# stops within about 0.6 s.  A bound on C(n, D) alone would admit thousands
+# of points on a line, whose scan is cubic in n and whose memoized
+# orientations grow as n^2 / 2 keys of n bits: 2,048 of them took 224 s.
+MAX_HULL_WORK = 1 << 18
 
 
 def _minimal_transversals(

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .complexes import NonFaceFamily, _built
 from .linalg import (
     Vec,
+    _fraction_free_rref,
     _integer_row,
     cross2,
     dot,
@@ -202,22 +203,33 @@ def gale_transform(points: PointConfiguration) -> GaleConfiguration:
 def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     """Affinely spanning points in Q^{n-e-1} whose Gale transform spans like g.
 
-    The orthogonal complement of the configuration's column space contains
-    the all-ones vector (zero sum); the canonical basis of that complement
-    without its last vector is read off columnwise as point coordinates.
-    The points skip the constructor's checks, which this proves: the basis
-    holds only `Fraction`s, and each point has d >= 1 coordinates.
+    Point i is column i of the kernel basis of the configuration's
+    coordinate rows (`linalg.kernel_basis`: 1 at its own free column, 0 at
+    the others) without its last vector, which leaves a complement of the
+    all-ones vector, the sum of the whole basis (zero sum).  Read off the
+    fraction-free reduction, `det` times the rref, the point of the k-th
+    free column is the k-th unit vector, or the origin for the last one,
+    and that of the pivot column of row r has the homogeneous row
+    (-red[r][free], det), divided by its gcd, with the sign that makes it
+    the primitive row with last entry > 0 that `PointConfiguration` stores.
+    The points skip the constructor's checks, which this proves: each has
+    d >= 1 coordinates.
     """
     n, e = g.n, g.dim
     d = n - e - 1
     if d < 1:
         raise InvalidConfiguration(f"reconstruction needs n - e - 1 >= 1, got {d}")
-    # at e = 0 a zero row stands for the empty matrix, whose kernel is Q^n
-    kern = kernel_basis([[v[coord] for v in g.vectors] for coord in range(e)] or [[0] * n])
-    # Each basis vector is 1 at its own free column and 0 at the other free
-    # columns, and the all-ones vector lies in the kernel (zero sum), so it is
-    # the sum of the whole basis: dropping the last vector leaves a complement.
-    return _built(PointConfiguration, points=tuple(tuple(b[i] for b in kern[:-1]) for i in range(n)))
+    red, pivots, det, _ = _fraction_free_rref([_integer_row(v[coord] for v in g.vectors) for coord in range(e)])
+    taken = set(pivots)
+    free = [j for j in range(n) if j not in taken]
+    rows: list[tuple[int, ...]] = [()] * n
+    for k, j in enumerate(free):
+        rows[j] = tuple(int(i == k) for i in range(d)) + (1,)
+    for row, j in zip(red, pivots):
+        h = [-row[f] for f in free[:d]] + [det]
+        divisor = math.gcd(*h) if det > 0 else -math.gcd(*h)
+        rows[j] = tuple(x // divisor for x in h)
+    return _built(PointConfiguration, _rows=tuple(rows))
 
 
 def dependence_from_direction(g: GaleConfiguration, alpha: Sequence) -> Vec:

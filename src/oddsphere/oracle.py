@@ -3,11 +3,12 @@
 The oracles answer geometric and topological questions from first principles
 so the other modules can be checked against them.  The homology reads the
 minimal non-faces, which `complexes` derives again from the facets, but
-nothing here takes a Gale diagram as input.  Facet enumeration reduces
-the matrix of the points' integer homogeneous columns once, sparsest
-columns first, and keeps facets as bitmasks until they are decoded into
-label tuples.  At codimension c = n - D - 1 <= 3, which every realized
-sphere has (n = D+3), the facets are read off the kernel of that matrix,
+nothing here takes a Gale diagram as input.  A point configuration is
+its points' primitive integer homogeneous rows, and the hull reads nothing
+else: facet enumeration reduces the matrix whose columns are those rows
+once, sparsest columns first, and keeps facets as bitmasks until they are
+decoded into label tuples.  At codimension c = n - D - 1 <= 3, which every
+realized sphere has (n = D+3), the facets are read off the kernel of that matrix,
 a Gale transform recomputed from the coordinates alone: a D-subset is a
 facet iff the c+1 kernel rows outside it have a strictly positive linear
 dependence (Gale duality), and bitmasks of cofactor signs decide that for
@@ -27,8 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_, mul, or_
+from typing import Sequence
 
-from .complexes import Chains, Face, SimplicialComplex, _clip, _face, _from_masks, enumerate_chains
+from .complexes import (
+    MAX_HULL_WORK,
+    Chains,
+    EnumerationLimitError,
+    Face,
+    SimplicialComplex,
+    _clip,
+    _face,
+    _from_masks,
+    enumerate_chains,
+)
 from .linalg import Vec, _fraction_free_rref, vec
 
 
@@ -44,9 +56,19 @@ class InteriorPoint(ValueError):
     """Some labelled point is not a vertex of the hull."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfiguration:
-    """Labelled points x_1, ..., x_n in Q^D; label i is points[i-1]."""
+    """Labelled points x_1, ..., x_n in Q^D; label i is points[i-1].
+
+    A configuration is its points' primitive integer homogeneous rows
+    `_rows`: x becomes (L*x, L), L > 0 the lcm of its denominators, the one
+    integer row on the ray of (x, 1) whose entries have gcd 1.  Equality and
+    hashing compare the rows, and the hull reads only them.  The constructor
+    checks its points and converts them once; a configuration the library
+    derives is built from its rows by `complexes._built`, and its `points`,
+    tuples of `Fraction`, are decoded the first time something reads them
+    and kept in the instance __dict__.
+    """
 
     points: tuple[Vec, ...]
 
@@ -60,14 +82,32 @@ class PointConfiguration:
             raise ValueError(f"points of mixed dimensions {sorted(dims)}")
         if pts[0] == ():
             raise ValueError("points must live in dimension >= 1")
+        rows = []
+        for p in pts:
+            scale = math.lcm(*(x.denominator for x in p))
+            rows.append((*(x.numerator * (scale // x.denominator) for x in p), scale))
+        object.__setattr__(self, "_rows", tuple(rows))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._rows == other._rows
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __getattr__(self, name):  # called only for names missing from the instance __dict__
+        if name != "points":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pts = tuple(tuple(Fraction(a, row[-1]) for a in row[:-1]) for row in self._rows)
+        object.__setattr__(self, "points", pts)
+        return pts
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._rows)
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return len(self._rows[0]) - 1
 
 
 def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
@@ -84,18 +124,20 @@ def hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
 def _facet_masks(pc: PointConfiguration) -> list[int]:
     """The facets of `hull_facets` as bitmasks, unsorted.
 
-    Point x becomes the integer row h = (L*x, L), with L > 0 the lcm of its
-    denominators.  The (D+1) x n matrix M whose columns are these rows is
-    reduced once, its columns stably sorted most zeros first (Markowitz):
-    on a realized polytope, n - 3 unit vectors and the origin, every pivot
-    is then 1 and each step rewrites one row.  Its rank decides
-    `NotFullDimensional`.  The rest depends on the codimension c = n - D - 1:
+    The (D+1) x n matrix M whose columns are the points' rows h = (L*x, L)
+    (`PointConfiguration._rows`) is reduced once, its columns stably sorted
+    most zeros first (Markowitz): on a realized polytope, n - 3 unit
+    vectors and the origin, every pivot is then 1 and each step rewrites
+    one row.  Its rank decides `NotFullDimensional`.  The rest depends on
+    the codimension c = n - D - 1:
 
     - c <= MINOR_MAX_CODIM: the facets are read off the kernel of M (see
       `_kernel_facets`), with bitmask operations over the c-subsets of the
       points instead of a scan over the D-subsets.
-    - larger c: each D-subset is scanned.  The side of p relative to S is
-      the orientation chi(T) of T = S + {p}, the sign of the determinant of
+    - larger c: each D-subset is scanned, once a check made before any
+      work finds the scan within `complexes.MAX_HULL_WORK` (else
+      EnumerationLimitError).  The side of p relative to S is the
+      orientation chi(T) of T = S + {p}, the sign of the determinant of
       T's rows in label order, times (-1)^#{s in S : s > p}; S is a facet
       iff these signs agree and none is zero (the oriented-matroid facet
       criterion).  Orientations are memoized by the bitmask of T, since D+1
@@ -106,10 +148,14 @@ def _facet_masks(pc: PointConfiguration) -> list[int]:
       non-pivot column and `swaps` the elimination's row swaps.
     """
     n, d = pc.n, pc.dim
-    homogeneous = []
-    for p in pc.points:  # entries are Fractions (`PointConfiguration`)
-        scale = math.lcm(*(x.denominator for x in p))
-        homogeneous.append([x.numerator * (scale // x.denominator) for x in p] + [scale])
+    if n - d - 1 > MINOR_MAX_CODIM:
+        work = math.comb(n, d) * (d * d + n - d)
+        if work > MAX_HULL_WORK:
+            raise EnumerationLimitError(
+                f"too many hyperplanes to test: scanning the {d}-subsets of {n} points in Q^{d} takes "
+                f"{_clip(str(work))} units of work, past the limit of {MAX_HULL_WORK}"
+            )
+    homogeneous = pc._rows
     order = sorted(range(n), key=lambda j: -homogeneous[j].count(0))
     red, pivots, det, _ = _fraction_free_rref([list(r) for r in zip(*(homogeneous[j] for j in order))])
     if len(pivots) < d + 1:
@@ -170,7 +216,7 @@ MINOR_MAX_CODIM = 3
 
 
 def _kernel_facets(
-    homogeneous: list[list[int]], red: list[list[int]], pivots: list[int], det: int, order: list[int]
+    homogeneous: Sequence[Sequence[int]], red: list[list[int]], pivots: list[int], det: int, order: list[int]
 ) -> list[int]:
     """The facet masks, unsorted, from the full-rank reduction of M, for c <= 3.
 
@@ -269,7 +315,7 @@ def _cofactor(rows: list[list[int]]) -> tuple[int, ...]:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
+def _subset_normal(homogeneous: Sequence[Sequence[int]], combo: tuple[int, ...]):
     """(normal, det, flip) for the rows `combo`, or (None, 0, 0) if they are dependent.
 
     The normal is integer with free-column entry `det`, and
@@ -288,7 +334,7 @@ def _subset_normal(homogeneous: list[list[int]], combo: tuple[int, ...]):
     return normal, det, -1 if (d + free + swaps) % 2 else 1
 
 
-def _non_simplicial(homogeneous: list[list[int]], combo: tuple[int, ...]) -> NonSimplicial:
+def _non_simplicial(homogeneous: Sequence[Sequence[int]], combo: tuple[int, ...]) -> NonSimplicial:
     """The error for the independent subset `combo`, whose hyperplane supports more points."""
     normal, det, _ = _subset_normal(homogeneous, combo)
     shown = "(" + ", ".join(str(Fraction(a, det)) for a in normal) + ")"  # free-column entry 1

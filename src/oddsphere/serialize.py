@@ -8,6 +8,7 @@ is byte-stable: same document in, same bytes out.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .catalog import CatalogReport
@@ -96,7 +97,16 @@ def family_from_doc(doc) -> NonFaceFamily:
 
 
 def points_to_doc(pc: PointConfiguration) -> dict:
-    return {"dim": pc.dim, "points": [[fraction_to_str(x) for x in p] for p in pc.points]}
+    """The points as rows of "p/q" strings, each entry a/L of a point's row (a, L) in lowest terms.
+
+    The rows are `PointConfiguration._rows`; the strings are those
+    `fraction_to_str` prints for the points, and no `Fraction` is built.
+    """
+    points = []
+    for *coords, scale in pc._rows:
+        gcds = [math.gcd(a, scale) for a in coords]
+        points.append([f"{a // g}/{scale // g}" for a, g in zip(coords, gcds)])
+    return {"dim": pc.dim, "points": points}
 
 
 def points_from_doc(doc) -> PointConfiguration:

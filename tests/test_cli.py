@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from oddsphere.catalog import CatalogVerificationError, catalog, enumerate_brace
 from oddsphere.complexes import NonFaceFamily, complex_from_nonfaces, minimal_nonfaces
 from oddsphere.oracle import PointConfiguration
 from oddsphere.recognizer import Certificate, InternalInconsistency, recognize
-from tests_shared import nonface_families, one_and_two_blocks, simplicial_complexes
+from tests_shared import nonface_families, one_and_two_blocks, random_points, simplicial_complexes
 
 PENTAGON_DOC = {"m": 5, "nonfaces": [[1, 4], [2, 5], [1, 3], [2, 4], [3, 5]]}
 SIX_CYCLE_DOC = {"m": 6, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}
@@ -722,6 +723,44 @@ def test_hull_of_a_realized_forty_four_vertex_bracelet_is_fast(monkeypatch, caps
     assert elapsed < 2.0
     # compare non-faces: expanding the family into facets is the slow direction
     assert minimal_nonfaces(serialize.complex_from_doc(json.loads(out))) == fam
+
+
+def test_hull_past_its_work_limit_exits_64_at_once(monkeypatch, capsys):
+    # 18 points in Q^9, a document of about 1 KB: C(18, 9) = 48,620 subsets at codimension 8
+    doc = serialize.points_to_doc(random_points(random.Random(18), 18, 9, span=3))
+    rc, out, err, elapsed = run_main_timed(["hull"], doc, monkeypatch, capsys)
+    assert (rc, out) == (cli.EX_INPUT, "")
+    assert err == (
+        "error: too many hyperplanes to test: scanning the 9-subsets of 18 points in Q^9 takes "
+        f"4375800 units of work, past the limit of {complexes.MAX_HULL_WORK}\n"
+    )
+    assert elapsed < 0.5
+
+
+def test_hull_of_a_cyclic_polytope_within_the_work_limit_is_answered(monkeypatch, capsys):
+    # 14 points on the moment curve in Q^9, codimension 4: its facets obey Gale's evenness condition
+    n, d = 14, 9
+    doc = {"dim": d, "points": [[str(t ** k) for k in range(1, d + 1)] for t in range(n)]}
+    rc, out, _, elapsed = run_main_timed(["hull"], doc, monkeypatch, capsys)
+    assert rc == 0 and elapsed < 2.0
+
+    def gale_evenness(facet):
+        gaps = [v for v in range(1, n + 1) if v not in facet]
+        return all(sum(i < v < j for v in facet) % 2 == 0 for i, j in itertools.combinations(gaps, 2))
+
+    facets = [list(f) for f in itertools.combinations(range(1, n + 1), d) if gale_evenness(f)]
+    assert json.loads(out) == {"m": n, "facets": facets}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["realize", "--verify"], serialize.family_to_doc(instantiate((1, 2, 1, 1, 2))[0])),
+    (["catalog", "--m", "7"], None),
+], ids=["realize-verify", "catalog"])
+def test_the_realization_round_trip_builds_no_fraction(argv, doc, monkeypatch):
+    # the points are integer rows from the Gale vectors to the hull and the printed document
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    with unittest.mock.patch.object(Fraction, "__new__", side_effect=AssertionError("a Fraction was built")):
+        assert cli.main(argv) == 0
 
 
 def test_realize_eleven_disjoint_pairs_is_fast(monkeypatch, capsys):

@@ -500,16 +500,30 @@ def test_verified_classes_accepts_only_the_diagrams_classes(vectors, accepted):
     assert _verified_classes(SHARED_SLOT, vectors) is accepted
 
 
-# (family, certificate) of every sphere shape: the bracelets with 5 <= m <= 12,
-# and the one- and two-block spheres with m <= 12, whose members are the blocks
-ROUND_TRIP_SPHERES = [
-    [instantiate(b) for m in range(5, 13) for b in enumerate_bracelets(m)],
-    [(NonFaceFamily(m, blocks), Certificate(m, blocks)) for m, blocks in one_and_two_blocks(12)],
-]
+@st.composite
+def odd_cycle_spheres(draw, max_m: int):
+    """(family, certificate) of the maximum odd cycle whose slots are a random composition of m <= max_m.
+
+    Any rotation or reflection of a bracelet is one too (`instantiate`), so
+    the parts are cut at random: 2k+1 of them, each at least 2 when k = 1.
+    """
+    k = draw(st.integers(1, (max_m - 1) // 2))
+    n, least = 2 * k + 1, 2 if k == 1 else 1
+    total = draw(st.integers(n * least, max_m)) - n * (least - 1)  # cut into n parts of at least 1
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=n - 1, max_size=n - 1)))
+    return instantiate(tuple(b - a + least - 1 for a, b in zip([0, *cuts], [*cuts, total])))
+
+
+# (family, certificate) of every sphere shape on at most 32 vertices: a maximum
+# odd cycle, or one or two blocks that are the members
+ROUND_TRIP_SPHERES = st.one_of(
+    odd_cycle_spheres(32),
+    st.sampled_from([(NonFaceFamily(m, blocks), Certificate(m, blocks)) for m, blocks in one_and_two_blocks(32)]),
+)
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.sampled_from(ROUND_TRIP_SPHERES).flatmap(st.sampled_from).flatmap(
+@given(ROUND_TRIP_SPHERES.flatmap(
     lambda sphere: st.tuples(st.just(sphere), st.permutations(range(1, sphere[0].m + 1)))
 ))
 def test_property_relabelled_bracelet_realizes_its_complex(case):

@@ -20,19 +20,24 @@ from tests_shared import (
     random_fraction,
     random_points,
     reference_betti_mod2,
+    reference_homogeneous_rows,
     reference_hull_facets,
+    reference_reconstruct_points,
     simplicial_complexes,
 )
 
 from oddsphere import oracle
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
+    MAX_HULL_WORK,
     NERVE_FACE_COST,
     Chains,
+    EnumerationLimitError,
     NonFaceFamily,
     SimplicialComplex,
     _face_masks_by_size,
     _face_subset_bound,
+    _built,
     _nerve,
     complex_from_nonfaces,
     enumerate_chains,
@@ -40,7 +45,8 @@ from oddsphere.complexes import (
     f_vector,
     minimal_nonfaces,
 )
-from oddsphere.gale import realize_gale_vectors, reconstruct_points
+from oddsphere.gale import GaleConfiguration, InvalidConfiguration, realize_gale_vectors, reconstruct_points
+from oddsphere.linalg import _fraction_free_rref
 from oddsphere.oracle import (
     InteriorPoint,
     NonSimplicial,
@@ -107,6 +113,75 @@ def hull_outcome(hull, pc):
 def test_property_hull_facets_matches_fraction_reference(pc, crowded):
     assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
     assert hull_outcome(hull_facets, crowded) == hull_outcome(reference_hull_facets, crowded)
+
+
+# -- a configuration is its integer rows ----------------------------------------
+
+def assert_rows_match_fraction_points(built, points):
+    """`built`, made by the library from integer rows, is what the constructor makes of the `Fraction` points.
+
+    Equal and hash-equal, with the same rows and decoded points, and the
+    same facets, or the same error, from the hull and the boundary complex
+    as the `Fraction` reference hull.
+    """
+    assert "points" not in vars(built)  # decoded only when read
+    checked = PointConfiguration(points)
+    assert built == checked and hash(built) == hash(checked)
+    assert built._rows == checked._rows == reference_homogeneous_rows(checked.points)
+    assert built.points == checked.points == tuple(map(tuple, points))
+    expected = hull_outcome(reference_hull_facets, checked)
+    assert hull_outcome(hull_facets, built) == expected
+    if isinstance(expected[0], tuple):  # facets, not an error
+        missing = sorted(set(range(1, checked.n + 1)).difference(*expected))
+        if missing:
+            expected = InteriorPoint, f"point {missing[0]} is not a vertex of the hull"
+    try:
+        outcome = boundary_complex(built).facets
+    except (NonSimplicial, NotFullDimensional, InteriorPoint) as exc:
+        outcome = type(exc), str(exc)
+    assert outcome == expected
+
+
+@st.composite
+def gale_configurations(draw):
+    """n zero-sum vectors in Q^e, e <= 2, with denominators up to 3, drawn until they span; n - e - 1 >= 1."""
+    e = draw(st.integers(0, 2))
+    n = draw(st.integers(e + 2, e + 7))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    head = draw(st.lists(st.tuples(*[coord] * e), min_size=n - 1, max_size=n - 1))
+    try:
+        return GaleConfiguration(tuple(head) + (tuple(-sum(v[c] for v in head) for c in range(e)),))
+    except InvalidConfiguration:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gale_configurations(), rational_configurations())
+def test_property_configurations_from_rows_match_the_fraction_points(g, pc):
+    assert_rows_match_fraction_points(reconstruct_points(g), reference_reconstruct_points(g))
+    from_rows = _built(PointConfiguration, _rows=reference_homogeneous_rows(pc.points))
+    assert_rows_match_fraction_points(from_rows, pc.points)
+
+
+@pytest.mark.parametrize("vectors", [
+    ((-1,), (2,), (-1,), (0,)),  # three collinear points: not simplicial
+    # a realized diagram with its coordinates swapped, a reflection: a realized polytope
+    tuple((y, x) for x, y in realize_gale_vectors(instantiate((1, 2, 1, 1, 1))[1]).vectors),
+], ids=["collinear", "reflected-diagram"])
+def test_reconstruct_points_over_a_negative_det_matches_the_fraction_points(vectors):
+    g = GaleConfiguration(vectors)
+    assert _fraction_free_rref([[v[c] for v in vectors] for c in range(g.dim)])[2] < 0
+    assert_rows_match_fraction_points(reconstruct_points(g), reference_reconstruct_points(g))
+
+
+def test_hull_scan_admits_its_work_limit_and_refuses_past_it():
+    # n equal points in Q^1: a scan of n * (1 + n - 1) units, which the rank check ends at once
+    n = math.isqrt(MAX_HULL_WORK)
+    assert n * n == MAX_HULL_WORK
+    with pytest.raises(NotFullDimensional):
+        hull_facets(PointConfiguration(((0,),) * n))
+    with pytest.raises(EnumerationLimitError, match=rf"past the limit of {MAX_HULL_WORK}$"):
+        boundary_complex(PointConfiguration(((0,),) * (n + 1)))
 
 
 @st.composite

@@ -313,6 +313,34 @@ def reference_hull_facets(pc: PointConfiguration) -> tuple[Face, ...]:
     return tuple(sorted(facets))
 
 
+def reference_reconstruct_points(g: GaleConfiguration) -> tuple[tuple[Fraction, ...], ...]:
+    """`gale.reconstruct_points` as it was built on `Fraction`s.
+
+    Point i is column i of the kernel basis of the configuration's
+    coordinate rows, without its last vector; each basis vector is 1 at its
+    own free column and 0 at the other free ones.
+    """
+    n, e = g.n, g.dim
+    red, pivots = reference_rref([[v[c] for v in g.vectors] for c in range(e)] or [[0] * n])
+    basis = []
+    for fc in (j for j in range(n) if j not in pivots):
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for row, col in zip(red, pivots):
+            x[col] = -row[fc]
+        basis.append(x)
+    return tuple(tuple(b[i] for b in basis[:-1]) for i in range(n))
+
+
+def reference_homogeneous_rows(points) -> tuple[tuple[int, ...], ...]:
+    """Each point x of `Fraction`s as the integer row (L*x, L), L > 0 the lcm of its denominators."""
+    rows = []
+    for p in points:
+        scale = math.lcm(*(x.denominator for x in p))
+        rows.append(tuple(x.numerator * (scale // x.denominator) for x in p) + (scale,))
+    return tuple(rows)
+
+
 def reference_alternating_blocks(ordering) -> tuple[Face, ...]:
     """B_i = A_i & A_{i+2} & ... & A_{i+n-3} (indices mod n) of an odd cyclic ordering, as sets of labels."""
     n = len(ordering)
