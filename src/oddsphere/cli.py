@@ -3,7 +3,9 @@
 Every subcommand takes `--output/-o` and all but `catalog` `--input/-i`;
 `check`, `realize` and `verify` take `--verbose` and read a complex or a
 non-face document as given (`_read_input`), `realize` takes `--verify` and
-`catalog` `--m`.
+`catalog` `--m`. Each call of `main` builds only the parser of the command
+its first argument names (all of them when it names none) and keeps nothing
+between calls.
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 2 (out of scope); `realize` exits 1 on every input `check` does not call a
@@ -164,23 +166,32 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "check": ("decide sphereness of a complex or non-face family", _cmd_check),
+    "nonfaces": ("minimal non-faces of a complex", _cmd_nonfaces),
+    "complex": ("facets of the complex determined by non-faces", _cmd_complex),
+    "realize": ("exact polytope realization of a sphere", _cmd_realize),
+    "hull": ("facets of the convex hull of rational points", _cmd_hull),
+    "homology": ("reduced GF(2) Betti numbers of a complex", _cmd_homology),
+    "catalog": ("all spheres on m vertices of dimension m-4", _cmd_catalog),
+    "verify": ("full recognizer/realization/oracle cross-check", _cmd_verify),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`: with only the subparser of the command `argv[0]` names, else with all of them."""
     parser = argparse.ArgumentParser(
         prog="oddsphere",
         description="Recognize, realize, and catalog simplicial spheres on few vertices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "check": ("decide sphereness of a complex or non-face family", _cmd_check),
-        "nonfaces": ("minimal non-faces of a complex", _cmd_nonfaces),
-        "complex": ("facets of the complex determined by non-faces", _cmd_complex),
-        "realize": ("exact polytope realization of a sphere", _cmd_realize),
-        "hull": ("facets of the convex hull of rational points", _cmd_hull),
-        "homology": ("reduced GF(2) Betti numbers of a complex", _cmd_homology),
-        "catalog": ("all spheres on m vertices of dimension m-4", _cmd_catalog),
-        "verify": ("full recognizer/realization/oracle cross-check", _cmd_verify),
-    }
-    for name, (help_text, handler) in commands.items():
+    named = argv[:1] if argv and isinstance(argv[0], str) and argv[0] in COMMANDS else list(COMMANDS)
+    # a lone subparser would show as {check} in the top-level usage line that an
+    # "unrecognized arguments" error prints; on the full parser the metavar would
+    # also replace "argument command" in its "invalid choice" and "required" errors
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if len(named) == 1 else None)
+    for name in named:
+        help_text, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if name != "catalog":
@@ -196,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EX_INPUT if exc.code else 0
     try:

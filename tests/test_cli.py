@@ -406,15 +406,34 @@ def test_verbose_certificate_follows_redirected_stderr(command, monkeypatch):
 VERBOSE_ELSEWHERE = [["nonfaces"], ["complex"], ["hull"], ["homology"], ["catalog", "--m", "5"]]
 
 
+# the choice list of the top-level usage line, which must name every command
+# whichever parser `main` built for the call
+EVERY_COMMAND = "{check,nonfaces,complex,realize,hull,homology,catalog,verify}"
+UNRECOGNIZED = "oddsphere: error: unrecognized arguments: "
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["catalog", "--m", "x"], ["check", "--bogus"], [], *([*a, "--verbose"] for a in VERBOSE_ELSEWHERE)],
-    ids=["bad-int", "flag", "none", *(f"{a[0]}-verbose" for a in VERBOSE_ELSEWHERE)],
+    "argv, error",
+    [(["catalog", "--m", "x"], "oddsphere catalog: error: argument --m: invalid int value: 'x'"),
+     (["check", "--bogus"], UNRECOGNIZED + "--bogus"),
+     ([], "oddsphere: error: the following arguments are required: command"),
+     *(([*a, "--verbose"], UNRECOGNIZED + "--verbose") for a in VERBOSE_ELSEWHERE),
+     (["bogus"], "oddsphere: error: argument command: invalid choice: 'bogus'"),
+     # a leading "--" reaches the command choice on Python 3.11 but newer
+     # argparse releases may drop it; either way this is a top-level error
+     (["--", "check", "--bogus"], "oddsphere: error: "),
+     (["check", "--output=z", "extra"], UNRECOGNIZED + "extra")],
+    ids=["bad-int", "flag", "none", *(f"{a[0]}-verbose" for a in VERBOSE_ELSEWHERE),
+         "unknown-command", "double-dash", "extra-positional"],
 )
-def test_usage_errors_exit_64(argv, capsys):
+def test_usage_errors_exit_64(argv, error, capsys):
     assert cli.main(argv) == cli.EX_INPUT
     _, err = capsys.readouterr()
-    assert err.startswith("usage: oddsphere") and "error:" in err and "Traceback" not in err
+    assert err.startswith("usage: oddsphere") and "Traceback" not in err
+    usage, found, _ = err.partition("\n" + error)
+    assert found
+    if error.startswith("oddsphere: "):
+        assert EVERY_COMMAND in usage
 
 
 RP2_FACETS = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6],
@@ -497,9 +516,50 @@ def test_spheres_are_recognized_without_dualization(argv, monkeypatch, capsys):
         assert rc == 0, (doc, err)
 
 
-def test_help_exits_zero(capsys):
+def test_help_exits_zero(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text at hyphens on a narrow terminal
     assert cli.main(["check", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: oddsphere check")
+    assert cli.main(["--help"]) == 0
+    words = " ".join(capsys.readouterr().out.split())
+    for name, (help_text, _) in cli.COMMANDS.items():
+        assert f"{name} {help_text}" in words
+
+
+def test_entry_point_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oddsphere", "catalog", "--m", "5"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 5
+
+
+# argument lists for `build_parser`: top-level cases, each command's help,
+# abbreviations, unknown flags and extra positionals
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["chec"], ["--"], ["--", "check"], ["--bogus"], ["-h", "check"],
+    ["check", "--bogus"], ["catalog", "--m", "5", "extra"], ["check", "--output=z", "extra"], ["catalog", "--m=5"],
+    ["catalog", "--m", "x"], ["catalog"], ["check", "--inp", "a"], ["check", "-ix"], ["check", "--ver"],
+    ["realize", "--ver"], ["realize", "--verb", "--verif"], ["check", "--", "x"], ["check", "-h", "--bogus"],
+    *([name, "--help"] for name in cli.COMMANDS), *([name, "--verbose"] for name in cli.COMMANDS),
+]
+
+
+def parse_outcome(parser, argv):
+    """Exit code (None on success), stdout, stderr and namespace, the handler by name, of `parser.parse_args(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    code, ns = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    if ns is not None:
+        ns["handler"] = ns["handler"].__name__
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_the_parser_built_for_argv_parses_as_the_full_parser(argv):
+    assert parse_outcome(cli.build_parser(argv), argv) == parse_outcome(cli.build_parser([]), argv)
 
 
 DEEP_DOCUMENTS = {
