@@ -3,24 +3,29 @@
 Every subcommand takes `--output/-o` and all but `catalog` `--input/-i`;
 `check`, `realize` and `verify` take `--verbose` and read a complex or a
 non-face document as given (`_read_input`), `realize` takes `--verify` and
-`catalog` `--m`. Each call of `main` builds only the parser of the command
-its first argument names (all of them when it names none) and keeps nothing
-between calls.
+`catalog` `--m`. Each call of `main` parses a call that names a command
+with one parser holding that command's options, builds the parser of every
+command only when the call names none or leaves arguments over, and keeps
+nothing between calls.
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 2 (out of scope); `realize` exits 1 on every input `check` does not call a
 sphere, naming the verdict document's `reason`; a usage error, malformed input
 (a document that is not UTF-8 gets a `malformed JSON:` line), an invariant
 violation or input past a work limit of `complexes` is 64 for every
-subcommand; an internal inconsistency (a bug, not bad input) is 70 with an
-`internal error:` message; an `--output` path that cannot be written is 73
-with an `error: cannot write` line; other operational failures exit 1.
+subcommand, and so is an input that cannot be read, closed stdin included,
+with an `error: cannot read` line; an internal inconsistency (a bug, not bad
+input) is 70 with an `internal error:` message; an output that cannot be
+written, an `--output` path or stdout (closed, a broken pipe, a full device),
+is 73 with an `error: cannot write` line; other operational failures exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import serialize
@@ -39,11 +44,18 @@ class _CannotWrite(Exception):
     pass
 
 
+def _std(stream):
+    """`stream`, or EBADF for None: what `sys.stdin` or `sys.stdout` is when its descriptor was closed at start-up."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
 def _read_doc(path: str):
     """The JSON document at `path` ('-': stdin, as text if it has no `buffer`), its bytes decoded as strict UTF-8."""
     try:
         if path == "-":
-            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+            data = getattr(_std(sys.stdin), "buffer", sys.stdin).read()
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -60,14 +72,42 @@ def _read_doc(path: str):
 
 def _write_doc(doc, path: str) -> None:
     text = serialize.dumps(doc)
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if path == "-":
+            _write_stdout(text)
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise _CannotWrite(f"cannot write {_clip(path)}: {_clip(exc.strerror or str(exc))}") from exc
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {_clip(path)}: {_clip(exc.strerror or str(exc))}") from exc
+
+
+def _write_stdout(text: str) -> None:
+    out = _std(sys.stdout)
+    try:
+        out.write(text)
+        out.flush()
+    except OSError:
+        _drain_to_devnull(out)
+        raise
+
+
+def _drain_to_devnull(stream) -> None:
+    """Point the descriptor under `stream`, if it has one, at os.devnull.
+
+    What a stream that failed a write still buffers would fail again when the
+    interpreter flushes it at exit, printing "Exception ignored" and exiting
+    120; on os.devnull that flush succeeds and the call keeps its exit code.
+    """
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, as for an in-memory stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _read_input(path: str):
@@ -178,38 +218,53 @@ COMMANDS = {
 }
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for `argv`: with only the subparser of the command `argv[0]` names, else with all of them."""
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """The options of the command `name`, and its name and handler as defaults."""
+    parser.set_defaults(command=name, handler=COMMANDS[name][1])
+    if name != "catalog":
+        parser.add_argument("--input", "-i", default="-", help="input JSON path, '-' for stdin")
+    parser.add_argument("--output", "-o", default="-", help="output JSON path, '-' for stdout")
+    if name in ("check", "realize", "verify"):
+        parser.add_argument("--verbose", action="store_true", help="print certificates to stderr")
+    if name == "realize":
+        parser.add_argument("--verify", action="store_true", help="also compare the hull with the complex")
+    if name == "catalog":
+        parser.add_argument("--m", type=int, required=True, help=f"vertex count (4..{MAX_M})")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, one subparser each: the reference that `parse_args` falls back to."""
     parser = argparse.ArgumentParser(
         prog="oddsphere",
         description="Recognize, realize, and catalog simplicial spheres on few vertices.",
     )
-    named = argv[:1] if argv and isinstance(argv[0], str) and argv[0] in COMMANDS else list(COMMANDS)
-    # a lone subparser would show as {check} in the top-level usage line that an
-    # "unrecognized arguments" error prints; on the full parser the metavar would
-    # also replace "argument command" in its "invalid choice" and "required" errors
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if len(named) == 1 else None)
-    for name in named:
-        help_text, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        if name != "catalog":
-            p.add_argument("--input", "-i", default="-", help="input JSON path, '-' for stdin")
-        p.add_argument("--output", "-o", default="-", help="output JSON path, '-' for stdout")
-        if name in ("check", "realize", "verify"):
-            p.add_argument("--verbose", action="store_true", help="print certificates to stderr")
-        if name == "realize":
-            p.add_argument("--verify", action="store_true", help="also compare the hull with the complex")
-        if name == "catalog":
-            p.add_argument("--m", type=int, required=True, help=f"vertex count (4..{MAX_M})")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """The namespace of `argv`, as `build_parser().parse_args(argv)` gives it, building one parser when it can.
+
+    When `argv[0]` names a command, a parser of that command alone parses the
+    rest, which is what the full parser hands its subparser. Only an `argv`
+    that names no command, or leaves arguments over, meets the full parser,
+    whose top-level usage and error then print as they always have.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"oddsphere {argv[0]}")
+        _add_options(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EX_INPUT if exc.code else 0
     try:

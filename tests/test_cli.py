@@ -1,6 +1,8 @@
 """JSON documents and the command-line front end."""
 
+import argparse
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -532,24 +534,29 @@ def test_entry_point_reads_sys_argv(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["m"] == 5
 
 
-# argument lists for `build_parser`: top-level cases, each command's help,
-# abbreviations, unknown flags and extra positionals
+# argument lists for `parse_args`: top-level cases, each command's help,
+# abbreviations, unknown flags, extra positionals, missing and repeated
+# values and "--"
 PARSER_CORPUS = [
     [], ["-h"], ["--help"], ["bogus"], ["chec"], ["--"], ["--", "check"], ["--bogus"], ["-h", "check"],
     ["check", "--bogus"], ["catalog", "--m", "5", "extra"], ["check", "--output=z", "extra"], ["catalog", "--m=5"],
     ["catalog", "--m", "x"], ["catalog"], ["check", "--inp", "a"], ["check", "-ix"], ["check", "--ver"],
     ["realize", "--ver"], ["realize", "--verb", "--verif"], ["check", "--", "x"], ["check", "-h", "--bogus"],
     *([name, "--help"] for name in cli.COMMANDS), *([name, "--verbose"] for name in cli.COMMANDS),
+    ["check", "-i", "a", "-o", "b", "--verbose"], ["realize", "--verify", "--verbose", "-i=x"],
+    ["catalog", "--m", "7", "-o", "-"], ["verify", "--verb"], ["check", "-i"], ["check", "--input"],
+    ["hull", "-iabc"], ["check", "--"], ["check", "--", "--bogus"], ["catalog", "--m", "5", "--m", "6"],
+    ["check", "x"], ["check", "-"], ["realize", "-v"], ["check", "--bogus", "-h"],
 ]
 
 
-def parse_outcome(parser, argv):
-    """Exit code (None on success), stdout, stderr and namespace, the handler by name, of `parser.parse_args(argv)`."""
+def parse_outcome(parse, argv):
+    """Exit code (None on success), stdout, stderr and namespace, the handler by name, of `parse(argv)`."""
     out, err = io.StringIO(), io.StringIO()
     code, ns = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            ns = vars(parser.parse_args(argv))
+            ns = vars(parse(argv))
         except SystemExit as exc:
             code = exc.code
     if ns is not None:
@@ -558,8 +565,39 @@ def parse_outcome(parser, argv):
 
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "none")
-def test_the_parser_built_for_argv_parses_as_the_full_parser(argv):
-    assert parse_outcome(cli.build_parser(argv), argv) == parse_outcome(cli.build_parser([]), argv)
+def test_the_parser_built_for_argv_parses_as_the_full_parser(argv, monkeypatch):
+    # argparse wraps usage and help to the terminal width that COLUMNS sets
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert parse_outcome(cli.parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv), columns
+
+
+WELL_FORMED_CALLS = {
+    "check": ([], PENTAGON_DOC),
+    "nonfaces": ([], SIX_CYCLE_DOC),
+    "complex": ([], PENTAGON_DOC),
+    "realize": (["--verify"], PENTAGON_DOC),
+    "hull": ([], {"dim": 1, "points": [["0"], ["1"]]}),
+    "homology": ([], SIX_CYCLE_DOC),
+    "catalog": (["--m", "5"], None),
+    "verify": ([], PENTAGON_DOC),
+}
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_a_well_formed_call_builds_one_parser(name, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    options, doc = WELL_FORMED_CALLS[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main([name, *options]) == 0, capsys.readouterr().err
+    assert built == [f"oddsphere {name}"]
 
 
 DEEP_DOCUMENTS = {
@@ -623,6 +661,53 @@ def test_unwritable_output_exits_73(target, tmp_path, capsys):
     # one line of at most 200 characters, with the path clipped
     assert err.startswith("error: cannot write ") and err.count("\n") == 1 and len(err) <= 201
     assert "Traceback" not in err
+
+
+class FailingStdout:
+    """A stdout whose `write` or `flush` raises OSError(errno), as a closed pipe or a full device does."""
+
+    def __init__(self, errno, method):
+        self.errno, self.method = errno, method
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(self.errno, os.strerror(self.errno))
+        return len(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(self.errno, os.strerror(self.errno))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC], ids=errno.errorcode.get)
+def test_a_failed_write_to_stdout_exits_73(code, method, monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", FailingStdout(code, method))
+        assert cli.main(["catalog", "--m", "5"]) == cli.EX_CANTCREAT
+    assert capsys.readouterr().err == f"error: cannot write -: {os.strerror(code)}\n"
+
+
+def test_a_closed_stdout_exits_73(monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)  # what the interpreter sets when it starts without descriptor 1
+        assert cli.main(["catalog", "--m", "5"]) == cli.EX_CANTCREAT
+    assert capsys.readouterr().err == f"error: cannot write -: {os.strerror(errno.EBADF)}\n"
+
+
+def test_a_closed_stdin_exits_64(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)  # what the interpreter sets when it starts without descriptor 0
+    assert cli.main(["check"]) == cli.EX_INPUT
+    assert capsys.readouterr() == ("", f"error: cannot read -: {os.strerror(errno.EBADF)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_73_without_a_traceback():
+    # the interpreter's own flush of stdout at exit must not fail a second time
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "oddsphere.cli", "catalog", "--m", "5"],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (73, f"error: cannot write -: {os.strerror(errno.ENOSPC)}\n")
 
 
 # -- golden output -------------------------------------------------------------
