@@ -3,10 +3,13 @@
 Every subcommand takes `--output/-o` and all but `catalog` `--input/-i`;
 `check`, `realize` and `verify` take `--verbose` and read a complex or a
 non-face document as given (`_read_input`), `realize` takes `--verify` and
-`catalog` `--m`. Each call of `main` parses a call that names a command
-with one parser holding that command's options, builds the parser of every
-command only when the call names none or leaves arguments over, and keeps
-nothing between calls.
+`catalog` `--m` (`OPTIONS`). `main` reads a call spelled out in full, a
+command and then only its flags as declared, each value separate and not
+starting with "-" unless it is "-", without argparse. Every other call (help,
+an abbreviated or joined flag such as `--verb`, `--m=5` or `-ix`, `--`, a
+value starting with "-", an `--m` that is not an integer, an unknown token)
+goes to the argparse parser of every command, which prints help, usage and
+errors. Nothing is kept between calls.
 
 Exit codes: `check` maps its verdict to 0 (sphere), 1 (not a sphere), or
 2 (out of scope); `realize` exits 1 on every input `check` does not call a
@@ -18,15 +21,16 @@ with an `error: cannot read` line; an internal inconsistency (a bug, not bad
 input) is 70 with an `internal error:` message; an output that cannot be
 written, an `--output` path or stdout (closed, a broken pipe, a full device),
 is 73 with an `error: cannot write` line; other operational failures exit 1.
+A line that cannot be written to stderr is dropped and changes no exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import serialize
 from .catalog import MAX_M, CatalogVerificationError, catalog as run_catalog, cross_check
@@ -110,6 +114,24 @@ def _drain_to_devnull(stream) -> None:
         os.close(devnull)
 
 
+def _note(line: str) -> None:
+    """Write `line` to stderr, or drop it when stderr is closed or its write or flush fails.
+
+    `sys.stderr` is looked up per call so that redirect_stderr applies; a
+    line that cannot be written changes no exit code. After a failure the
+    stream is drained as stdout is, since the line it still buffers would fail
+    again in the interpreter's flush at exit.
+    """
+    err = sys.stderr
+    if err is None:  # the interpreter started without descriptor 2
+        return
+    try:
+        err.write(line + "\n")
+        err.flush()
+    except OSError:
+        _drain_to_devnull(err)
+
+
 def _read_input(path: str):
     """The complex or the non-face family that the document at `path` holds, as given."""
     doc = _read_doc(path)
@@ -126,11 +148,10 @@ def _as_complex(given):
 
 
 def _print_certificate(cert) -> None:
-    # sys.stderr is looked up per call so that redirect_stderr applies
     if cert.n >= 3:
         cyc = " - ".join("{" + ",".join(map(str, a)) + "}" for a in cert.ordering)
-        print(f"cyclic ordering: {cyc}", file=sys.stderr)
-    print("blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in cert.blocks), file=sys.stderr)
+        _note(f"cyclic ordering: {cyc}")
+    _note("blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in cert.blocks))
 
 
 def _cmd_check(args) -> int:
@@ -162,7 +183,7 @@ def _cmd_realize(args) -> int:
     verdict = recognize(given)
     if not isinstance(verdict, Sphere):
         reason = serialize.verdict_to_doc(verdict)["reason"]
-        print(f"error: no sphere with m <= d+4 has these minimal non-faces: {reason}", file=sys.stderr)
+        _note(f"error: no sphere with m <= d+4 has these minimal non-faces: {reason}")
         return 1
     if args.verbose:
         _print_certificate(verdict.certificate)
@@ -171,9 +192,9 @@ def _cmd_realize(args) -> int:
     _write_doc(serialize.points_to_doc(points), args.output)
     if args.verify:
         if boundary_complex(points) != _as_complex(given):
-            print("verification: hull boundary differs from the complex", file=sys.stderr)
+            _note("verification: hull boundary differs from the complex")
             return 1
-        print("verification: hull boundary matches the complex", file=sys.stderr)
+        _note("verification: hull boundary matches the complex")
     return 0
 
 
@@ -218,22 +239,41 @@ COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+# Each command's options as (flags, kind, help), in the order of their help
+# lines; the dest is the long flag without its dashes. A `str` option takes a
+# path, "-" by default, a `bool` one is a switch, False by default, and the
+# `int` one is a required integer.
+_INPUT = (("--input", "-i"), str, "input JSON path, '-' for stdin")
+_OUTPUT = (("--output", "-o"), str, "output JSON path, '-' for stdout")
+_VERBOSE = (("--verbose",), bool, "print certificates to stderr")
+OPTIONS = {
+    "check": (_INPUT, _OUTPUT, _VERBOSE),
+    "nonfaces": (_INPUT, _OUTPUT),
+    "complex": (_INPUT, _OUTPUT),
+    "realize": (_INPUT, _OUTPUT, _VERBOSE, (("--verify",), bool, "also compare the hull with the complex")),
+    "hull": (_INPUT, _OUTPUT),
+    "homology": (_INPUT, _OUTPUT),
+    "catalog": (_OUTPUT, (("--m",), int, f"vertex count (4..{MAX_M})")),
+    "verify": (_INPUT, _OUTPUT, _VERBOSE),
+}
+
+
+def _add_options(parser, name: str) -> None:
     """The options of the command `name`, and its name and handler as defaults."""
     parser.set_defaults(command=name, handler=COMMANDS[name][1])
-    if name != "catalog":
-        parser.add_argument("--input", "-i", default="-", help="input JSON path, '-' for stdin")
-    parser.add_argument("--output", "-o", default="-", help="output JSON path, '-' for stdout")
-    if name in ("check", "realize", "verify"):
-        parser.add_argument("--verbose", action="store_true", help="print certificates to stderr")
-    if name == "realize":
-        parser.add_argument("--verify", action="store_true", help="also compare the hull with the complex")
-    if name == "catalog":
-        parser.add_argument("--m", type=int, required=True, help=f"vertex count (4..{MAX_M})")
+    for flags, kind, help_text in OPTIONS[name]:
+        if kind is bool:
+            parser.add_argument(*flags, action="store_true", help=help_text)
+        elif kind is int:
+            parser.add_argument(*flags, type=int, required=True, help=help_text)
+        else:
+            parser.add_argument(*flags, default="-", help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, one subparser each: the reference that `parse_args` falls back to."""
+def build_parser():
+    """The argparse parser of every command, one subparser each: the reference for `parse_args`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oddsphere",
         description="Recognize, realize, and catalog simplicial spheres on few vertices.",
@@ -244,21 +284,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list) -> argparse.Namespace:
-    """The namespace of `argv`, as `build_parser().parse_args(argv)` gives it, building one parser when it can.
+def _read_argv(argv: list):
+    """The namespace of a call spelled out in full, or None when it is not one.
 
-    When `argv[0]` names a command, a parser of that command alone parses the
-    rest, which is what the full parser hands its subparser. Only an `argv`
-    that names no command, or leaves arguments over, meets the full parser,
-    whose top-level usage and error then print as they always have.
+    A call is spelled out in full when `argv[0]` is a command and every later
+    token is one of that command's flags as declared, each flag that takes a
+    value followed by a value that is "-" or does not start with "-", every
+    `--m` value an `int` and `--m` present.
     """
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"oddsphere {argv[0]}")
-        _add_options(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    name = argv[0]
+    values, kinds = {}, {}
+    for flags, kind, _ in OPTIONS[name]:
+        dest = flags[0][2:]
+        values[dest] = False if kind is bool else "-" if kind is str else None
+        kinds.update(dict.fromkeys(flags, (dest, kind)))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in kinds:
+            return None
+        dest, kind = kinds[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    if None in values.values():  # the required `--m` is missing
+        return None
+    return SimpleNamespace(command=name, handler=COMMANDS[name][1], **values)
+
+
+def parse_args(argv: list):
+    """The namespace of `argv`, as `build_parser().parse_args(argv)` gives it.
+
+    A call spelled out in full (`_read_argv`) is read without argparse, into
+    a namespace with the attributes argparse would give. Every other call,
+    such as `-h`, an abbreviated flag (`--verb`), `--m=5`, `-ix`, `--`, a
+    value that starts with "-", an `--m` that is not an integer or an
+    unknown token, is parsed by `build_parser()`, which prints its help,
+    usage and errors.
+    """
+    args = _read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
@@ -270,13 +345,13 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EX_INPUT
     except _CannotWrite as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EX_CANTCREAT
     except (InternalInconsistency, CatalogVerificationError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _note(f"internal error: {exc}")
         return EX_SOFTWARE
 
 

@@ -547,6 +547,11 @@ PARSER_CORPUS = [
     ["catalog", "--m", "7", "-o", "-"], ["verify", "--verb"], ["check", "-i"], ["check", "--input"],
     ["hull", "-iabc"], ["check", "--"], ["check", "--", "--bogus"], ["catalog", "--m", "5", "--m", "6"],
     ["check", "x"], ["check", "-"], ["realize", "-v"], ["check", "--bogus", "-h"],
+    # values at the edge of what `parse_args` reads without argparse
+    ["catalog", "--m", " 5"], ["catalog", "--m", "-5"], ["catalog", "--m", "1_0"],
+    ["check", "-i", ""], ["check", "-i", "-x"], ["check", "-i", "--verbose"], ["check", "-o", "-5"],
+    ["check", "-i", "a b"], ["check", "-i", "-a b"], ["realize", "--verify", "--verify"],
+    ["catalog", "--m", "5", "--m", "x"],
 ]
 
 
@@ -572,6 +577,39 @@ def test_the_parser_built_for_argv_parses_as_the_full_parser(argv, monkeypatch):
         assert parse_outcome(cli.parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv), columns
 
 
+# commands, every declared flag, abbreviated, joined and special tokens, and
+# values at the edge of what `parse_args` reads without argparse
+PARSER_VALUES = ["-", "", "-5", " 5", "5", "x", "a b"]
+PARSER_TOKENS = list(dict.fromkeys([
+    *cli.COMMANDS, *(flag for options in cli.OPTIONS.values() for flags, _, _ in options for flag in flags),
+    "--inp", "--ver", "-h", "--", "--m=5", "-ix", *PARSER_VALUES,
+]))
+
+
+@st.composite
+def parser_token_lists(draw):
+    """Short lists of PARSER_TOKENS shaped like a call: a command, then its options, each with a value if it takes one.
+
+    Any token may be drawn from all of PARSER_TOKENS instead, so most lists
+    just miss a call spelled out in full.
+    """
+    tokens = st.sampled_from(PARSER_TOKENS)
+    argv = [draw(st.sampled_from(list(cli.COMMANDS)) | tokens)]
+    options = cli.OPTIONS.get(argv[0], cli.OPTIONS["realize"] + cli.OPTIONS["catalog"])
+    for flags, kind, _ in draw(st.lists(st.sampled_from(options), max_size=4)):
+        argv.append(draw(st.sampled_from(flags) | tokens))
+        if kind is not bool:
+            argv.append(draw(st.sampled_from(PARSER_VALUES) | tokens))
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(parser_token_lists())
+def test_property_parse_args_parses_as_the_full_parser(argv):
+    with unittest.mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert parse_outcome(cli.parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv)
+
+
 WELL_FORMED_CALLS = {
     "check": ([], PENTAGON_DOC),
     "nonfaces": ([], SIX_CYCLE_DOC),
@@ -585,7 +623,7 @@ WELL_FORMED_CALLS = {
 
 
 @pytest.mark.parametrize("name", cli.COMMANDS)
-def test_a_well_formed_call_builds_one_parser(name, monkeypatch, capsys):
+def test_a_well_formed_call_builds_no_parser(name, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -597,7 +635,25 @@ def test_a_well_formed_call_builds_one_parser(name, monkeypatch, capsys):
     options, doc = WELL_FORMED_CALLS[name]
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert cli.main([name, *options]) == 0, capsys.readouterr().err
-    assert built == [f"oddsphere {name}"]
+    assert built == []
+
+
+def test_a_well_formed_call_never_imports_argparse():
+    script = (
+        "import io, json, sys\n"
+        "from oddsphere import cli\n"
+        f"sys.stdin = io.StringIO({json.dumps(PENTAGON_DOC)!r})\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert cli.main(['check']) == 0\n"
+        "assert 'argparse' not in sys.modules, 'argparse imported'\n"
+        "sys.stdout = sys.__stdout__\n"
+        "sys.exit(cli.main(['check', '--help']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "COLUMNS": "200"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: oddsphere check")
+    assert "print certificates to stderr" in proc.stdout
 
 
 DEEP_DOCUMENTS = {
@@ -688,6 +744,59 @@ def test_a_failed_write_to_stdout_exits_73(code, method, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: cannot write -: {os.strerror(code)}\n"
 
 
+# calls that write to stderr: a verification line, an `error:` line and a certificate
+STDERR_CALLS = {
+    "realize-verify": (["realize", "--verify"], json.dumps(PENTAGON_DOC), 0),
+    "malformed-check": (["check"], "{bad", cli.EX_INPUT),
+    "check-verbose": (["check", "--verbose"], json.dumps(PENTAGON_DOC), 0),
+}
+# a stderr whose write or flush fails as a closed pipe or a full device does, and a closed one
+FAILING_STDERRS = {
+    **{f"{method}-{errno.errorcode[code]}": (code, method)
+       for code in (errno.EPIPE, errno.ENOSPC) for method in ("write", "flush")},
+    "closed": None,
+}
+
+
+@pytest.mark.parametrize("failure", FAILING_STDERRS.values(), ids=FAILING_STDERRS)
+@pytest.mark.parametrize("argv, text, code", STDERR_CALLS.values(), ids=STDERR_CALLS)
+def test_a_failed_write_to_stderr_keeps_the_exit_code_and_stdout(argv, text, code, failure, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None if failure is None else FailingStdout(*failure))
+        assert cli.main(argv) == code
+    assert capsys.readouterr().out == out
+
+
+def cli_env(buffered):
+    """The environment of a `python -m oddsphere.cli` child: standard streams buffered as by default, or unbuffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+BUFFERING = {"buffered": True, "unbuffered": False}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", BUFFERING.values(), ids=BUFFERING)
+@pytest.mark.parametrize("argv, text, code", STDERR_CALLS.values(), ids=STDERR_CALLS)
+def test_stderr_on_a_full_device_or_closed_keeps_the_exit_code(argv, text, code, buffered):
+    # a line left in stderr's buffer would fail again in the interpreter's own flush at exit, exiting 120
+    command = [sys.executable, "-m", "oddsphere.cli", *argv]
+    closed = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    runs = []
+    with open("/dev/full", "w") as full:
+        for args, stderr in ((command, subprocess.PIPE), (command, full), (closed, None)):
+            proc = subprocess.run(args, input=text, stdout=subprocess.PIPE, stderr=stderr, text=True,
+                                  env=cli_env(buffered))
+            runs.append((proc.returncode, proc.stdout))
+    assert runs[0][0] == code and runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_a_closed_stdout_exits_73(monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", None)  # what the interpreter sets when it starts without descriptor 1
@@ -704,10 +813,11 @@ def test_a_closed_stdin_exits_64(monkeypatch, capsys):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_stdout_on_a_full_device_exits_73_without_a_traceback():
     # the interpreter's own flush of stdout at exit must not fail a second time
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "oddsphere.cli", "catalog", "--m", "5"],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
-    assert (proc.returncode, proc.stderr) == (73, f"error: cannot write -: {os.strerror(errno.ENOSPC)}\n")
+    for buffered in BUFFERING.values():
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "oddsphere.cli", "catalog", "--m", "5"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(buffered))
+        assert (proc.returncode, proc.stderr) == (73, f"error: cannot write -: {os.strerror(errno.ENOSPC)}\n"), buffered
 
 
 # -- golden output -------------------------------------------------------------
