@@ -18,11 +18,14 @@ elsewhere, are built by `_built`, which skips the constructor's checks;
 derived complexes and families go through `_from_masks`, which checks m,
 the one thing their construction does not prove.
 
-The dualizations and face enumerations can grow exponentially; each stops
-at the limits defined here (MAX_NERVE_FACES, WORK_PER_SET,
-NERVE_WORK_PER_SET, MAX_FACE_SUBSETS) and raises EnumerationLimitError, so
-the library and the command line refuse the same inputs; MAX_HULL_WORK
-bounds the hull's scan of point subsets in `oracle` the same way.
+Both dualizations run Berge's algorithm on a quotient: vertices that are
+interchangeable there (twins, such as the vertices of one block of a
+sphere) are merged first and put back in the result.  The dualizations and
+face enumerations can grow exponentially; each stops at the limits defined
+here (MAX_NERVE_FACES, WORK_PER_SET, NERVE_WORK_PER_SET, MAX_FACE_SUBSETS)
+and raises EnumerationLimitError, so the library and the command line
+refuse the same inputs; MAX_HULL_WORK bounds the hull's scan of point
+subsets in `oracle` the same way.
 
 All values are immutable and all operations are pure functions, so
 everything in this module is safe to share between threads.  A complex
@@ -243,10 +246,12 @@ MAX_NERVE_FACES = 1 << 17
 # 4.4 units (25 below m = 8) and the cone over 13 disjoint pairs (8,192
 # facets) 15.3.  Every other dualization must answer the spheres in scope
 # and gets WORK_PER_SET: at the cap MAX_NERVE_FACES, on 640 randomly
-# relabeled bracelet spheres with 60 <= m <= 64, the minimal non-faces took
-# at most 36 units per set and the facets 91.  A unit took up to 80 ns
-# (2-vCPU x86-64 VM, Python 3.11), so the two stop within about 0.34 s and
-# 2.7 s.
+# relabeled bracelet spheres with 60 <= m <= 64 (odd length and composition
+# drawn uniformly), dualized on their quotients by twins, the minimal
+# non-faces took at most 65 units per set and the facets 83, both on
+# near-singleton bracelets, which have few twins (71 and 89 without the
+# quotients).  A unit took up to 80 ns (2-vCPU x86-64 VM, Python 3.11), so
+# the two stop within about 0.34 s and 2.7 s.
 NERVE_WORK_PER_SET = 32
 WORK_PER_SET = 256
 
@@ -286,10 +291,17 @@ def _minimal_transversals(
     transversals = [0]
     work_left = cap * per_set
     for am in masks:
-        missing = [t for t in transversals if not t & am]
+        # One loop, not two comprehensions: faster on antichains of about ten
+        # sets and no slower on large ones.
+        kept = []
+        missing = []
+        for t in transversals:
+            if t & am:
+                kept.append(t)
+            else:
+                missing.append(t)
         if not missing:
             continue
-        kept = [t for t in transversals if t & am]
         grown = []
         rest = am
         while rest:
@@ -307,18 +319,77 @@ def _minimal_transversals(
                     grown.append(t | bit)
         transversals = kept + grown
         if work_left < 0 or len(transversals) > cap:
-            raise EnumerationLimitError(
-                f"too many {what}: the dualization that finds them outgrows the limit of {cap} sets"
-            )
+            raise _too_many(what, cap)
     return transversals
 
 
+def _too_many(what: str, cap: int) -> EnumerationLimitError:
+    return EnumerationLimitError(f"too many {what}: the dualization that finds them outgrows the limit of {cap} sets")
+
+
+def _twin_classes(masks: Sequence[int], by_link: bool) -> list[int]:
+    """The classes of two or more twin vertices among `masks`, as bitmasks, in one pass over the incidences.
+
+    Twins lie in the same masks, or with `by_link` have equal links
+    {x - v : v in x}.  A vertex's masks, or its link, are listed in the
+    order of `masks`, so equal lists mean twins; when `masks` is sorted
+    (either way), twins u, v have equal lists, as x -> x - u + v keeps the
+    order of the masks through u.  Vertices in no mask are left out.
+    """
+    seen: dict[int, list[int]] = {}
+    for x in masks:
+        rest = x
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            key = x ^ bit if by_link else x
+            if bit in seen:
+                seen[bit].append(key)
+            else:
+                seen[bit] = [key]
+    classes: dict[tuple[int, ...], int] = {}
+    for bit, keys in seen.items():
+        key = tuple(keys)
+        classes[key] = classes.get(key, 0) | bit
+    return [cls for cls in classes.values() if cls & (cls - 1)]
+
+
+def _others(classes: Iterable[int]) -> int:
+    """Every vertex of `classes` but the least of each, which stands for its class in a quotient."""
+    out = 0
+    for cls in classes:
+        out |= cls & (cls - 1)
+    return out
+
+
 def _nonfaces(c: SimplicialComplex, cap: int, per_set: int) -> NonFaceFamily:
-    """`minimal_nonfaces(c)` with the dualization capped at `cap` sets and `per_set` * `cap` units."""
+    """`minimal_nonfaces(c)` with the dualization capped at `cap` sets and `per_set` * `cap` units.
+
+    Vertices with equal links among the facet complements (the vertices of
+    one block of a sphere) are twins, and a minimal transversal T holds all
+    of a class of twins or none: if u is in T and its twin v is not, the
+    complement x with x & T = {u}, which T's minimality gives, has the swap
+    image x - u + v, a complement that misses T.  The sets of u's link miss
+    u and those of v's miss v, so twins share no complement, the swap maps
+    the complements onto themselves, and a union of classes meets a
+    complement iff it meets its image.  So the dualization runs on the
+    complements inside the least vertex of each class, and each class is
+    added back where its least vertex is: one set per set of the quotient,
+    which the cap and the work are counted on.
+    """
     fam = c.__dict__.get("_nonface_cache")
     if fam is None:
         full = (1 << c.m) - 1
-        fam = _from_masks(NonFaceFamily, c.m, _minimal_transversals([full ^ a for a in c._masks], cap, per_set))
+        complements = [full ^ a for a in c._masks]
+        classes = _twin_classes(complements, by_link=True)
+        if classes:
+            others = _others(classes)
+            complements = [x for x in complements if not x & others]
+        found = _minimal_transversals(complements, cap, per_set)
+        for cls in classes:
+            least = cls & -cls
+            found = [t | cls if t & least else t for t in found]
+        fam = _from_masks(NonFaceFamily, c.m, found)
         object.__setattr__(c, "_nonface_cache", fam)
     return fam
 
@@ -329,12 +400,13 @@ def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
     A set is a non-face exactly when it meets the complement of every
     facet, so the minimal non-faces are the minimal transversals of the
     facet complements: an antichain whose members have size >= 2, since the
-    facets cover [m].  Raises EnumerationLimitError, and keeps nothing, when
-    the dualization outgrows MAX_NERVE_FACES sets or WORK_PER_SET units of
-    work per set (see `_minimal_transversals`).  Otherwise the family is
-    kept in the complex's __dict__, outside the dataclass fields, so the
-    recognizer, the homology and the f-vector of one complex object share
-    one dualization.
+    facets cover [m].  The dualization runs on the quotient by vertices
+    with equal links (see `_nonfaces`).  Raises EnumerationLimitError, and
+    keeps nothing, when it outgrows MAX_NERVE_FACES sets or WORK_PER_SET
+    units of work per set (see `_minimal_transversals`).  Otherwise the
+    family is kept in the complex's __dict__, outside the dataclass fields,
+    so the recognizer, the homology and the f-vector of one complex object
+    share one dualization.
     """
     return _nonfaces(c, MAX_NERVE_FACES, WORK_PER_SET)
 
@@ -347,10 +419,46 @@ def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
     singleton a face.  Raises EnumerationLimitError when the dualization
     outgrows MAX_NERVE_FACES sets or WORK_PER_SET units of work per set
     (see `_minimal_transversals`).
+
+    Vertices that lie in the same members (the vertices of one block of a
+    sphere) are twins, and a minimal transversal T holds at most one of a
+    class: if it held twins u and v, the member x with x & T = {u}, which
+    T's minimality gives, would hold v as well.  Each member holds all of
+    a class or none, so the dualization runs on the members cut down to the
+    least vertex of each class, whose cap and work are counted there, and
+    each set it finds stands for one set per choice of a vertex from each
+    class it meets.  Their number is checked against the cap before any of
+    them is built.
     """
     full = (1 << f.m) - 1
-    found = _minimal_transversals(f._masks, MAX_NERVE_FACES, WORK_PER_SET, "facets")
-    return _from_masks(SimplicialComplex, f.m, [full ^ t for t in found])
+    masks = f._masks
+    classes = _twin_classes(masks, by_link=False)
+    if classes:
+        others = _others(classes)
+        masks = [x & ~others for x in masks]
+    found = _minimal_transversals(masks, MAX_NERVE_FACES, WORK_PER_SET, "facets")
+    if not classes:
+        return _from_masks(SimplicialComplex, f.m, [full ^ t for t in found])
+    # The facet that misses a class's least vertex `least` and holds the rest
+    # of it becomes, flipped by least ^ v, the facet that misses v instead.
+    flips = [(cls & -cls, [cls & -cls ^ 1 << (v - 1) for v in _face(cls)]) for cls in classes]
+    count = 0
+    for t in found:
+        product = 1
+        for least, xs in flips:
+            if t & least:
+                product *= len(xs)
+        count += product
+    if count > MAX_NERVE_FACES:
+        raise _too_many("facets", MAX_NERVE_FACES)
+    facets = []
+    for t in found:
+        group = [full ^ t]
+        for least, xs in flips:
+            if t & least:
+                group = [g ^ x for g in group for x in xs]
+        facets += group
+    return _from_masks(SimplicialComplex, f.m, facets)
 
 
 def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:

@@ -1129,7 +1129,7 @@ def disjoint_pairs_doc(pairs):
         (["complex"], disjoint_pairs_doc(20)),
         (["realize"], disjoint_pairs_doc(20)),
         (["check"], {"m": 64, "facets": pair_complement_facets(64, 32)}),
-        (["check"], {"m": 35, "facets": pair_complement_facets(35, 17) + [list(range(2, 35))]}),
+        (["check"], {"m": 37, "facets": pair_complement_facets(37, 18) + [list(range(2, 37))]}),
         (["nonfaces"], {"m": 64, "facets": pair_complement_facets(64, 32)}),
     ],
     ids=[
@@ -1139,7 +1139,7 @@ def disjoint_pairs_doc(pairs):
         "20-pairs-complex",
         "20-pairs-realize",
         "32-pairs-complex-check",
-        "17-pairs-and-a-step-check",
+        "18-pairs-and-a-step-check",
         "32-pairs-complex-nonfaces",
     ],
 )
@@ -1149,6 +1149,18 @@ def test_uncapped_dualization_is_refused(argv, doc, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: too many ")
     assert err.endswith(f"the dualization that finds them outgrows the limit of {complexes.MAX_NERVE_FACES} sets\n")
+    assert elapsed < 2.0
+
+
+def test_seventeen_pairs_and_a_step_are_dualized_on_their_quotient(monkeypatch, capsys):
+    # The complements are 17 pairs {2i-1, 2i} and {1, 35}, in which 2 and 35
+    # have equal links, so the dualization runs on the 17 pairs alone: 2^17
+    # minimal non-faces, at the cap, an even family.  On all 18 complements
+    # Berge's minimality tests ran out of work at the last one.
+    doc = {"m": 35, "facets": pair_complement_facets(35, 17) + [list(range(2, 35))]}
+    rc, out, err, elapsed = run_main_timed(["check"], doc, monkeypatch, capsys)
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {"reason": "non_odd_family_size", "verdict": "not_sphere"}
     assert elapsed < 2.0
 
 
@@ -1164,8 +1176,12 @@ def relabeled_nonface_doc(bracelet, seed):
 # slot, under relabelings whose dualizations are among the costliest
 # sampled: up to 89 units of work per set of the cap from non-faces to
 # facets, and 37 from facets to non-faces (see complexes.WORK_PER_SET).
+# The (7,)*9 and (3,)*21 spheres have blocks of twins, which both
+# dualizations collapse.
 @pytest.mark.parametrize(
-    "bracelet, seed", [((1,) * 63, 8), ((2,) + (1,) * 62, 9), ((2,) + (1,) * 62, 11)], ids=["63-8", "64-9", "64-11"]
+    "bracelet, seed",
+    [((1,) * 63, 8), ((2,) + (1,) * 62, 9), ((2,) + (1,) * 62, 11), ((7,) * 9, 1), ((3,) * 21, 1)],
+    ids=["63-8", "64-9", "64-11", "63-7x9", "63-3x21"],
 )
 def test_largest_spheres_in_scope_are_answered(bracelet, seed, monkeypatch, capsys):
     nonface_doc = relabeled_nonface_doc(bracelet, seed)

@@ -285,6 +285,18 @@ def test_minimal_transversals_stop_past_the_cap():
     assert len(_minimal_transversals(pairs, 1 << 10)) == 1 << 10
 
 
+def test_minimal_transversals_stop_past_the_work_budget_within_the_cap():
+    # The pairs {1,2}..{19,20}, {1,21} and {2,22}: 3 * 2^9 = 1,536 minimal
+    # transversals, and no two vertices with equal links.  The {1,21} step
+    # tests each of the 2^9 transversals through 2 against the 2^9 through 1,
+    # about 262k units, past the budget of 1,536 * 32.
+    masks = sorted([3 << 2 * i for i in range(10)] + [1 | 1 << 20, 2 | 1 << 21])
+    assert not complexes._twin_classes(masks, by_link=True)
+    assert len(_minimal_transversals(masks, complexes.MAX_NERVE_FACES)) == 1536
+    with pytest.raises(EnumerationLimitError):
+        _minimal_transversals(masks, 1536, 32)
+
+
 def pair_complement_complex(pairs):
     """The facets [m] - {2i-1, 2i}: the minimal non-faces pick one vertex per pair, 2^pairs of them."""
     m = 2 * pairs
@@ -325,6 +337,57 @@ def test_property_minimal_transversals_match_reference(masks):
     transversals = _minimal_transversals(masks, complexes.MAX_NERVE_FACES)
     assert len(set(transversals)) == len(transversals)
     assert set(transversals) == reference_minimal_transversals(masks)
+
+
+@st.composite
+def planted_twins(draw):
+    """A non-face family and a complex, each with up to 4 twins planted, and the planted pairs.
+
+    Each planting takes a vertex u and a fresh vertex v.  In the family, v
+    joins every member that holds u, so u and v lie in the same members.
+    Among the complex's facet complements, the swap image x - u + v of each
+    complement x through u is added, so u and v have equal links.
+    """
+    fam = draw(nonface_families(max_m=8))
+    members, fam_pairs = list(fam._masks), []
+    for _ in range(draw(st.integers(0, 4))):
+        m = fam.m + len(fam_pairs)
+        u, v = 1 << draw(st.integers(0, m - 1)), 1 << m
+        members = [x | v if x & u else x for x in members]
+        fam_pairs.append(u | v)
+    comp = draw(simplicial_complexes(max_m=8))
+    complements, comp_pairs = [((1 << comp.m) - 1) ^ a for a in comp._masks], []
+    for _ in range(draw(st.integers(0, 4))):
+        m = comp.m + len(comp_pairs)
+        u, v = 1 << draw(st.integers(0, m - 1)), 1 << m
+        complements += [x ^ u | v for x in complements if x & u]
+        comp_pairs.append(u | v)
+    m = comp.m + len(comp_pairs)
+    return (
+        NonFaceFamily(fam.m + len(fam_pairs), tuple(map(_face, members))),
+        SimplicialComplex(m, tuple(_face(((1 << m) - 1) ^ x) for x in complements)),
+        fam_pairs,
+        comp_pairs,
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(planted_twins())
+def test_property_twin_quotients_match_reference(planted):
+    # Both dualizations, on their quotients by twins, give what Berge's
+    # algorithm gives on the sets as they are.
+    fam, comp, fam_pairs, comp_pairs = planted
+    fam_sets = list(fam._masks)
+    comp_sets = [((1 << comp.m) - 1) ^ a for a in comp._masks]
+    for sets, by_link, pairs in ((fam_sets, False, fam_pairs), (comp_sets, True, comp_pairs)):
+        classes = complexes._twin_classes(sets, by_link)
+        support = 0
+        for x in sets:
+            support |= x
+        assert all(any(pair & cls == pair for cls in classes) for pair in pairs if pair & support)
+    facets = complex_from_nonfaces(fam)._masks
+    assert {((1 << fam.m) - 1) ^ a for a in facets} == reference_minimal_transversals(fam_sets)
+    assert set(minimal_nonfaces(comp)._masks) == reference_minimal_transversals(comp_sets)
 
 
 @st.composite
