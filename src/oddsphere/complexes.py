@@ -411,14 +411,8 @@ def minimal_nonfaces(c: SimplicialComplex) -> NonFaceFamily:
     return _nonfaces(c, MAX_NERVE_FACES, WORK_PER_SET)
 
 
-def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
-    """The complex whose faces are exactly the sets containing no member of `f`.
-
-    Facets are complements of the minimal transversals of the family, an
-    antichain that covers [m], since members of size >= 2 leave every
-    singleton a face.  Raises EnumerationLimitError when the dualization
-    outgrows MAX_NERVE_FACES sets or WORK_PER_SET units of work per set
-    (see `_minimal_transversals`).
+def _quotient_transversals(f: NonFaceFamily) -> tuple[list[int], list[int]]:
+    """(found, classes): the minimal transversals of `f` on its quotient by twins, and the twin classes.
 
     Vertices that lie in the same members (the vertices of one block of a
     sphere) are twins, and a minimal transversal T holds at most one of a
@@ -426,31 +420,49 @@ def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
     T's minimality gives, would hold v as well.  Each member holds all of
     a class or none, so the dualization runs on the members cut down to the
     least vertex of each class, whose cap and work are counted there, and
-    each set it finds stands for one set per choice of a vertex from each
-    class it meets.  Their number is checked against the cap before any of
-    them is built.
+    each set t it finds stands for one minimal transversal per choice of a
+    vertex from each class it meets, all of |t| vertices.  Their number is
+    checked against MAX_NERVE_FACES, so that a caller that builds them or
+    reads only their sizes refuses the same families.  Raises
+    EnumerationLimitError as `complex_from_nonfaces` does.
     """
-    full = (1 << f.m) - 1
     masks = f._masks
     classes = _twin_classes(masks, by_link=False)
     if classes:
         others = _others(classes)
         masks = [x & ~others for x in masks]
     found = _minimal_transversals(masks, MAX_NERVE_FACES, WORK_PER_SET, "facets")
+    if classes:
+        count = 0
+        for t in found:
+            product = 1
+            for cls in classes:
+                if t & cls:
+                    product *= cls.bit_count()
+            count += product
+        if count > MAX_NERVE_FACES:
+            raise _too_many("facets", MAX_NERVE_FACES)
+    return found, classes
+
+
+def complex_from_nonfaces(f: NonFaceFamily) -> SimplicialComplex:
+    """The complex whose faces are exactly the sets containing no member of `f`.
+
+    Facets are complements of the minimal transversals of the family, an
+    antichain that covers [m], since members of size >= 2 leave every
+    singleton a face.  The dualization runs on the quotient by twin
+    vertices (see `_quotient_transversals`).  Raises EnumerationLimitError
+    when it outgrows MAX_NERVE_FACES sets or WORK_PER_SET units of work per
+    set (see `_minimal_transversals`), or the facets it stands for number
+    more than MAX_NERVE_FACES, before any of them is built.
+    """
+    full = (1 << f.m) - 1
+    found, classes = _quotient_transversals(f)
     if not classes:
         return _from_masks(SimplicialComplex, f.m, [full ^ t for t in found])
     # The facet that misses a class's least vertex `least` and holds the rest
     # of it becomes, flipped by least ^ v, the facet that misses v instead.
     flips = [(cls & -cls, [cls & -cls ^ 1 << (v - 1) for v in _face(cls)]) for cls in classes]
-    count = 0
-    for t in found:
-        product = 1
-        for least, xs in flips:
-            if t & least:
-                product *= len(xs)
-        count += product
-    if count > MAX_NERVE_FACES:
-        raise _too_many("facets", MAX_NERVE_FACES)
     facets = []
     for t in found:
         group = [full ^ t]

@@ -12,7 +12,11 @@ realized sphere has (n = D+3), the facets are read off the kernel of that matrix
 a Gale transform recomputed from the coordinates alone: a D-subset is a
 facet iff the c+1 kernel rows outside it have a strictly positive linear
 dependence (Gale duality), and bitmasks of cofactor signs decide that for
-many subsets at once.  At larger codimension each D-subset is tested by
+many subsets at once.  The realized spheres meet the planar case c = 2,
+where the rows g_i lie in the plane and D_jk*g_i - D_ik*g_j + D_ij*g_k = 0
+for D_ij = det(g_i, g_j): one table of the signs of these determinants,
+one bitmask per row, decides every D-subset, one AND per pair of rows
+(`_planar_facets`).  At larger codimension each D-subset is tested by
 the signs of exact integer determinants, computed from an integer normal
 eliminated per subset and shared by the D+1 subsets each one belongs to.
 Homology is linear algebra over GF(2) on int bitsets, on the faces of the
@@ -133,7 +137,8 @@ def _facet_masks(pc: PointConfiguration) -> list[int]:
 
     - c <= MINOR_MAX_CODIM: the facets are read off the kernel of M (see
       `_kernel_facets`), with bitmask operations over the c-subsets of the
-      points instead of a scan over the D-subsets.
+      points instead of a scan over the D-subsets; at c = 2 over pairs of
+      points, from planar determinants (`_planar_facets`).
     - larger c: each D-subset is scanned, once a check made before any
       work finds the scan within `complexes.MAX_HULL_WORK` (else
       EnumerationLimitError).  The side of p relative to S is the
@@ -208,10 +213,11 @@ def _facet_masks(pc: PointConfiguration) -> list[int]:
 # the kernel of the point matrix; above it the cofactors have no closed form
 # here, and the sign masks grow as C(n, c-1).  Time of the kernel path over
 # that of the per-subset path, best of 5 over 20 random configurations
-# (BENCH_sparse_hull.json), for D = 1, 2, 4, 6, 8:  c = 2: 1.15, 0.65, 0.25,
-# 0.12, 0.06;  c = 3: 2.68, 0.70, 0.28, 0.16, 0.04;  c = 0, 1: 0.17-0.91.
-# Only at D = 1 does the per-subset path win, and those hulls take under
-# 0.2 ms on either path, so the cut stays at 3.
+# (BENCH_sparse_hull.json; c = 2 from BENCH_planar_hull.json, which times
+# the planar determinants), for D = 1, 2, 4, 6, 8:  c = 2: 0.62, 0.34, 0.13,
+# 0.07, 0.03;  c = 3: 2.68, 0.70, 0.28, 0.16, 0.04;  c = 0, 1: 0.17-0.91.
+# Only at c = 3 and D = 1 does the per-subset path win, and those hulls take
+# under 0.2 ms on either path, so the cut stays at 3.
 MINOR_MAX_CODIM = 3
 
 
@@ -237,8 +243,12 @@ def _kernel_facets(
 
     The rows come from the reduction: the point of the pivot column of row
     r gets -red[r][free columns] and that of the j-th free column det * e_j.
-    For each (c-1)-subset V, the cofactor vector w_V with
-    <w_V, x> = det(g_V, x) gives two bitmasks, the z > max V with
+    At c = 2 they lie in the plane, and for C = {i, j, k}, i < j < k,
+    Cramer's rule is the identity D_jk*g_i - D_ik*g_j + D_ij*g_k = 0 with
+    D_ij = det(g_i, g_j), so lambda = (D_jk, -D_ik, D_ij): `_planar_facets`
+    reads every S off the signs of the D_ij.  At c = 1 and 3, which no
+    realized sphere meets, for each (c-1)-subset V, the cofactor vector
+    w_V with <w_V, x> = det(g_V, x) gives two bitmasks, the z > max V with
     <w_V, g_z> > 0 and those with <w_V, g_z> < 0.  Write C = U + {z} with
     U a c-subset and z > max U.  Times the common sign (-1)^(c-1), lambda_c
     is -det(g_U), the bit of max U in the masks of U - max U, and the other
@@ -258,6 +268,8 @@ def _kernel_facets(
         g[order[col]] = [det if k == j else 0 for k in range(c)]
     for row, col in zip(red, pivots):
         g[order[col]] = [-row[f] for f in free]
+    if c == 2:
+        return _planar_facets(homogeneous, g)
     signs: dict[tuple[int, ...], tuple[int, int]] = {}
     for v in itertools.combinations(range(n), c - 1):
         w = _cofactor([g[i] for i in v])
@@ -304,13 +316,62 @@ def _kernel_facets(
     return facets
 
 
+def _planar_facets(homogeneous: Sequence[Sequence[int]], g: list[list[int]]) -> list[int]:
+    """The facet masks, unsorted, at c = 2 from the planar Gale rows g_i of `_kernel_facets`.
+
+    The complement {i, j, k} of a D-subset, i < j < k, has
+    lambda = (D_jk, -D_ik, D_ij), D_ij = det(g_i, g_j) (see
+    `_kernel_facets`).  Row i's masks hold the k > i with D_ik > 0 (pos),
+    < 0 (neg), >= 0 (nonneg) and <= 0 (nonpos).  So for each pair i < j one
+    AND gives the k > j that make facets: pos[j] & neg[i] when D_ij > 0,
+    neg[j] & pos[i] when D_ij < 0, none when D_ij = 0.  The same AND of the
+    weak masks gives the k whose lambdas agree where nonzero and are not
+    all 0: the facets and the supports through more than D points, the
+    least of which raises NonSimplicial.  At D_ij = 0 those are the k with
+    D_jk and -D_ik of one weak sign, not both 0.
+    """
+    n = len(g)
+    full = (1 << n) - 1
+    pos, neg, nonneg, nonpos = [0] * n, [0] * n, [0] * n, [0] * n
+    for i, (a, b) in enumerate(g):
+        p = q = 0
+        for k in range(i + 1, n):
+            x, y = g[k]
+            s = a * y - b * x
+            if s > 0:
+                p |= 1 << k
+            elif s < 0:
+                q |= 1 << k
+        above = full ^ ((2 << i) - 1)
+        pos[i], neg[i], nonneg[i], nonpos[i] = p, q, above ^ q, above ^ p
+    facets: list[int] = []
+    offenders: list[int] = []
+    for i in range(n - 2):
+        pos_i, neg_i, nonneg_i, nonpos_i = pos[i], neg[i], nonneg[i], nonpos[i]
+        for j in range(i + 1, n - 1):
+            bit = 1 << j
+            if pos_i & bit:
+                found, weak = pos[j] & neg_i, nonneg[j] & nonpos_i
+            elif neg_i & bit:
+                found, weak = neg[j] & pos_i, nonpos[j] & nonneg_i
+            else:  # lambda = (D_jk, -D_ik, 0)
+                found = 0
+                both_zero = nonneg[j] & nonpos[j] & nonneg_i & nonpos_i
+                weak = (nonneg[j] & nonpos_i | nonpos[j] & nonneg_i) & ~both_zero
+            outside = full ^ 1 << i ^ bit
+            while weak:
+                low = weak & -weak
+                (facets if found & low else offenders).append(outside ^ low)
+                weak ^= low
+    if offenders:
+        raise _non_simplicial(homogeneous, tuple(i - 1 for i in min(map(_face, offenders))))
+    return facets
+
+
 def _cofactor(rows: list[list[int]]) -> tuple[int, ...]:
-    """w with <w, x> = det(rows, x), for k rows of length k + 1 <= 3."""
+    """w with <w, x> = det(rows, x), for no rows (c = 1) or two rows of length 3 (c = 3)."""
     if not rows:
         return (1,)
-    if len(rows) == 1:
-        (a,) = rows
-        return (-a[1], a[0])
     a, b = rows
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 

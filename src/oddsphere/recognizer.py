@@ -13,8 +13,13 @@ Vertex counts beyond d+4 are out of scope (no characterization exists).
 
 `recognize` takes a complex or a non-face family, as given.  A family is
 read directly (`_read_family`, which proves its reading by a rebuild); a
-sphere's certificate fixes d, so only a family of no sphere is dualized
-(`complexes.complex_from_nonfaces`), for the dimension its verdict names.
+sphere's certificate fixes d.  A family of no sphere needs d only for its
+verdict (out of scope when m - d >= 5).  A set is a face iff its
+complement meets every member, so the facets are the complements of the
+minimal transversals T and d = m - min|T| - 1.  Each transversal t of the
+family's quotient by twin vertices (`complexes._quotient_transversals`,
+which `complex_from_nonfaces` expands into facets) stands for such T of
+|t| vertices, so d is read off the sizes of the t and no facet is built.
 A complex whose facet complements all have m - d - 1 <= 3 vertices is
 first read off its facets (`_sphere_from_facets`): the blocks and their
 cyclic order are read off the complements, and the sphere those blocks fix
@@ -52,9 +57,9 @@ from .complexes import (
     _check_m,
     _face,
     _from_masks,
+    _quotient_transversals,
     _row_mask,
     _SetSystem,
-    complex_from_nonfaces,
     minimal_nonfaces,
 )
 
@@ -364,13 +369,19 @@ def recognize(c: SimplicialComplex | NonFaceFamily) -> Verdict:
     when it has some other Hamiltonian cycle), and BLOCKS_NOT_PARTITION
     means it is one but the alternating blocks fail to partition [m].
     A sphere read off its family or its facets needs no dualization (see
-    the module docstring).  A family of no sphere is dualized once, for its
-    dimension, and any other complex gets `_recognize_nonfaces(c)`; each
-    raises EnumerationLimitError when that dualization outgrows its limit.
+    the module docstring).  A family of no sphere is dualized on its
+    quotient by twins, and d = m - min|t| - 1 read off the sizes of the
+    quotient transversals t, building no facet; any other complex gets
+    `_recognize_nonfaces(c)`.  Each raises EnumerationLimitError when that
+    dualization, or the number of facets it stands for, outgrows its limit,
+    as `complex_from_nonfaces` does.
     """
     if isinstance(c, NonFaceFamily):
         read = _read_family(c)
-        d = complex_from_nonfaces(c).dimension if isinstance(read, NotSphereReason) else c.m - min(read.n, 3) - 1
+        if isinstance(read, NotSphereReason):
+            d = c.m - min(map(int.bit_count, _quotient_transversals(c)[0])) - 1
+        else:
+            d = c.m - min(read.n, 3) - 1
         return _verdict(c.m, d, read)
     s = c.m - c.dimension - 1
     if 1 <= s <= 3:

@@ -510,7 +510,7 @@ def test_spheres_are_recognized_without_dualization(argv, monkeypatch, capsys):
     docs += [{"m": m, "nonfaces": blocks} for m, blocks in one_and_two_blocks(8)]
     if "--verify" in argv:
         docs = [serialize.complex_to_doc(complex_from_nonfaces(serialize.family_from_doc(d))) for d in docs]
-    for module, name in (("recognizer", "complex_from_nonfaces"), ("recognizer", "minimal_nonfaces"),
+    for module, name in (("recognizer", "_quotient_transversals"), ("recognizer", "minimal_nonfaces"),
                          ("complexes", "minimal_nonfaces"), ("complexes", "_minimal_transversals")):
         monkeypatch.setattr(importlib.import_module(f"oddsphere.{module}"), name, dualization_refused)
     for doc in docs:

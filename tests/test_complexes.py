@@ -34,6 +34,7 @@ from tests_shared import (
     nonface_families,
     permuted,
     permuted_family,
+    planted_twins,
     reference_check_antichain,
     reference_complex_fields,
     reference_family_fields,
@@ -337,38 +338,6 @@ def test_property_minimal_transversals_match_reference(masks):
     transversals = _minimal_transversals(masks, complexes.MAX_NERVE_FACES)
     assert len(set(transversals)) == len(transversals)
     assert set(transversals) == reference_minimal_transversals(masks)
-
-
-@st.composite
-def planted_twins(draw):
-    """A non-face family and a complex, each with up to 4 twins planted, and the planted pairs.
-
-    Each planting takes a vertex u and a fresh vertex v.  In the family, v
-    joins every member that holds u, so u and v lie in the same members.
-    Among the complex's facet complements, the swap image x - u + v of each
-    complement x through u is added, so u and v have equal links.
-    """
-    fam = draw(nonface_families(max_m=8))
-    members, fam_pairs = list(fam._masks), []
-    for _ in range(draw(st.integers(0, 4))):
-        m = fam.m + len(fam_pairs)
-        u, v = 1 << draw(st.integers(0, m - 1)), 1 << m
-        members = [x | v if x & u else x for x in members]
-        fam_pairs.append(u | v)
-    comp = draw(simplicial_complexes(max_m=8))
-    complements, comp_pairs = [((1 << comp.m) - 1) ^ a for a in comp._masks], []
-    for _ in range(draw(st.integers(0, 4))):
-        m = comp.m + len(comp_pairs)
-        u, v = 1 << draw(st.integers(0, m - 1)), 1 << m
-        complements += [x ^ u | v for x in complements if x & u]
-        comp_pairs.append(u | v)
-    m = comp.m + len(comp_pairs)
-    return (
-        NonFaceFamily(fam.m + len(fam_pairs), tuple(map(_face, members))),
-        SimplicialComplex(m, tuple(_face(((1 << m) - 1) ^ x) for x in complements)),
-        fam_pairs,
-        comp_pairs,
-    )
 
 
 @settings(deadline=None, max_examples=300)

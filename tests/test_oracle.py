@@ -277,6 +277,57 @@ def test_hull_facets_names_the_least_non_simplicial_support(cut):
         assert hull_outcome(hull_facets, pc) == hull_outcome(reference_hull_facets, pc)
 
 
+# Planar Gale vectors no two of which are parallel, also after the last is
+# changed to make a configuration's sum zero (`planar_gale_configuration`).
+GENERIC_GALE = ((-1, 4), (-2, 1), (3, -3), (-4, 3), (0, 4), (-1, -1), (3, 4), (4, 3))
+
+
+def planar_gale_configuration(dim, special):
+    """D + 3 points in Q^D whose Gale vectors are `special` and generic ones, rotated by D."""
+    rest = [list(v) for v in GENERIC_GALE[: dim + 3 - len(special)]]
+    rest[-1] = [a - t for a, t in zip(rest[-1], map(sum, zip(*special, *rest)))]
+    vectors = [*special, *map(tuple, rest)]
+    vectors = vectors[dim:] + vectors[:dim]
+    pc = reconstruct_points(GaleConfiguration(tuple(vectors)))
+    assert (pc.n, pc.dim) == (dim + 3, dim)
+    return vectors, pc
+
+
+PLANAR_DEGENERACIES = {  # name: (planted vectors, pairs with determinant 0, points on the named support)
+    "apex": (((0, 0),), lambda dim: dim + 2, lambda dim: dim + 2),
+    "parallel": (((2, 1), (4, 2)), lambda dim: 1, None),
+    "three-parallel": (((2, 1), (4, 2), (6, 3)), lambda dim: 3, None),
+    "antiparallel": (((2, 1), (-2, -1)), lambda dim: 1 + (dim == 1), lambda dim: dim + 1),
+    "two-antiparallel": (((2, 1), (-4, -2), (1, -3), (-3, 9)), lambda dim: 2, lambda dim: dim + 1),
+}
+
+
+@pytest.mark.parametrize("name, dim", [(name, dim) for name, case in PLANAR_DEGENERACIES.items()
+                                       for dim in range(1, 7) if dim > 1 or len(case[0]) <= 2])
+def test_planar_gale_degeneracies_match_fraction_reference(name, dim):
+    # At codimension 2 the hull reads the signs of the 2x2 determinants of
+    # the Gale vectors.  A zero vector is a pyramid's apex, whose base facet
+    # holds D + 2 points; parallel vectors are twins, as in a block of a
+    # bracelet sphere, and leave the hull simplicial (three of them leave
+    # the D other points affinely dependent); two antiparallel ones
+    # put the D + 1 other points on a support, and two such pairs give two
+    # supports, of which the least is named.  (At D = 1 the other two of
+    # the four vectors are antiparallel too, as they sum to zero.)
+    special, zero_pairs, on_support = PLANAR_DEGENERACIES[name]
+    vectors, pc = planar_gale_configuration(dim, special)
+    zero = [(u, v) for u, v in itertools.combinations(vectors, 2) if u[0] * v[1] == u[1] * v[0]]
+    assert len(zero) == zero_pairs(dim)
+    expected = hull_outcome(reference_hull_facets, pc)
+    for cut in (oracle.MINOR_MAX_CODIM, 1):  # the planar path, and the per-subset scan
+        with patch.object(oracle, "MINOR_MAX_CODIM", cut):
+            assert hull_outcome(hull_facets, pc) == expected
+    if on_support is None:
+        assert isinstance(expected[0], tuple)  # facets
+    else:
+        assert expected[0] is NonSimplicial
+        assert expected[1].rsplit("contains points ", 1)[1].count(",") + 1 == on_support(dim)
+
+
 def test_non_simplicial_message_prints_plain_rationals_and_is_clipped():
     on_a_line = PointConfiguration(((0, 1), (2, 2), (4, 3), (0, 5)))
     with pytest.raises(NonSimplicial, match=r"^supporting hyperplane \(1/2, -1, 1\) contains points \(1, 2, 3\)$"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oddsphere import complexes as complexes_module
 from oddsphere import recognizer as recognizer_module
 from oddsphere.catalog import enumerate_bracelets, instantiate
 from oddsphere.complexes import (
@@ -17,6 +18,7 @@ from oddsphere.complexes import (
     NonFaceFamily,
     SimplicialComplex,
     _face,
+    _quotient_transversals,
     _row_mask,
     complex_from_nonfaces,
     minimal_nonfaces,
@@ -43,6 +45,7 @@ from tests_shared import (
     nonface_families,
     permuted,
     permuted_family,
+    planted_twins,
     reference_alternating_blocks,
 )
 
@@ -381,6 +384,39 @@ def test_property_recognized_certificates_are_valid_and_canonical(f):
 def test_property_a_family_is_recognized_as_its_complex(f):
     # read as given, and through the complex that Berge's dualization builds from it
     assert recognize(f) == recognize(complex_from_nonfaces(f))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(nonface_families(), planted_twins().map(lambda planted: planted[0])))
+def test_property_a_rejected_family_has_the_dimension_of_its_complex(f):
+    # a family of no sphere is not dualized into facets: its d is read off
+    # the sizes of the transversals of its quotient by twins
+    verdict = recognize(f)
+    if isinstance(verdict, Sphere):
+        return
+    comp = complex_from_nonfaces(f)
+    assert verdict == recognize(comp)
+    assert f.m - min(map(int.bit_count, _quotient_transversals(f)[0])) - 1 == comp.dimension
+    if isinstance(verdict, OutOfScope):
+        assert (verdict.m, verdict.d) == (f.m, comp.dimension)
+
+
+def test_recognize_builds_no_complex_for_twelve_disjoint_pairs(monkeypatch):
+    # Their complex has 2^12 facets; the verdict needs only their size.
+    built = []
+    real_built = complexes_module._built
+
+    def spy(cls, **fields):
+        built.append(cls)
+        return real_built(cls, **fields)
+
+    monkeypatch.setattr(complexes_module, "_built", spy)
+    monkeypatch.setattr(SimplicialComplex, "__post_init__", lambda self: built.append(SimplicialComplex))
+    pairs = NonFaceFamily(24, tuple((2 * i - 1, 2 * i) for i in range(1, 13)))
+    assert recognize(pairs) == OutOfScope(24, 11)
+    assert SimplicialComplex not in built
+    complex_from_nonfaces(NonFaceFamily(4, ((1, 2), (3, 4))))  # the spy sees a complex being built
+    assert SimplicialComplex in built
 
 
 def test_canonical_rotation_is_the_least_of_all_dihedral_variants():

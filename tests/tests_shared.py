@@ -15,6 +15,7 @@ from oddsphere.complexes import (
     SimplicialComplex,
     _check_m,
     _clip,
+    _face,
     euler_characteristic,
     f_vector,
 )
@@ -70,6 +71,38 @@ def simplicial_complexes(draw, max_m: int = 10):
     faces = set(pool) | {frozenset({v}) for v in range(1, m + 1)}
     facets = tuple(tuple(sorted(a)) for a in faces if not any(a < b for b in faces))
     return SimplicialComplex(m, facets)
+
+
+@st.composite
+def planted_twins(draw):
+    """A non-face family and a complex, each with up to 4 twins planted, and the planted pairs.
+
+    Each planting takes a vertex u and a fresh vertex v.  In the family, v
+    joins every member that holds u, so u and v lie in the same members.
+    Among the complex's facet complements, the swap image x - u + v of each
+    complement x through u is added, so u and v have equal links.
+    """
+    fam = draw(nonface_families(max_m=8))
+    members, fam_pairs = list(fam._masks), []
+    for _ in range(draw(st.integers(0, 4))):
+        m = fam.m + len(fam_pairs)
+        u, v = 1 << draw(st.integers(0, m - 1)), 1 << m
+        members = [x | v if x & u else x for x in members]
+        fam_pairs.append(u | v)
+    comp = draw(simplicial_complexes(max_m=8))
+    complements, comp_pairs = [((1 << comp.m) - 1) ^ a for a in comp._masks], []
+    for _ in range(draw(st.integers(0, 4))):
+        m = comp.m + len(comp_pairs)
+        u, v = 1 << draw(st.integers(0, m - 1)), 1 << m
+        complements += [x ^ u | v for x in complements if x & u]
+        comp_pairs.append(u | v)
+    m = comp.m + len(comp_pairs)
+    return (
+        NonFaceFamily(fam.m + len(fam_pairs), tuple(map(_face, members))),
+        SimplicialComplex(m, tuple(_face(((1 << m) - 1) ^ x) for x in complements)),
+        fam_pairs,
+        comp_pairs,
+    )
 
 
 def random_fraction(rng: random.Random, span: int = 8) -> Fraction:
