@@ -311,8 +311,8 @@ def test_planar_gale_degeneracies_match_fraction_reference(name, dim):
     # bracelet sphere, and leave the hull simplicial (three of them leave
     # the D other points affinely dependent); two antiparallel ones
     # put the D + 1 other points on a support, and two such pairs give two
-    # supports, of which the least is named.  (At D = 1 the other two of
-    # the four vectors are antiparallel too, as they sum to zero.)
+    # supports, of which the least is named.  (At D = 1 the two vectors
+    # beside one antiparallel pair are antiparallel too: all four sum to 0.)
     special, zero_pairs, on_support = PLANAR_DEGENERACIES[name]
     vectors, pc = planar_gale_configuration(dim, special)
     zero = [(u, v) for u, v in itertools.combinations(vectors, 2) if u[0] * v[1] == u[1] * v[0]]
