@@ -250,8 +250,11 @@ MAX_NERVE_FACES = 1 << 17
 # drawn uniformly), dualized on their quotients by twins, the minimal
 # non-faces took at most 65 units per set and the facets 83, both on
 # near-singleton bracelets, which have few twins (71 and 89 without the
-# quotients).  A unit took up to 80 ns (2-vCPU x86-64 VM, Python 3.11), so
-# the two stop within about 0.34 s and 2.7 s.
+# quotients).  A unit took up to 60 ns (2-vCPU x86-64 VM, Python 3.11;
+# kernel time over the units charged, on the relabeled (1,)*63 and
+# (2,)+(1,)*62 spheres both ways, and on (1,)*99 and (1,)*101 with
+# MAX_VERTICES lifted, which pass the budget), so the two stop within
+# about 0.25 s and 2 s.
 NERVE_WORK_PER_SET = 32
 WORK_PER_SET = 256
 
@@ -277,16 +280,19 @@ def _minimal_transversals(
     mask `am` is absorbed, a transversal that meets it stays minimal. A
     transversal `t` that misses it grows into the candidates `t | b`, one
     per vertex bit `b` of `am`. A candidate is minimal exactly when no kept
-    transversal `h` with `b` in `h` satisfies `h <= t | b`, that is, has
-    `h - b <= t`; a kept `h` without `b` cannot, as it would lie inside `t`.
+    transversal `h` lies inside `t | b`. As `t` misses `am`, such an `h`
+    meets `am` in `b` alone and has `h - b <= t`, so only the kept `h` that
+    meet `am` in one vertex are tested (Murakami and Uno's critical edges).
     Two candidates never contain or repeat each other: `t2 <= t | b` with
     `b` not in `t2` forces `t2 <= t`, so `t2 == t`. An empty mask leaves no
     transversal.
 
     Raises EnumerationLimitError, naming the sets sought as `what`, as
     soon as the antichain has more than `cap` members, or the work passes
-    `per_set` * `cap` units: one per antichain member scanned and one per
-    minimality test that a candidate could need (`inside` in full).
+    `per_set` * `cap` units, charged before each mask is absorbed: one per
+    vertex of `am` per kept transversal, and one per missing `t` per vertex
+    a kept transversal shares with `am`, as if each candidate were tested
+    against every kept `h` through its `b`.
     """
     transversals = [0]
     work_left = cap * per_set
@@ -302,23 +308,29 @@ def _minimal_transversals(
                 missing.append(t)
         if not missing:
             continue
+        hits = 0
+        single = []  # (h - b, b) for each kept h that meets am in b alone
+        for h in kept:
+            x = h & am
+            hits += x.bit_count()
+            if not x & (x - 1):
+                single.append((h ^ x, x))
+        work_left -= am.bit_count() * len(kept) + len(missing) * hits
+        if work_left < 0:
+            raise _too_many(what, cap)
         grown = []
-        rest = am
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            inside = [h ^ bit for h in kept if h & bit]
-            work_left -= len(kept) + len(missing) * len(inside)
-            if work_left < 0:
-                break
-            for t in missing:
-                for r in inside:
-                    if r & t == r:
-                        break
-                else:
-                    grown.append(t | bit)
+        for t in missing:
+            blocked = 0
+            for r, x in single:
+                if r & t == r:
+                    blocked |= x
+            free = am & ~blocked
+            while free:
+                bit = free & -free
+                free ^= bit
+                grown.append(t | bit)
         transversals = kept + grown
-        if work_left < 0 or len(transversals) > cap:
+        if len(transversals) > cap:
             raise _too_many(what, cap)
     return transversals
 

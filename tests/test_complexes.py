@@ -37,6 +37,7 @@ from tests_shared import (
     planted_twins,
     reference_check_antichain,
     reference_complex_fields,
+    reference_dualization_limits,
     reference_family_fields,
     reference_minimal_transversals,
     simplicial_complexes,
@@ -296,6 +297,62 @@ def test_minimal_transversals_stop_past_the_work_budget_within_the_cap():
     assert len(_minimal_transversals(masks, complexes.MAX_NERVE_FACES)) == 1536
     with pytest.raises(EnumerationLimitError):
         _minimal_transversals(masks, 1536, 32)
+
+
+# Vertex v is bit v - 1; each case's transversals are listed.
+@pytest.mark.parametrize(
+    "masks, transversals",
+    [
+        # {1,2} meets {1,2,4} in two vertices, so it blocks neither {3,1} nor {3,2}
+        ([(1, 3), (2, 3), (1, 2, 4)], [(1, 2), (1, 3), (2, 3), (3, 4)]),
+        ([(1, 2), (), (3,)], []),
+        ([(1, 2), (3, 4), (1, 2)], [(1, 3), (1, 4), (2, 3), (2, 4)]),
+        ([(1, 2, 3), (1, 2), (1,)], [(1,)]),
+        ([(1,), (1, 2), (1, 2, 3)], [(1,)]),
+        # every kept transversal meets {1,5} in 1 alone: {1,3} blocks {2,3,1}, {1,4} blocks {2,4,1}
+        ([(1, 2), (3, 4), (1, 5)], [(1, 3), (1, 4), (2, 3, 5), (2, 4, 5)]),
+    ],
+    ids=["two-vertex-hit-does-not-block", "empty", "repeated", "shrinking", "growing", "every-hit-single"],
+)
+def test_minimal_transversals_edge_cases(masks, transversals):
+    masks = [face_mask(a) for a in masks]
+    found = _minimal_transversals(masks, complexes.MAX_NERVE_FACES)
+    assert sorted(found) == sorted(face_mask(t) for t in transversals)
+    assert set(found) == reference_minimal_transversals(masks)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mask_lists(), st.integers(0, 40), st.integers(0, 4))
+def test_property_minimal_transversals_refuse_exactly_past_the_limits(masks, cap, per_set):
+    # Small caps and budgets, so that the antichain size and the work each
+    # trip; the units are charged as if every candidate were tested against
+    # every kept transversal through its vertex.
+    if reference_dualization_limits(masks, cap, per_set):
+        with pytest.raises(EnumerationLimitError):
+            _minimal_transversals(masks, cap, per_set)
+    else:
+        assert set(_minimal_transversals(masks, cap, per_set)) == reference_minimal_transversals(masks)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mask_lists(), st.integers(1, 4))
+def test_property_minimal_transversals_refuse_one_set_below_the_least_cap(masks, per_set):
+    # At the least cap within which the reference answers, one set less
+    # refuses on whichever limit binds, so the units must match to the last.
+    cap = 1
+    while reference_dualization_limits(masks, cap, per_set):
+        cap *= 2
+    low = cap // 2
+    while cap - low > 1:
+        mid = (low + cap) // 2
+        if reference_dualization_limits(masks, mid, per_set):
+            low = mid
+        else:
+            cap = mid
+    assert set(_minimal_transversals(masks, cap, per_set)) == reference_minimal_transversals(masks)
+    if reference_dualization_limits(masks, cap - 1, per_set):
+        with pytest.raises(EnumerationLimitError):
+            _minimal_transversals(masks, cap - 1, per_set)
 
 
 def pair_complement_complex(pairs):

@@ -159,6 +159,32 @@ def reference_minimal_transversals(masks: Iterable[int]) -> set[int]:
     return transversals
 
 
+def reference_dualization_limits(masks: Iterable[int], cap: int, per_set: int) -> bool:
+    """Whether `complexes._minimal_transversals(masks, cap, per_set)` must refuse.
+
+    Berge's antichain after each mask is the set of minimal transversals of
+    the masks so far.  A mask that some of them miss is charged, vertex bit
+    by vertex bit, one unit per kept transversal and one per missing one per
+    kept transversal through the bit; the budget is `cap` * `per_set`.  The
+    call refuses once the units pass the budget or the antichain passes `cap`.
+    """
+    masks = list(masks)
+    antichain: set[int] = {0}
+    work_left = cap * per_set
+    for i, am in enumerate(masks):
+        kept = [h for h in antichain if h & am]
+        missing = len(antichain) - len(kept)
+        if not missing:
+            continue
+        for v in range(am.bit_length()):
+            if am >> v & 1:
+                work_left -= len(kept) + missing * sum(1 for h in kept if h >> v & 1)
+        antichain = reference_minimal_transversals(masks[: i + 1])
+        if work_left < 0 or len(antichain) > cap:
+            return True
+    return False
+
+
 def as_face(vertices: Iterable[int], m: int | None = None) -> Face:
     """Normalize an iterable of vertex labels into a sorted, duplicate-free face.
 
