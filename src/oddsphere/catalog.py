@@ -3,7 +3,10 @@
 A sphere on m vertices of dimension m-4 is determined by the cyclic
 sequence of its block sizes, a bracelet: an odd-length cyclic sequence of
 positive integers summing to m (with every part >= 2 when the length is 3,
-since then the blocks themselves are the non-faces).  The catalog
+since then the blocks themselves are the non-faces).  They are generated
+directly, by length, then lexicographically (`enumerate_bracelets`: the
+Fredricksen-Kessler-Maiorana necklace recursion, pruned by the parts left
+and closed by its period rule, then a reflection test).  The catalog
 instantiates each bracelet, builds its complex straight from the
 certificate (`recognizer.cycle_complex`: one facet per choice of a vertex
 from each block of a central triangle of slots), and cross-checks every
@@ -49,28 +52,44 @@ def canonical_bracelet(sizes: tuple[int, ...]) -> Bracelet:
     return min(seq[r:] + seq[:r] for seq in (tuple(sizes), tuple(reversed(sizes))) for r in range(len(seq)))
 
 
-def _compositions(total: int, parts: int, minimum: int):
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
 def enumerate_bracelets(m: int) -> list[Bracelet]:
-    """All canonical bracelets of odd length 3..m with parts summing to m."""
+    """All canonical bracelets of odd length 3..m with parts summing to m, by length, then lexicographically.
+
+    For each odd n the Fredricksen-Kessler-Maiorana recursion extends
+    prenecklaces a_1..a_t (lexicographically least among the rotations of
+    every extension) part by part, in lexicographic order: a_{t+1} is
+    a_{t+1-p}, keeping the period p, or larger, making the period t+1.  A
+    prenecklace's first part is its least, so a prefix is pruned once its
+    sum plus a_1 for each part left exceeds m, and the last part is forced
+    to be m minus the sum so far, at least a_{n-p}.  A full sequence is a
+    necklace, least among its rotations, exactly when p divides n, and a
+    necklace is a canonical bracelet when `canonical_bracelet`, which also
+    takes the reflections, returns it.  At n = 3 every part is at least 2.
+    """
     if m < 4:
         raise ValueError("bracelet enumeration starts at m = 4")
-    out: set[Bracelet] = set()
+    out: list[Bracelet] = []
+
+    def extend(t: int, p: int, total: int) -> None:
+        # a[:t] is a prenecklace of period p whose parts sum to total
+        n, rest = len(a), m - total
+        if t == n - 1:
+            if rest > a[t - p] or (rest == a[t - p] and n % p == 0):
+                a[t] = rest
+                seq = tuple(a)
+                if canonical_bracelet(seq) == seq:
+                    out.append(seq)
+            return
+        for part in range(a[t - p], rest - a[0] * (n - 1 - t) + 1):
+            a[t] = part
+            extend(t + 1, p if part == a[t - p] else t + 1, total + part)
+
     for n in range(3, m + 1, 2):
-        minimum = 2 if n == 3 else 1
-        if n * minimum > m:
-            continue
-        for comp in _compositions(m, n, minimum):
-            out.add(canonical_bracelet(comp))
-    return sorted(out, key=lambda b: (len(b), b))
+        a = [0] * n
+        for first in range(2 if n == 3 else 1, m // n + 1):
+            a[0] = first
+            extend(1, 1, first)
+    return out
 
 
 def instantiate(b: Bracelet) -> tuple[NonFaceFamily, Certificate]:

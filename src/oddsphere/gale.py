@@ -115,18 +115,21 @@ def _standard_classes(vectors: Sequence[Vec]) -> list[list[int]] | None:
     classes at e = 1, and in the plane an odd number 2k+1 >= 3 of classes
     with every k+1 consecutive ones inside an open half-plane.  That rules
     out antipodal classes too: one of p and -p lies at most k steps after
-    the other, so that window spans a half turn.
+    the other, so that window spans a half turn.  `primitive_direction`
+    runs once per distinct vector, since a block's vertices share theirs.
     """
-    if not vectors[0]:
+    e = len(vectors[0])
+    if not e:
         return [list(range(1, len(vectors) + 1))]
-    if any(is_zero_vec(v) for v in vectors):
+    if (0,) * e in vectors:
         return None
-    if len(vectors[0]) == 1:
+    if e == 1:
         signs = [[i for i, v in enumerate(vectors, start=1) if (v[0] > 0) is positive] for positive in (True, False)]
         return signs if all(signs) else None
+    direction_of = {v: primitive_direction(v) for v in set(vectors)}
     members_of: dict[DiagramDirection, list[int]] = {}
     for i, v in enumerate(vectors, start=1):
-        members_of.setdefault(primitive_direction(v), []).append(i)
+        members_of.setdefault(direction_of[v], []).append(i)
     s = len(members_of)
     if s < 3 or s % 2 == 0:
         return None
@@ -223,8 +226,9 @@ def reconstruct_points(g: GaleConfiguration) -> PointConfiguration:
     taken = set(pivots)
     free = [j for j in range(n) if j not in taken]
     rows: list[tuple[int, ...]] = [()] * n
+    unit = (0,) * d + (1,) + (0,) * d  # unit[d - k : 2d - k] is the k-th unit vector, the origin at k = d
     for k, j in enumerate(free):
-        rows[j] = tuple(int(i == k) for i in range(d)) + (1,)
+        rows[j] = unit[d - k : 2 * d - k] + (1,)
     for row, j in zip(red, pivots):
         h = [-row[f] for f in free[:d]] + [det]
         divisor = math.gcd(*h) if det > 0 else -math.gcd(*h)

@@ -149,9 +149,18 @@ Verdict = Sphere | NotSphere | OutOfScope
 
 
 def _alternating_masks(members: Sequence[int]) -> list[int]:
-    """The blocks B_i = A_i & A_{i+2} & ... & A_{i+n-3} (mod n) of odd n >= 3 member masks in cyclic order."""
-    n = len(members)
-    return [reduce(and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
+    """The blocks B_i = A_i & A_{i+2} & ... & A_{i+n-3} (mod n) of odd n >= 3 member masks in cyclic order.
+
+    In the step-2 order A_0, A_2, ..., A_{n-1}, A_1, ..., A_{n-2}, B_{2p}
+    is the AND of the k = (n-1)/2 entries from position p on: one `reduce`
+    over a slice per block, read in step-2 order too.
+    """
+    n, k = len(members), (len(members) - 1) // 2
+    step = [*members[::2], *members[1::2]]
+    step += step[: k - 1]
+    blocks = [reduce(and_, step[p : p + k]) for p in range(n)]
+    blocks[::2], blocks[1::2] = blocks[: k + 1], blocks[k + 1 :]
+    return blocks
 
 
 def _certificate(blocks: Sequence[int]) -> Certificate:
@@ -257,9 +266,21 @@ def find_max_odd_cycle(f: NonFaceFamily) -> Certificate | None:
 
 
 def _members(blocks: Sequence[int]) -> list[int]:
-    """The member masks A_i = B_i | B_{i-2} | ... | B_{i-2k+2} of the sphere with block masks B_0, ..., B_{n-1}."""
-    n = len(blocks)
-    return [reduce(or_, (blocks[(i - 2 * j) % n] for j in range(max(1, (n - 1) // 2)))) for i in range(n)]
+    """The member masks A_i = B_i | B_{i-2} | ... | B_{i-2k+2} of the sphere with block masks B_0, ..., B_{n-1}.
+
+    At n <= 2 they are the blocks.  At odd n >= 3, in the step-2 order B_0,
+    B_2, ..., B_{n-1}, B_1, ..., B_{n-2}, A_{2p} is the OR of the k entries
+    up to position p: one `reduce` over a slice per member, read in step-2
+    order too.
+    """
+    n, k = len(blocks), (len(blocks) - 1) // 2
+    if n <= 2:
+        return list(blocks)
+    step = [*blocks[::2], *blocks[1::2]]
+    step = step[n - k + 1 :] + step
+    members = [reduce(or_, step[p : p + k]) for p in range(n)]
+    members[::2], members[1::2] = members[: k + 1], members[k + 1 :]
+    return members
 
 
 def _complements(slots: Sequence[int]) -> set[int]:

@@ -12,6 +12,7 @@ from tests_shared import (
     burnside_bracelet_count,
     one_and_two_blocks,
     permuted,
+    reference_bracelets,
 )
 
 from oddsphere.catalog import (
@@ -105,6 +106,13 @@ def test_enumerate_bracelets_small_counts():
                   (1, 1, 1, 1, 1, 1, 1)]
     }
     assert set(seven) == expected
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_enumerate_bracelets_equals_the_composition_walk(m):
+    bracelets = enumerate_bracelets(m)
+    assert bracelets == reference_bracelets(m)  # the order too: by length, then lexicographic
+    assert all(canonical_bracelet(b) == b for b in bracelets)
 
 
 def test_instantiate_pentagon_bracelet():

@@ -34,6 +34,7 @@ from oddsphere.gale import (
     InvalidConfiguration,
     NotAffinelySpanning,
     ZeroInput,
+    _standard_classes,
     _verified_classes,
     dependence_from_direction,
     direction_from_dependence,
@@ -329,6 +330,8 @@ def test_reconstruct_octahedron_configuration():
     g = realize_gale_vectors(octahedron_certificate())
     pts = reconstruct_points(g)
     assert pts.dim == 3 and pts.n == 6
+    # the free columns 2, 4, 5 and 6 give the unit vectors, then the origin
+    assert pts.points == ((-1, 0, 1), (1, 0, 0), (0, -1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0))
     assert boundary_complex(pts) == complex_from_nonfaces(OCTAHEDRON)
 
 
@@ -498,6 +501,18 @@ def _on_slots(directions, changed=None):
 ])
 def test_verified_classes_accepts_only_the_diagrams_classes(vectors, accepted):
     assert _verified_classes(SHARED_SLOT, vectors) is accepted
+
+
+@pytest.mark.parametrize("vectors, classes", [
+    pytest.param([(), (), ()], [[1, 2, 3]], id="e=0-one-class"),
+    pytest.param([(2,), (-1,), (2,)], [[1, 3], [2]], id="e=1-signs"),
+    pytest.param([(2,), (2,), (0,), (-4,), (-4,)], None, id="e=1-zero-among-repeats"),
+    pytest.param([(1, 1), (1, 1), (0, 0), (-1, 0), (-1, 0), (0, -1)], None, id="e=2-zero-among-repeats"),
+    # (2, 4) and (1, 2) share a ray; the class keeps its labels in order
+    pytest.param([(2, 4), (-3, 0), (1, 2), (0, -6), (2, 4)], [[1, 3, 5], [2], [4]], id="unequal-vectors-one-class"),
+])
+def test_standard_classes(vectors, classes):
+    assert _standard_classes(vectors) == classes
 
 
 @st.composite

@@ -29,8 +29,10 @@ from oddsphere.recognizer import (
     NotSphereReason,
     OutOfScope,
     Sphere,
+    _alternating_masks,
     _certificate,
     _complements,
+    _members,
     _read_family,
     _recognize_nonfaces,
     _sphere_from_facets,
@@ -47,6 +49,8 @@ from tests_shared import (
     permuted_family,
     planted_twins,
     reference_alternating_blocks,
+    reference_alternating_masks,
+    reference_members,
 )
 
 PENTAGON_F = ((1, 4), (2, 5), (1, 3), (2, 4), (3, 5))
@@ -645,6 +649,16 @@ def test_complements_at_one_and_two_blocks_equal_the_dualization(m):
             complements = _complements([_row_mask(s, m) for s in slots])
             facets = tuple(tuple(v for v in range(1, m + 1) if v not in _face(x)) for x in complements)
             assert SimplicialComplex(m, facets) == expected, slots
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([1, 2, *range(3, 64, 2)]).flatmap(
+    lambda n: st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)
+))
+def test_property_step_two_reading_equals_the_indexed_one(masks):
+    assert _members(masks) == reference_members(masks)
+    if len(masks) >= 3:
+        assert _alternating_masks(masks) == reference_alternating_masks(masks)
 
 
 BRACELETS_TO_12 = [b for m in range(4, 13) for b in enumerate_bracelets(m)]

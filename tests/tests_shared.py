@@ -1,13 +1,16 @@
 """Helpers shared across the test modules."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
+from oddsphere.catalog import canonical_bracelet
 from oddsphere.complexes import (
     Face,
     InvariantError,
@@ -409,6 +412,19 @@ def reference_alternating_blocks(ordering) -> tuple[Face, ...]:
     )
 
 
+def reference_alternating_masks(members: Sequence[int]) -> list[int]:
+    """`recognizer._alternating_masks` indexed mod n: B_i = A_i & A_{i+2} & ... & A_{i+n-3} of odd n >= 3 masks."""
+    n = len(members)
+    return [functools.reduce(operator.and_, (members[(i + 2 * j) % n] for j in range((n - 1) // 2))) for i in range(n)]
+
+
+def reference_members(blocks: Sequence[int]) -> list[int]:
+    """`recognizer._members` indexed mod n: A_i = B_i | B_{i-2} | ... | B_{i-2k+2}, k = max(1, (n-1)/2)."""
+    n = len(blocks)
+    return [functools.reduce(operator.or_, (blocks[(i - 2 * j) % n] for j in range(max(1, (n - 1) // 2))))
+            for i in range(n)]
+
+
 def canonical_certificate(ordering) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
     """(blocks, ordering) of the dihedral variant whose block sequence is lexicographically least.
 
@@ -483,6 +499,24 @@ def reference_betti_mod2(c: SimplicialComplex) -> tuple[int, ...]:
             r += 1
         ranks[s] = r
     return tuple(len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(len(groups)))
+
+
+def reference_bracelets(m: int) -> list[tuple[int, ...]]:
+    """`catalog.enumerate_bracelets` by brute force: the canonical form of every odd-length composition of m."""
+
+    def compositions(total: int, parts: int, least: int):
+        if parts == 1:
+            if total >= least:
+                yield (total,)
+            return
+        for first in range(least, total - least * (parts - 1) + 1):
+            for rest in compositions(total - first, parts - 1, least):
+                yield (first,) + rest
+
+    out = set()
+    for n in range(3, m + 1, 2):
+        out.update(canonical_bracelet(c) for c in compositions(m, n, 2 if n == 3 else 1))
+    return sorted(out, key=lambda b: (len(b), b))
 
 
 def burnside_bracelet_count(m: int) -> int:
